@@ -22,9 +22,8 @@ from soundcompass import (
     MultichannelWaveform,
     SceneSpec,
     SourceSpec,
-    delay_and_sum,
+    contour_grid,
     render_scene,
-    si_snr_i,
     tetrahedral_offsets,
     write_wav,
 )
@@ -81,7 +80,7 @@ def main() -> int:
     offsets = tetrahedral_offsets()
     axis = np.arange(-args.span, args.span + args.step / 2, args.step)
     grid = [(da, de) for da in axis for de in axis]
-    sums = {g: 0.0 for g in grid}
+    sums = np.zeros(len(grid))
 
     with tempfile.TemporaryDirectory() as tmp:
         wav_dir = Path(tmp)
@@ -96,15 +95,11 @@ def main() -> int:
             ref = MultichannelWaveform(
                 truth.sources[0].direct.samples + truth.sources[0].reverb.samples, FS
             )
-            az0, el0 = truth.sources[0].doa.to_degrees()
-            for da, de in grid:
-                clue = DoAClue.from_degrees(az0 + da, min(max(el0 + de, -90.0), 90.0))
-                est = delay_and_sum(mixture, clue, offsets)
-                sums[(da, de)] += si_snr_i(est, ref, mixture)
+            sums += contour_grid(mixture, ref, offsets, truth.sources[0].doa, grid)
             used += 1
             print(f"scene {used}/{args.scenes} done", file=sys.stderr)
 
-    mean_grid = {g: v / used for g, v in sums.items()}
+    mean_grid = dict(zip(grid, sums / used))
     with open(args.out, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["offset_az_deg", "offset_el_deg", "mean_si_snri_db"])

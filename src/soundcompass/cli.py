@@ -10,23 +10,25 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .audio_io import MultichannelWaveform, WavFormatError, read_wav, write_wav
 from .clues import ClueEmbedding, DoAClue, build_time_varying_clue, encode_cyc_pos, encode_sh
-from .extractor import SPEED_OF_SOUND, delay_and_sum
+from .extractor import SPEED_OF_SOUND, contour_grid, delay_and_sum
 from .fusion import (
     film_fuse,
     finite_difference_check,
     init_fusion_weights,
 )
-from .metrics import evaluate_extraction, si_snr_i, write_reports_csv
+from .metrics import evaluate_extraction, write_reports_csv
+from .metrics import si_snr_i  # noqa: F401  (unused here; perfbench wraps cli.si_snr_i)
 from .roomsim import SimulationError, render_scene_to_dir
 from .scenes import SceneValidationError, read_manifest
 from .spectral import GaussianWindowParams, make_band_layout, stft
@@ -89,6 +91,7 @@ def cmd_simulate(args) -> int:
                 except Exception as e:
                     failures.append((i, e))
                     if not args.keep_going:
+                        pool.shutdown(cancel_futures=True)
                         break
     else:
         for j in jobs:
@@ -126,7 +129,7 @@ def cmd_featurize(args) -> int:
     else:
         from .spectral import BandLayout
 
-        layout = BandLayout.from_json(Path(args.bands))
+        layout = BandLayout.load(args.bands)
         if layout.num_bins != num_bins:
             raise CliError(
                 f"band layout covers {layout.num_bins} bins, STFT has {num_bins}"
@@ -295,47 +298,33 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _contour_point(payload):
-    (d_az, d_el, az_deg, el_deg, scene_dir, j) = payload
-    scene_dir = Path(scene_dir)
-    truth = json.loads((scene_dir / "truth.json").read_text(encoding="utf-8"))
-    mixture = read_wav(scene_dir / "mixture.wav")
-    offsets = _array_offsets(truth)
-    el = min(max(el_deg + d_el, -90.0), 90.0)
-    clue = DoAClue.from_degrees(az_deg + d_az, el)
-    est = delay_and_sum(mixture, clue, offsets)
-    ref = _source_reference(scene_dir, truth, j)
-    return d_az, d_el, si_snr_i(est, ref, mixture)
-
-
 def cmd_contour(args) -> int:
-    scene_dir, truth, _ = _load_scene_dir(args.scene)
-    if not (0 <= args.source < len(truth["sources"])):
-        raise CliError(f"source {args.source} out of range")
+    scene_dir, truth, mixture = _load_scene_dir(args.scene)
+    ref = _source_reference(scene_dir, truth, args.source)
+    offsets = _array_offsets(truth)
     src = truth["sources"][args.source]
-    az_deg = math.degrees(src["azimuth"])
-    el_deg = 90.0 - math.degrees(src["polar"])
+    clue = DoAClue(src["azimuth"], src["polar"])
 
     steps = int(round(args.span / args.step))
     offsets_deg = [i * args.step for i in range(-steps, steps + 1)]
-    grid = [
-        (d_az, d_el, az_deg, el_deg, str(scene_dir), args.source)
-        for d_az in offsets_deg
-        for d_el in offsets_deg
-    ]
+    grid = [(d_az, d_el) for d_az in offsets_deg for d_el in offsets_deg]
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_contour_point, grid))
+    jobs = min(args.jobs, len(grid))
+    if jobs > 1:
+        chunks = [grid[len(grid) * k // jobs : len(grid) * (k + 1) // jobs] for k in range(jobs)]
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
+            parts = pool.map(partial(contour_grid, mixture, ref, offsets, clue), chunks)
+            values = np.concatenate(list(parts))
     else:
-        rows = [_contour_point(g) for g in grid]
+        values = contour_grid(mixture, ref, offsets, clue, grid)
 
     with open(args.out, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["d_az", "d_el", "si_snri_db"])
-        for d_az, d_el, v in rows:
+        for (d_az, d_el), v in zip(grid, values):
             writer.writerow([f"{d_az:.6f}", f"{d_el:.6f}", f"{v:.6f}"])
-    print(f"wrote {args.out} ({len(rows)} rows)")
+    print(f"wrote {args.out} ({len(grid)} rows)")
     return EXIT_OK
 
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .audio_io import MultichannelWaveform, read_wav, write_wav
 from .clues import DoAClue
@@ -36,6 +35,14 @@ DEFAULT_HOP = 256
 
 class SimulationError(ValueError):
     pass
+
+
+# module-level binding: perfbench traces stem convolution through roomsim.fftconvolve
+def fftconvolve(*args, **kwargs):
+    """scipy.signal.fftconvolve, imported on first use so that importing the package stays cheap."""
+    from scipy.signal import fftconvolve as impl
+
+    return impl(*args, **kwargs)
 
 
 def sabine_absorption(room_dims, rt60: float) -> float:

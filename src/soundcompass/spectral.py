@@ -218,9 +218,8 @@ class BandLayout:
         return payload
 
     @classmethod
-    def from_json(cls, text_or_path):
-        p = Path(str(text_or_path))
-        text = p.read_text(encoding="utf-8") if p.exists() else str(text_or_path)
+    def from_json(cls, text: str) -> "BandLayout":
+        """Parse the JSON text that to_json returns."""
         d = json.loads(text)
         fft_size = d["fft_size"]
         return cls(
@@ -229,6 +228,11 @@ class BandLayout:
             sample_rate=d["fs"],
             fft_size=fft_size,
         )
+
+    @classmethod
+    def load(cls, path) -> "BandLayout":
+        """Read a layout file written by to_json(path)."""
+        return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
 
 def make_band_layout(

@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import soundcompass
 from soundcompass.cli import main
 
 from conftest import make_noise_wav
@@ -114,6 +119,28 @@ def test_simulate_keep_going_renders_valid_scenes(tmp_path):
     assert rc == 2
     assert not (out / "scene_0" / "mixture.wav").exists()
     assert (out / "scene_1" / "mixture.wav").exists()
+
+
+def test_simulate_parallel_stops_after_first_failure(tmp_path):
+    # without --keep-going a failed scene cancels the renders not yet started
+    manifest = write_manifest(tmp_path, n_scenes=12)
+    lines = manifest.read_text().splitlines()
+    bad = json.loads(lines[0])
+    bad["sources"][0]["wav"] = "does_not_exist.wav"
+    manifest.write_text("\n".join([json.dumps(bad)] + lines[1:]) + "\n", encoding="utf-8")
+    out = tmp_path / "o"
+    rc = main(["simulate", "--manifest", str(manifest), "--out", str(out), "--jobs", "2"])
+    assert rc == 2
+    rendered = sum((out / f"scene_{i}" / "mixture.wav").exists() for i in range(1, 12))
+    assert rendered < 11
+
+
+def test_import_loads_no_scipy():
+    # scipy is needed only to render; every other command starts without it
+    code = "import sys, soundcompass.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(soundcompass.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -285,3 +312,11 @@ def test_contour_grid(rendered_scene, tmp_path):
     table = {(float(r[0]), float(r[1])): float(r[2]) for r in rows[1:]}
     best = max(table, key=table.get)
     assert best == (0.0, 0.0)
+
+
+def test_contour_parallel_matches_serial(rendered_scene, tmp_path):
+    outs = [tmp_path / "serial.csv", tmp_path / "parallel.csv"]
+    for jobs, out in zip(("1", "2"), outs):
+        argv = ["contour", "--scene", str(rendered_scene), "--source", "0", "--span", "5", "--step", "2.5"]
+        assert main(argv + ["--jobs", jobs, "--out", str(out)]) == 0
+    assert outs[1].read_bytes() == outs[0].read_bytes()

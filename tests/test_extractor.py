@@ -8,6 +8,7 @@ from soundcompass import (
     MultichannelWaveform,
     SceneSpec,
     SourceSpec,
+    contour_grid,
     delay_and_sum,
     render_scene,
     si_snr_i,
@@ -159,3 +160,30 @@ def test_si_snr_improves_at_true_doa(tmp_path):
     est_off = delay_and_sum(mixture, off_clue, spec.array_offsets)
     gain_off = si_snr_i(est_off, ref, mixture)
     assert gain > gain_off
+
+
+# ---------------------------------------------------------------------------
+# Steering-offset contour
+
+
+@pytest.mark.parametrize(
+    "offsets",
+    [tetrahedral_offsets(), 25.0 * tetrahedral_offsets(), np.array([[0.02, 0.0, 0.0]])],
+    ids=["tetrahedral", "wide", "mono"],
+)
+def test_contour_grid_matches_per_point_loop(rng, offsets):
+    m = offsets.shape[0]
+    mixture = MultichannelWaveform(rng.standard_normal((m, 4000)), FS)
+    ref = MultichannelWaveform(rng.standard_normal((m, 4000)), FS)
+    clue = DoAClue.from_degrees(30.0, 85.0)  # +10 deg elevation clamps at the pole
+    # 36 points: more than one block of the batched alignment
+    grid = [(d_az, d_el) for d_az in np.arange(-20.0, 25.0, 5.0) for d_el in (-10.0, 0.0, 7.5, 10.0)]
+    got = contour_grid(mixture, ref, offsets, clue, grid)
+
+    az0, el0 = clue.to_degrees()
+    expected = []
+    for d_az, d_el in grid:
+        steered = DoAClue.from_degrees(az0 + d_az, min(max(el0 + d_el, -90.0), 90.0))
+        expected.append(si_snr_i(delay_and_sum(mixture, steered, offsets), ref, mixture))
+    # the batched alignment sums in another order than the per-point convolutions
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)

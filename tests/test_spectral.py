@@ -245,12 +245,18 @@ def test_band_layout_json_round_trip(tmp_path):
     layout = make_band_layout(257, 16000)
     path = tmp_path / "bands.json"
     layout.to_json(path)
-    loaded = BandLayout.from_json(path)
+    loaded = BandLayout.load(path)
     assert loaded.bands == layout.bands
     assert loaded.sample_rate == 16000
     assert loaded.fft_size == 512
     d = json.loads(path.read_text())
     assert set(d) == {"fs", "fft_size", "bands"}
+
+
+def test_band_layout_json_text_round_trip():
+    # the default layout's text is longer than a file name may be
+    layout = make_band_layout(257, 16000)
+    assert BandLayout.from_json(layout.to_json()) == layout
 
 
 @settings(max_examples=30, deadline=None)
