@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+SPEED_OF_SOUND = 343.0  # m/s
 KERNEL_TAPS = 81
 KERNEL_HALF = KERNEL_TAPS // 2  # 40
 

@@ -20,9 +20,8 @@ import numpy as np
 from . import metrics
 from .audio_io import MultichannelWaveform
 from .clues import DoAClue
-from .delays import KERNEL_HALF, KERNEL_TAPS, delay_signal, fractional_delay_kernel
+from .delays import KERNEL_HALF, KERNEL_TAPS, SPEED_OF_SOUND, delay_signal, fractional_delay_kernel
 
-SPEED_OF_SOUND = 343.0
 # contour_grid aligns this many points per matrix product; together with
 # ALIGN_ROWS output samples per product it bounds the working set to a few
 # tens of MB for 4-channel, 4 s mixtures at 16 kHz

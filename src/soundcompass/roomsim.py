@@ -22,15 +22,20 @@ import numpy as np
 
 from .audio_io import MultichannelWaveform, read_wav, write_wav
 from .clues import DoAClue
-from .delays import KERNEL_HALF, KERNEL_TAPS, fractional_delay_kernel
+from .delays import KERNEL_HALF, KERNEL_TAPS, SPEED_OF_SOUND, fractional_delay_kernel
 from .scenes import SceneSpec
 
-SPEED_OF_SOUND = 343.0
 MAX_IMAGE_ORDER = 12
 MIN_SOURCE_MIC_DISTANCE = 1e-3  # 1 mm
 ACTIVATION_GATE_DB = -40.0
 DEFAULT_FFT_SIZE = 512
 DEFAULT_HOP = 256
+
+# arrivals are placed on a grid of 1/64 sample; row q is the kernel for fraction q/64
+DELAY_FRACTIONS = 64
+KERNEL_TABLE = np.stack([fractional_delay_kernel(q / DELAY_FRACTIONS) for q in range(DELAY_FRACTIONS)])
+KERNEL_TABLE.flags.writeable = False
+SCATTER_BLOCK_ROWS = 2048  # bounds the [rows, KERNEL_TAPS] product held at once
 
 
 class SimulationError(ValueError):
@@ -67,7 +72,8 @@ def _wall_absorptions(spec: SceneSpec) -> np.ndarray:
     return np.full(6, sabine_absorption(spec.room_dims, spec.rt60_s))
 
 
-def _image_order(spec: SceneSpec, absorptions: np.ndarray) -> int:
+def _image_order(spec: SceneSpec, absorptions: np.ndarray) -> tuple[int, bool]:
+    """Image order that covers the decay time, and whether MAX_IMAGE_ORDER cut it."""
     if spec.rt60_s is not None:
         rt60 = spec.rt60_s
     else:
@@ -77,7 +83,7 @@ def _image_order(spec: SceneSpec, absorptions: np.ndarray) -> int:
         mean_a = float(absorptions.mean())
         rt60 = 0.161 * volume / (surface * max(mean_a, 1e-6))
     order = math.ceil(rt60 * SPEED_OF_SOUND / min(spec.room_dims)) + 1
-    return min(order, MAX_IMAGE_ORDER)
+    return min(order, MAX_IMAGE_ORDER), order > MAX_IMAGE_ORDER
 
 
 @dataclass
@@ -86,6 +92,9 @@ class RoomImpulseResponse:
     direct_taps: np.ndarray  # [M, L] zeroth-order image only
     sample_rate: int
     direct_tap_index: np.ndarray  # [M] nearest integer arrival per channel
+    image_order: int  # reflection order per axis the image cube spans
+    order_capped: bool  # MAX_IMAGE_ORDER cut the order the decay time asked for
+    num_images: int  # images with non-negligible gain
 
     def __post_init__(self):
         self.taps = np.asarray(self.taps, dtype=np.float64)
@@ -107,24 +116,8 @@ class RoomImpulseResponse:
         return self.taps - self.direct_taps
 
 
-def simulate_rir(
-    spec: SceneSpec, source_index: int, max_order: int | None = None, sample_rate: int = 16000
-) -> RoomImpulseResponse:
-    """Image-source RIR from one source to every array mic."""
-    spec.validate()
-    if not (0 <= source_index < len(spec.sources)):
-        raise SimulationError(f"source index {source_index} out of range")
-    room = np.asarray(spec.room_dims, dtype=np.float64)
-    src = np.asarray(spec.sources[source_index].position, dtype=np.float64)
-    mics = np.asarray(spec.array_center, dtype=np.float64) + spec.array_offsets
-
-    absorptions = _wall_absorptions(spec)
-    betas = np.sqrt(np.clip(1.0 - absorptions, 0.0, 1.0))  # pairs per axis
-    order = _image_order(spec, absorptions) if max_order is None else int(max_order)
-    anechoic = bool(np.all(betas == 0.0))
-    if anechoic:
-        order = 0
-
+def _image_sources(src, room, betas, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions [I, 3] and reflection gains [I] of the live images up to order."""
     ms = np.arange(-order, order + 1)
     # per-axis image coordinates and reflection-coefficient products
     axis_coords, axis_gains = [], []
@@ -143,63 +136,96 @@ def simulate_rir(
     positions = np.stack([cx.ravel(), cy.ravel(), cz.ravel()], axis=1)  # [I, 3]
     gains = (gx * gy * gz).ravel()
     keep = gains > 1e-12
-    positions, gains = positions[keep], gains[keep]
+    return positions[keep], gains[keep]
+
+
+def _quantize(delays):
+    """Whole-sample and 1/64-fraction parts of delays.
+
+    A fraction that rounds to 64/64 moves to the next sample.
+    """
+    d_int = np.floor(delays).astype(np.int64)
+    q = np.round((delays - d_int) * DELAY_FRACTIONS).astype(np.int64)
+    d_int = d_int + (q == DELAY_FRACTIONS)
+    return d_int, np.where(q == DELAY_FRACTIONS, 0, q)
+
+
+def _scatter(out: np.ndarray, d_int: np.ndarray, q: np.ndarray, amps: np.ndarray) -> None:
+    """Add amps[i] * KERNEL_TABLE[q[i]] into out with tap k at d_int[i] - KERNEL_HALF + k.
+
+    Images are binned by (sample, fraction), the bins are filtered through the
+    kernel table, and each of the KERNEL_TAPS columns is added at its shift.
+    Taps before sample 0 are dropped; out must extend KERNEL_HALF past d_int.max().
+    """
+    rows = int(d_int.max()) + 1
+    grid = np.bincount(d_int * DELAY_FRACTIONS + q, weights=amps, minlength=rows * DELAY_FRACTIONS)
+    grid = grid.reshape(rows, DELAY_FRACTIONS)
+    for r0 in range(0, rows, SCATTER_BLOCK_ROWS):
+        block = KERNEL_TABLE.T @ grid[r0 : r0 + SCATTER_BLOCK_ROWS].T  # [KERNEL_TAPS, n]
+        n = block.shape[1]
+        for k in range(KERNEL_TAPS):
+            lo = r0 - KERNEL_HALF + k
+            skip = max(0, -lo)
+            if skip < n:
+                out[lo + skip : lo + n] += block[k, skip:]
+
+
+def simulate_rir(
+    spec: SceneSpec, source_index: int, max_order: int | None = None, sample_rate: int = 16000
+) -> RoomImpulseResponse:
+    """Image-source RIR from one source to every array mic."""
+    spec.validate()
+    if not (0 <= source_index < len(spec.sources)):
+        raise SimulationError(f"source index {source_index} out of range")
+    room = np.asarray(spec.room_dims, dtype=np.float64)
+    src = np.asarray(spec.sources[source_index].position, dtype=np.float64)
+    mics = np.asarray(spec.array_center, dtype=np.float64) + spec.array_offsets
+
+    absorptions = _wall_absorptions(spec)
+    betas = np.sqrt(np.clip(1.0 - absorptions, 0.0, 1.0))  # pairs per axis
+    order, capped = _image_order(spec, absorptions) if max_order is None else (int(max_order), False)
+    if np.all(betas == 0.0):  # anechoic
+        order, capped = 0, False
+
+    positions, gains = _image_sources(src, room, betas, order)
     if positions.shape[0] == 0:
         raise SimulationError("no live image sources; absorption layout degenerate")
 
-    kernel_cache: dict[int, np.ndarray] = {}
-
     fs = sample_rate
     num_mics = mics.shape[0]
-    direct_idx = np.zeros(num_mics, dtype=np.int64)
-    channels, direct_channels = [], []
-    max_len = 0
-
-    def scatter(taps, d_int, q, amps):
-        tap_range = np.arange(KERNEL_TAPS)
-        for qv in np.unique(q):
-            if qv not in kernel_cache:
-                kernel_cache[qv] = fractional_delay_kernel(qv / 64.0)
-            sel = q == qv
-            idx = ((d_int[sel] - KERNEL_HALF)[:, None] + tap_range[None, :]).ravel()
-            w = (amps[sel][:, None] * kernel_cache[qv][None, :]).ravel()
-            ok = (idx >= 0) & (idx < taps.shape[0])
-            np.add.at(taps, idx[ok], w[ok])
-
-    def quantize(delays):
-        d_int = np.floor(delays).astype(np.int64)
-        q = np.round((delays - d_int) * 64).astype(np.int64)
-        d_int = d_int + (q == 64)  # fraction rounded up to the next sample
-        return d_int, np.where(q == 64, 0, q)
-
+    # the same norm as the image distances, so an anechoic RIR equals its direct part bit for bit
+    direct_dists = np.linalg.norm(src - mics, axis=1)
+    near = np.flatnonzero(direct_dists < MIN_SOURCE_MIC_DISTANCE)
+    if near.size:
+        raise SimulationError(
+            f"source {source_index} is within 1 mm of mic {near[0]}; geometry degenerate"
+        )
+    dists = np.empty((num_mics, positions.shape[0]))
     for mi in range(num_mics):
-        dists = np.linalg.norm(positions - mics[mi], axis=1)
-        d_direct = float(np.linalg.norm(src - mics[mi]))
-        if d_direct < MIN_SOURCE_MIC_DISTANCE:
-            raise SimulationError(
-                f"source {source_index} is within 1 mm of mic {mi}; geometry degenerate"
-            )
-        dists = np.maximum(dists, MIN_SOURCE_MIC_DISTANCE)
-        d_int, q = quantize(dists / SPEED_OF_SOUND * fs)
-        length = int(d_int.max()) + KERNEL_TAPS + 1
-        taps = np.zeros(length)
-        scatter(taps, d_int, q, gains / (4.0 * np.pi * dists))
+        dists[mi] = np.maximum(np.linalg.norm(positions - mics[mi], axis=1), MIN_SOURCE_MIC_DISTANCE)
+    del positions
 
-        direct = np.zeros(length)
-        dd_int, dq = quantize(np.array([d_direct / SPEED_OF_SOUND * fs]))
-        scatter(direct, dd_int, dq, np.array([1.0 / (4.0 * np.pi * d_direct)]))
-
-        channels.append(taps)
-        direct_channels.append(direct)
-        direct_idx[mi] = int(round(d_direct / SPEED_OF_SOUND * fs))
-        max_len = max(max_len, length)
-
+    # the farthest image sets each channel's length; the longest channel sets the RIR's
+    last, _ = _quantize(dists.max(axis=1) / SPEED_OF_SOUND * fs)
+    max_len = int(last.max()) + KERNEL_TAPS + 1
     out = np.zeros((num_mics, max_len))
     out_direct = np.zeros((num_mics, max_len))
+    direct_delays = direct_dists / SPEED_OF_SOUND * fs
+    dd_int, dq = _quantize(direct_delays)
     for mi in range(num_mics):
-        out[mi, : channels[mi].shape[0]] = channels[mi]
-        out_direct[mi, : direct_channels[mi].shape[0]] = direct_channels[mi]
-    return RoomImpulseResponse(out, out_direct, fs, direct_idx)
+        d_int, q = _quantize(dists[mi] / SPEED_OF_SOUND * fs)
+        _scatter(out[mi], d_int, q, gains / (4.0 * np.pi * dists[mi]))
+
+        # same amplitude expression as the image sum
+        kernel = 1.0 / (4.0 * np.pi * direct_dists[mi]) * KERNEL_TABLE[dq[mi]]
+        lo = int(dd_int[mi]) - KERNEL_HALF
+        skip = max(0, -lo)
+        out_direct[mi, lo + skip : lo + KERNEL_TAPS] = kernel[skip:]
+
+    direct_idx = np.round(direct_delays).astype(np.int64)
+    return RoomImpulseResponse(
+        out, out_direct, fs, direct_idx, image_order=order, order_capped=capped, num_images=gains.shape[0]
+    )
 
 
 def ground_truth_doa(spec: SceneSpec, source_index: int) -> DoAClue:
@@ -240,6 +266,7 @@ class SourceTruth:
     activation: np.ndarray
     class_label: str
     position: np.ndarray
+    render: dict  # what the simulator built for this source; see _render_record
 
 
 @dataclass
@@ -300,6 +327,7 @@ def render_scene(spec: SceneSpec, base_dir=None) -> tuple[MultichannelWaveform, 
                 activation=frame_activation(dw),
                 class_label=spec.sources[j].class_label,
                 position=np.asarray(spec.sources[j].position, dtype=np.float64),
+                render=_render_record(spec, rir),
             )
         )
 
@@ -373,6 +401,27 @@ def _crossing_time(t: np.ndarray, db: np.ndarray, level: float) -> float:
     return float(t[i - 1] + w * (t[i] - t[i - 1]))
 
 
+def _render_record(spec: SceneSpec, rir: RoomImpulseResponse) -> dict:
+    """Image order and count an RIR was built from, and its requested vs measured RT60.
+
+    rt60_requested_s is None when the scene gives absorption directly;
+    rt60_measured_s is None for an anechoic RIR or a decay too short to measure.
+    """
+    measured = None
+    if rir.image_order > 0:
+        try:
+            measured = schroeder_rt60(rir)
+        except SimulationError:
+            pass
+    return {
+        "image_order": rir.image_order,
+        "order_capped": rir.order_capped,
+        "num_images": rir.num_images,
+        "rt60_requested_s": None if spec.rt60_s is None else float(spec.rt60_s),
+        "rt60_measured_s": measured,
+    }
+
+
 # ---------------------------------------------------------------------------
 # Batch rendering and truth serialization
 
@@ -392,6 +441,7 @@ def truth_to_dict(spec: SceneSpec, truth: SceneTruth, num_samples: int) -> dict:
                 "class": st.class_label,
                 "position": st.position.tolist(),
                 "activation": st.activation.tolist(),
+                "render": st.render,
             }
             for st in truth.sources
         ],

@@ -221,13 +221,21 @@ class BandLayout:
     def from_json(cls, text: str) -> "BandLayout":
         """Parse the JSON text that to_json returns."""
         d = json.loads(text)
+        if not isinstance(d, dict):
+            raise ValueError(f"band layout JSON must be an object, got {type(d).__name__}")
+        missing = [k for k in ("fs", "fft_size", "bands") if k not in d]
+        if missing:
+            raise ValueError(f"band layout JSON is missing {', '.join(map(repr, missing))}")
         fft_size = d["fft_size"]
-        return cls(
-            bands=[tuple(b) for b in d["bands"]],
-            num_bins=fft_size // 2 + 1,
-            sample_rate=d["fs"],
-            fft_size=fft_size,
-        )
+        try:
+            return cls(
+                bands=[tuple(b) for b in d["bands"]],
+                num_bins=fft_size // 2 + 1,
+                sample_rate=d["fs"],
+                fft_size=fft_size,
+            )
+        except TypeError as e:  # e.g. a string fft_size or a band that is not a pair
+            raise ValueError(f"band layout JSON has a malformed value: {e}") from None
 
     @classmethod
     def load(cls, path) -> "BandLayout":

@@ -185,6 +185,27 @@ def test_featurize_band_bin_mismatch_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"fs": FS}, "missing 'fft_size'"),
+        ([1, 2], "must be an object"),
+        ({"fs": FS, "fft_size": 512, "bands": [1, 2]}, "malformed value"),
+    ],
+    ids=["missing-key", "not-an-object", "band-not-a-pair"],
+)
+def test_featurize_malformed_band_file_exits_2(tmp_path, capsys, payload, message):
+    wav = tmp_path / "x.wav"
+    make_noise_wav(wav, seconds=0.2)
+    bands = tmp_path / "bands.json"
+    bands.write_text(json.dumps(payload))
+    rc = main(["featurize", "--wav", str(wav), "--bands", str(bands), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # clue
 

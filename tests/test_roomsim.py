@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from soundcompass import (
     simulate_rir,
     tetrahedral_offsets,
 )
+from soundcompass import roomsim
+from soundcompass.delays import KERNEL_HALF, KERNEL_TAPS, fractional_delay_kernel
 from soundcompass.roomsim import SPEED_OF_SOUND, schroeder_decay_db
 from soundcompass.spectral import frame_count
 
@@ -159,6 +162,100 @@ def test_source_index_out_of_range():
     spec = geometry_scene([(1.2, 3.8, 1.7)], [[0, 0, 0]])
     with pytest.raises(SimulationError):
         simulate_rir(spec, 1, sample_rate=FS)
+
+
+# ---------------------------------------------------------------------------
+# Image scatter against the per-fraction np.add.at reference
+
+
+def reference_rir(spec, source_index):
+    """Taps, direct taps and direct index by scattering each fraction with np.add.at per mic."""
+    room = np.asarray(spec.room_dims, dtype=np.float64)
+    src = np.asarray(spec.sources[source_index].position, dtype=np.float64)
+    mics = np.asarray(spec.array_center, dtype=np.float64) + spec.array_offsets
+    absorptions = roomsim._wall_absorptions(spec)
+    betas = np.sqrt(np.clip(1.0 - absorptions, 0.0, 1.0))
+    order = 0 if np.all(betas == 0.0) else roomsim._image_order(spec, absorptions)[0]
+    positions, gains = roomsim._image_sources(src, room, betas, order)
+
+    def scatter(taps, d_int, q, amps):
+        tap_range = np.arange(KERNEL_TAPS)
+        for qv in np.unique(q):
+            sel = q == qv
+            idx = ((d_int[sel] - KERNEL_HALF)[:, None] + tap_range[None, :]).ravel()
+            w = (amps[sel][:, None] * fractional_delay_kernel(qv / 64.0)[None, :]).ravel()
+            ok = (idx >= 0) & (idx < taps.shape[0])
+            np.add.at(taps, idx[ok], w[ok])
+
+    def quantize(delays):
+        d_int = np.floor(delays).astype(np.int64)
+        q = np.round((delays - d_int) * 64).astype(np.int64)
+        d_int = d_int + (q == 64)
+        return d_int, np.where(q == 64, 0, q)
+
+    channels, direct_channels, direct_idx = [], [], []
+    for mic in mics:
+        dists = np.maximum(np.linalg.norm(positions - mic, axis=1), 1e-3)
+        d_direct = float(np.linalg.norm(src - mic))
+        d_int, q = quantize(dists / SPEED_OF_SOUND * FS)
+        taps = np.zeros(int(d_int.max()) + KERNEL_TAPS + 1)
+        scatter(taps, d_int, q, gains / (4.0 * np.pi * dists))
+        direct = np.zeros_like(taps)
+        dd_int, dq = quantize(np.array([d_direct / SPEED_OF_SOUND * FS]))
+        scatter(direct, dd_int, dq, np.array([1.0 / (4.0 * np.pi * d_direct)]))
+        channels.append(taps)
+        direct_channels.append(direct)
+        direct_idx.append(int(round(d_direct / SPEED_OF_SOUND * FS)))
+
+    max_len = max(c.shape[0] for c in channels)
+    out = np.zeros((len(mics), max_len))
+    out_direct = np.zeros((len(mics), max_len))
+    for mi in range(len(mics)):
+        out[mi, : channels[mi].shape[0]] = channels[mi]
+        out_direct[mi, : direct_channels[mi].shape[0]] = direct_channels[mi]
+    return out, out_direct, np.asarray(direct_idx)
+
+
+@pytest.mark.parametrize(
+    "positions, room, center, absorption, rt60, clipped",
+    [
+        pytest.param([(1.2, 3.8, 1.7)], ROOM, CENTER, None, 1.2, False, id="reference-room-order-12"),
+        pytest.param([(6.1, 1.9, 1.2)], (8.0, 6.0, 3.5), (4.0, 3.0, 1.5), None, 0.6, False, id="8x6x3.5-room"),
+        pytest.param(
+            [(1.2, 3.8, 1.7)], ROOM, CENTER, [1.0, 0.3, 0.5, 0.2, 0.6, 0.4], None, False, id="one-absorbing-wall"
+        ),
+        pytest.param(
+            [(CENTER[0] + 0.5, CENTER[1], CENTER[2])], ROOM, CENTER, None, 0.32, True, id="near-source"
+        ),
+        pytest.param([(1.2, 3.8, 1.7)], ROOM, CENTER, [1.0] * 6, None, False, id="anechoic"),
+    ],
+)
+def test_scatter_matches_add_at_reference(positions, room, center, absorption, rt60, clipped):
+    spec = geometry_scene(positions, tetrahedral_offsets(), room, center, absorption, rt60)
+    rir = simulate_rir(spec, 0, sample_rate=FS)
+    taps, direct_taps, direct_idx = reference_rir(spec, 0)
+    assert rir.taps.shape == taps.shape
+    np.testing.assert_array_equal(rir.direct_tap_index, direct_idx)
+    peak = np.abs(taps).max()
+    assert np.abs(rir.taps - taps).max() <= 1e-12 * peak
+    assert np.abs(rir.direct_taps - direct_taps).max() <= 1e-12 * np.abs(direct_taps).max()
+    if absorption == [1.0] * 6:
+        np.testing.assert_array_equal(rir.direct_taps, rir.taps)
+    # the nearest mic hears the source within KERNEL_HALF samples: its kernel starts before sample 0
+    assert (rir.direct_tap_index.min() < KERNEL_HALF) == clipped
+
+
+def test_simulate_rir_peak_allocation():
+    # a dense all-mic (sample, fraction) grid would need 77-88 MB here
+    spec = geometry_scene([(1.2, 3.8, 1.7)], tetrahedral_offsets(), rt60=1.2, absorption=None)
+    tracemalloc.start()
+    try:
+        rir = simulate_rir(spec, 0, sample_rate=FS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rir.image_order == 12
+    assert peak <= 32 * 2**20, peak / 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -332,3 +429,34 @@ def test_render_scene_to_dir_layout(scene_factory, tmp_path):
     assert mix.num_channels == 4
     t = frame_count(mix.num_samples, 512, 256)
     assert len(src["activation"]) == t
+
+
+def test_truth_render_block_reverberant(scene_factory, tmp_path):
+    spec = scene_factory(rt60=1.2, absorption=None, seconds=0.2)
+    a = render_scene_to_dir(spec, tmp_path / "a")
+    b = render_scene_to_dir(spec, tmp_path / "b")
+    assert (a / "truth.json").read_bytes() == (b / "truth.json").read_bytes()
+    render = json.loads((a / "truth.json").read_text())["sources"][0]["render"]
+    rir = simulate_rir(spec, 0, sample_rate=FS)
+    assert render == {
+        "image_order": 12,
+        "order_capped": True,
+        "num_images": rir.num_images,
+        "rt60_requested_s": 1.2,
+        "rt60_measured_s": schroeder_rt60(rir),
+    }
+    assert 0 < render["num_images"] <= 50**3
+    # known defect, recorded not fixed: the order cap shortens the decay
+    assert render["rt60_measured_s"] < 0.8 * 1.2
+
+
+def test_truth_render_block_anechoic(scene_factory, tmp_path):
+    out = render_scene_to_dir(scene_factory(seconds=0.2), tmp_path / "scene")
+    render = json.loads((out / "truth.json").read_text())["sources"][0]["render"]
+    assert render == {
+        "image_order": 0,
+        "order_capped": False,
+        "num_images": 1,
+        "rt60_requested_s": None,
+        "rt60_measured_s": None,
+    }
