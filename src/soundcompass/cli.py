@@ -10,10 +10,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -83,6 +81,9 @@ def cmd_simulate(args) -> int:
 
     failures = []
     if args.jobs > 1:
+        # imported here so that a serial run does not pay for loading process pools
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             futures = [pool.submit(_render_one, j) for j in jobs]
             for i, fut in enumerate(futures):
@@ -133,6 +134,10 @@ def cmd_featurize(args) -> int:
         if layout.num_bins != num_bins:
             raise CliError(
                 f"band layout covers {layout.num_bins} bins, STFT has {num_bins}"
+            )
+        if layout.sample_rate != wav.sample_rate:
+            raise CliError(
+                f"band layout is for {layout.sample_rate} Hz, {args.wav} is {wav.sample_rate} Hz"
             )
 
     out = Path(args.out)
@@ -312,6 +317,9 @@ def cmd_contour(args) -> int:
     jobs = min(args.jobs, len(grid))
     if jobs > 1:
         chunks = [grid[len(grid) * k // jobs : len(grid) * (k + 1) // jobs] for k in range(jobs)]
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
             parts = pool.map(partial(contour_grid, mixture, ref, offsets, clue), chunks)

@@ -144,16 +144,37 @@ def _standardize(a: np.ndarray):
     return (a - mu) / s, s
 
 
+def _encode_columns(cols: np.ndarray, w: EncoderWeights) -> np.ndarray:
+    """PReLU(AdaNorm(W c + b)) for each column c of a [dim_in, N] array.
+
+    One matrix product for all columns, then the norm over the channel
+    (leading) axis and the PReLU in place; returns [dim_out, N].
+    """
+    a = w.w @ cols
+    a += w.b[:, None]
+    a -= a.mean(axis=0)
+    s = np.einsum("ij,ij->j", a, a)
+    s /= a.shape[0]
+    s += ADANORM_EPS
+    np.sqrt(s, out=s)
+    a /= s  # a is now y, standardized over the channel axis
+    z = a * -w.k_ada
+    z += 1.0
+    z *= a
+    z *= w.gain[:, None]
+    z += w.bias[:, None]
+    np.multiply(z, w.prelu_slope, out=z, where=z < 0.0)
+    return z
+
+
 def encoding_block(x: np.ndarray, w: EncoderWeights) -> np.ndarray:
     """PReLU(AdaNorm(W x + b)) applied over the last axis of x."""
     x = np.asarray(x, dtype=np.float64)
     _finite("encoding_block input", x)
     if x.shape[-1] != w.dim_in:
         raise ValueError(f"input width {x.shape[-1]} != weight input {w.dim_in}")
-    a = x @ w.w.T + w.b
-    y, _ = _standardize(a)
-    z = w.gain * ((1.0 - w.k_ada * y) * y) + w.bias
-    return np.where(z >= 0.0, z, w.prelu_slope * z)
+    out = _encode_columns(x.reshape(-1, w.dim_in).T, w)
+    return out.T.reshape(x.shape[:-1] + (w.dim_out,))
 
 
 def _clue_matrix(clue, dim_expected: int) -> tuple[np.ndarray, bool]:
@@ -198,15 +219,22 @@ def film_fuse(feat_k: np.ndarray, clue, bw: BandFusionWeights) -> np.ndarray:
     gamma, beta = _gamma_beta(clue_mat, bw)
     g = gamma.T[:, :, None] if not static else gamma[0][:, None, None]
     b = beta.T[:, :, None] if not static else beta[0][:, None, None]
-    return feat_k + g * feat_k + b
+    out = feat_k * (1.0 + g)
+    out += b
+    return out
 
 
 def encode_band_feature(band: np.ndarray, w: EncoderWeights) -> np.ndarray:
-    """Mix input planes down to the band's channel count at every (t, f)."""
+    """Mix input planes down to the band's channel count at every (t, f).
+
+    The same block as encoding_block, over the leading (channel) axis.
+    """
     band = np.asarray(band, dtype=np.float64)
-    moved = np.moveaxis(band, 0, -1)  # [T, F, C_in]
-    out = encoding_block(moved, w)
-    return np.moveaxis(out, -1, 0)  # [C_k, T, F]
+    _finite("encoding_block input", band)
+    if band.shape[0] != w.dim_in:
+        raise ValueError(f"input width {band.shape[0]} != weight input {w.dim_in}")
+    out = _encode_columns(band.reshape(band.shape[0], -1), w)  # [C_k, T*F]
+    return out.reshape((w.dim_out,) + band.shape[1:])  # [C_k, T, F]
 
 
 def fuse_all_bands(spin: SpinFeature, layout: BandLayout, clue, weights: FusionWeights) -> FusedFeature:
@@ -255,12 +283,12 @@ def film_gradients(feat_k: np.ndarray, clue, bw: BandFusionWeights, upstream: np
 
     if static:
         d_feat = upstream * (1.0 + gamma[0][:, None, None])
-        g_gamma = (upstream * feat_k).sum(axis=(1, 2))[None, :]  # [1, C]
-        g_beta = upstream.sum(axis=(1, 2))[None, :]
+        g_gamma = np.einsum("ctf,ctf->c", upstream, feat_k)[None, :]  # [1, C]
+        g_beta = np.einsum("ctf->c", upstream)[None, :]
     else:
         d_feat = upstream * (1.0 + gamma.T[:, :, None])
-        g_gamma = (upstream * feat_k).sum(axis=2).T  # [T, C]
-        g_beta = upstream.sum(axis=2).T
+        g_gamma = np.einsum("ctf,ctf->tc", upstream, feat_k)  # [T, C]
+        g_beta = np.einsum("ctf->tc", upstream)
 
     d_w_gamma = g_gamma.T @ h
     d_b_gamma = g_gamma.sum(axis=0)

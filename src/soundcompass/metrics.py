@@ -48,34 +48,53 @@ def _as_2d(x) -> np.ndarray:
     return a[None, :] if a.ndim == 1 else a
 
 
-def snr(est, ref) -> float:
-    """10 log10(||ref||^2 / ||est - ref||^2), channel-averaged, capped +-100."""
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-channel inner product a[c] . b[c] of two [C, S] arrays.
+
+    A batched matrix product, so each row is one BLAS dot, as a @ b is for
+    1-D rows; np.einsum computes the same sums several times slower.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _energies(x: np.ndarray) -> np.ndarray:
+    """Per-channel energy sum(x[c]^2) of a [C, S] array."""
+    return _row_dots(x, x)
+
+
+def _checked_2d(est, ref):
+    """(est, ref, per-channel reference energy) as [C, S] arrays."""
     e, r = _as_2d(est), _as_2d(ref)
     if e.shape != r.shape:
         raise ValueError(f"shape mismatch {e.shape} vs {r.shape}")
-    vals = []
-    for ch in range(r.shape[0]):
-        rr = float(r[ch] @ r[ch])
-        if rr <= 0.0:
-            raise ValueError(f"reference channel {ch} is all zero")
-        vals.append(_ratio_db(rr, float((e[ch] - r[ch]) @ (e[ch] - r[ch]))))
-    return float(np.mean(vals))
+    rr = _energies(r)
+    silent = np.flatnonzero(rr <= 0.0)
+    if silent.size:
+        raise ValueError(f"reference channel {silent[0]} is all zero")
+    return e, r, rr
+
+
+def _mean_ratio_db(num: np.ndarray, den: np.ndarray) -> float:
+    """Channel mean of the per-channel capped ratios."""
+    return float(np.mean([_ratio_db(float(n), float(d)) for n, d in zip(num, den)]))
+
+
+def snr(est, ref) -> float:
+    """10 log10(||ref||^2 / ||est - ref||^2), channel-averaged, capped +-100."""
+    e, r, rr = _checked_2d(est, ref)
+    return _mean_ratio_db(rr, _energies(e - r))
 
 
 def si_snr(est, ref) -> float:
     """Scale-invariant SNR: project est onto ref, compare to the residual."""
-    e, r = _as_2d(est), _as_2d(ref)
-    if e.shape != r.shape:
-        raise ValueError(f"shape mismatch {e.shape} vs {r.shape}")
-    vals = []
-    for ch in range(r.shape[0]):
-        rr = float(r[ch] @ r[ch])
-        if rr <= 0.0:
-            raise ValueError(f"reference channel {ch} is all zero")
-        s_target = (float(e[ch] @ r[ch]) / rr) * r[ch]
-        resid = e[ch] - s_target
-        vals.append(_ratio_db(float(s_target @ s_target), float(resid @ resid)))
-    return float(np.mean(vals))
+    e, r, rr = _checked_2d(est, ref)
+    scale = _row_dots(e, r) / rr  # s_target = scale * r
+    # row-major even when r is a channel-interleaved WAV view, so that the
+    # subtraction runs along contiguous rows
+    resid = np.multiply(scale[:, None], r, order="C")
+    np.subtract(e, resid, out=resid)
+    # ||s_target||^2 = scale^2 rr, so s_target needs no array of its own
+    return _mean_ratio_db(scale * scale * rr, _energies(resid))
 
 
 def snr_i(est, ref, mixture) -> float:
@@ -94,8 +113,11 @@ def si_snr_i(est, ref, mixture) -> float:
 def ild(w: MultichannelWaveform, pair: tuple[int, int]) -> float:
     """Inter-channel level difference 10 log10(E_i/E_j); NaN if a channel is silent."""
     i, j = _check_pair(pair, w.num_channels)
-    ei = float(w.samples[i] @ w.samples[i])
-    ej = float(w.samples[j] @ w.samples[j])
+    return _ild_db(_energies(w.samples[[i, j]]), 0, 1)
+
+
+def _ild_db(energies: np.ndarray, i: int, j: int) -> float:
+    ei, ej = float(energies[i]), float(energies[j])
     if ei < ENERGY_FLOOR or ej < ENERGY_FLOOR:
         return math.nan
     return 10.0 * math.log10(ei / ej)
@@ -114,25 +136,52 @@ def gcc_phat_itd(w: MultichannelWaveform, pair: tuple[int, int], max_lag_s: floa
     Whitened cross-correlation: peak lag of ifft(X_j conj(X_i)/|.|) within
     +-max_lag_s, refined by a 3-point parabolic fit. NaN for silent channels.
     """
-    i, j = _check_pair(pair, w.num_channels)
-    xi, xj = w.samples[i], w.samples[j]
-    if float(xi @ xi) < ENERGY_FLOOR or float(xj @ xj) < ENERGY_FLOOR:
-        return math.nan
+    return _gcc_phat_itds(w, [_check_pair(pair, w.num_channels)], max_lag_s)[0]
+
+
+def _gcc_phat_itds(w: MultichannelWaveform, pairs: list, max_lag_s: float) -> list[float]:
+    """gcc_phat_itd for each of several checked pairs of one signal.
+
+    Each channel a defined pair uses is transformed and whitened once; the
+    product of two whitened spectra is the whitened cross-spectrum. Each
+    pair's correlation is reduced to its searched lags before the next pair
+    is formed, so memory does not grow with the pair count.
+    """
+    x = w.samples
+    live = _energies(x) >= ENERGY_FLOOR
+    defined = [bool(live[i] and live[j]) for i, j in pairs]
+    if not any(defined):
+        return [math.nan] * len(pairs)
     if max_lag_s <= 0:
         raise ValueError("max_lag_s must be positive")
-    s = xi.shape[0]
+    s = x.shape[1]
     nfft = 1 << max(1, (2 * s - 1).bit_length())
-    spec_i = np.fft.rfft(xi, nfft)
-    spec_j = np.fft.rfft(xj, nfft)
-    cross = spec_j * np.conj(spec_i)
-    mag = np.abs(cross)
-    cross = np.where(mag > 0, cross / np.maximum(mag, 1e-300), 0.0)
-    corr = np.fft.irfft(cross, nfft)
-
     max_lag = int(round(max_lag_s * w.sample_rate))
     max_lag = min(max_lag, nfft // 2 - 1)
     lags = np.arange(-max_lag, max_lag + 1)
-    vals = corr[lags % nfft]
+
+    white = {}
+    for c in {c for p, ok in zip(pairs, defined) if ok for c in p}:
+        spec = np.fft.rfft(x[c], nfft)
+        mag = np.abs(spec)
+        np.divide(spec, mag, out=spec, where=mag > 0)  # bins with mag 0 stay 0
+        white[c] = spec
+    del mag
+
+    itds = []
+    for (i, j), ok in zip(pairs, defined):
+        if not ok:
+            itds.append(math.nan)
+            continue
+        cross = np.conj(white[i])
+        cross *= white[j]
+        vals = np.fft.irfft(cross, nfft)[lags % nfft]
+        itds.append(_refined_peak_lag(vals, lags) / w.sample_rate)
+    return itds
+
+
+def _refined_peak_lag(vals: np.ndarray, lags: np.ndarray) -> float:
+    """Lag of the largest value, refined by a 3-point parabolic fit."""
     k = int(np.argmax(vals))
     peak_lag = float(lags[k])
     if 0 < k < len(vals) - 1:
@@ -140,7 +189,7 @@ def gcc_phat_itd(w: MultichannelWaveform, pair: tuple[int, int], max_lag_s: floa
         denom = y0 - 2.0 * y1 + y2
         if denom < 0:
             peak_lag += 0.5 * (y0 - y2) / denom
-    return peak_lag / w.sample_rate
+    return peak_lag
 
 
 def _check_pair(pair, m: int) -> tuple[int, int]:
@@ -162,10 +211,6 @@ class PairErrors:
         return not (
             math.isnan(self.d_ild_db) or math.isnan(self.d_ipd_rad) or math.isnan(self.d_itd_us)
         )
-
-
-def _wrap_angle(a: np.ndarray) -> np.ndarray:
-    return np.angle(np.exp(1j * a))
 
 
 def spatial_errors(
@@ -190,37 +235,33 @@ def spatial_errors(
     if max_lag_s is None:
         max_lag_s = 64 / est.sample_rate
 
-    spec_est = stft(est, window, window.length, hop)
-    spec_ref = stft(ref, window, window.length, hop)
-    mag_est = np.abs(spec_est.as_complex())
-    mag_ref = np.abs(spec_ref.as_complex())
+    x_est = stft(est, window, window.length, hop).as_complex()
+    x_ref = stft(ref, window, window.length, hop).as_complex()
+    mag_est, mag_ref = np.abs(x_est), np.abs(x_ref)
     peak = max(mag_est.max(), mag_ref.max())
     gate = peak * 10.0 ** (IPD_GATE_DB / 20.0)
+    # peak == 0: a zero gate would admit every silent bin
+    loud = (mag_est >= gate) & (mag_ref >= gate) & (peak > 0.0)
 
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    first, second = [i for i, _ in pairs], [j for _, j in pairs]
+    mask = loud[first] & loud[second]
+    # IPD_est - IPD_ref per pair from one phase per channel and signal,
+    # wrapped to [-pi, pi]; exactly 0 when est == ref
+    phase = np.angle(x_est) - np.angle(x_ref)
+    diff = phase[second] - phase[first]
+    diff -= (2.0 * np.pi) * np.rint(diff / (2.0 * np.pi))
+    np.abs(diff, out=diff)
+
+    e_est, e_ref = _energies(est.samples), _energies(ref.samples)
+    itd_est = _gcc_phat_itds(est, pairs, max_lag_s)
+    itd_ref = _gcc_phat_itds(ref, pairs, max_lag_s)
     per_pair = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            d_ild = abs(ild(est, (i, j)) - ild(ref, (i, j)))
-
-            # peak == 0: a zero gate would admit every silent bin
-            mask = (
-                (mag_est[i] >= gate)
-                & (mag_est[j] >= gate)
-                & (mag_ref[i] >= gate)
-                & (mag_ref[j] >= gate)
-                & (peak > 0.0)
-            )
-            if mask.any():
-                diff = _wrap_angle(ipd(spec_est, (i, j)) - ipd(spec_ref, (i, j)))
-                d_ipd = float(np.abs(diff[mask]).mean())
-            else:
-                d_ipd = math.nan
-
-            itd_e = gcc_phat_itd(est, (i, j), max_lag_s)
-            itd_r = gcc_phat_itd(ref, (i, j), max_lag_s)
-            d_itd = abs(itd_e - itd_r) * 1e6
-
-            per_pair.append(PairErrors((i, j), d_ild, d_ipd, d_itd))
+    for p, (i, j) in enumerate(pairs):
+        d_ild = abs(_ild_db(e_est, i, j) - _ild_db(e_ref, i, j))
+        d_ipd = float(diff[p][mask[p]].mean()) if mask[p].any() else math.nan
+        d_itd = abs(itd_est[p] - itd_ref[p]) * 1e6
+        per_pair.append(PairErrors((i, j), d_ild, d_ipd, d_itd))
 
     def mean_defined(vals):
         ok = [v for v in vals if not math.isnan(v)]

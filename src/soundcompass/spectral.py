@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import MultichannelWaveform
 
@@ -117,8 +119,7 @@ def stft(w: MultichannelWaveform, p: GaussianWindowParams, fft_size: int, hop: i
     padded[:, : x.shape[1]] = x
 
     window = make_gaussian_window(p)
-    starts = np.arange(t_frames) * hop
-    frames = np.stack([padded[:, s : s + fft_size] for s in starts], axis=1)  # [M, T, N]
+    frames = sliding_window_view(padded, fft_size, axis=1)[:, ::hop]  # [M, T, N] view
     spec = np.fft.rfft(frames * window, axis=2)
     return ComplexSpectrogram.from_complex(spec, hop, fft_size, w.sample_rate)
 
@@ -183,6 +184,10 @@ class BandLayout:
     fft_size: int = 512
 
     def __post_init__(self):
+        fs = self.sample_rate
+        if isinstance(fs, bool) or not isinstance(fs, numbers.Integral) or fs <= 0:
+            raise ValueError(f"band layout fs must be a positive integer, got {fs!r}")
+        self.sample_rate = int(fs)
         self.bands = [(int(lo), int(hi)) for lo, hi in self.bands]
         if not self.bands:
             raise ValueError("layout needs at least one band")
@@ -345,19 +350,21 @@ def merge_weights(layout: BandLayout) -> list[np.ndarray]:
             prof[width - len(ramp_dn) :] = np.minimum(prof[width - len(ramp_dn) :], ramp_dn)
         profiles.append(prof)
 
-    weights = [np.zeros(hi - lo + 1) for lo, hi in bands]
-    for f in range(layout.num_bins):
-        cover = [k for k in range(len(bands)) if bands[k][0] <= f <= bands[k][1]]
-        vals = [profiles[k][f - bands[k][0]] for k in cover]
-        total = sum(vals)
-        acc = 0.0
-        for i, k in enumerate(cover):
-            if i == len(cover) - 1:
-                w = 1.0 - acc  # exact complement: per-bin weights sum to 1
-            else:
-                w = vals[i] / total
-                acc += w
-            weights[k][f - bands[k][0]] = w
+    # Bands are visited in ascending order, so each bin's total and running
+    # sum add its covering bands in band order.
+    total = np.zeros(layout.num_bins)
+    last = np.empty(layout.num_bins, dtype=np.intp)  # highest band covering each bin
+    for k, ((lo, hi), prof) in enumerate(zip(bands, profiles)):
+        total[lo : hi + 1] += prof
+        last[lo : hi + 1] = k
+    acc = np.zeros(layout.num_bins)  # normalized weights handed out so far
+    weights = []
+    for k, ((lo, hi), prof) in enumerate(zip(bands, profiles)):
+        done = acc[lo : hi + 1]
+        # exact complement in the last covering band: per-bin weights sum to 1
+        w = np.where(last[lo : hi + 1] == k, 1.0 - done, prof / total[lo : hi + 1])
+        done += w
+        weights.append(w)
     return weights
 
 

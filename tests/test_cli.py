@@ -143,6 +143,14 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "False"
 
 
+def test_import_loads_no_process_pool():
+    # process pools are needed only for --jobs > 1
+    code = "import sys, soundcompass.cli; print('concurrent.futures.process' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(soundcompass.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert proc.stdout.strip() == "False"
+
+
 # ---------------------------------------------------------------------------
 # featurize
 
@@ -204,6 +212,39 @@ def test_featurize_malformed_band_file_exits_2(tmp_path, capsys, payload, messag
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "fs",
+    ["abc", 0, -16000, 16000.5, True, None],
+    ids=["string", "zero", "negative", "fractional", "bool", "null"],
+)
+def test_featurize_band_file_bad_fs_exits_2(tmp_path, capsys, fs):
+    wav = tmp_path / "x.wav"
+    make_noise_wav(wav, seconds=0.2)
+    bands = tmp_path / "bands.json"
+    bands.write_text(json.dumps({"fs": fs, "fft_size": 512, "bands": [[0, 256]]}))
+    out = tmp_path / "o"
+    rc = main(["featurize", "--wav", str(wav), "--bands", str(bands), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "fs must be a positive integer" in err
+    assert err.count("\n") == 1
+    assert not (out / "bands.json").exists()
+
+
+def test_featurize_band_file_rate_mismatch_exits_2(tmp_path, capsys):
+    wav = tmp_path / "x.wav"
+    make_noise_wav(wav, seconds=0.2, rate=FS)
+    bands = tmp_path / "bands.json"
+    bands.write_text(json.dumps({"fs": 8000, "fft_size": 512, "bands": [[0, 256]]}))
+    out = tmp_path / "o"
+    rc = main(["featurize", "--wav", str(wav), "--bands", str(bands), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "8000 Hz" in err and f"{FS} Hz" in err
+    assert err.count("\n") == 1
+    assert not (out / "bands.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -329,6 +329,139 @@ def test_d_feat_closed_form(rng):
 
 
 # ---------------------------------------------------------------------------
+# Reference-pinned band kernels: the last-axis formulations these functions
+# replaced, kept here as references
+
+KERNEL_BOUND = 1e-12  # relative to the reference's largest magnitude; set before measuring
+
+
+def last_axis_encoding_block(x, w):
+    """The block over the last axis, as encoding_block computed it."""
+    a = x @ w.w.T + w.b
+    mu = a.mean(axis=-1, keepdims=True)
+    y = (a - mu) / np.sqrt(((a - mu) ** 2).mean(axis=-1, keepdims=True) + ADANORM_EPS)
+    z = w.gain * ((1.0 - w.k_ada * y) * y) + w.bias
+    return np.where(z >= 0.0, z, w.prelu_slope * z)
+
+
+def moveaxis_encode_band_feature(band, w):
+    return np.moveaxis(last_axis_encoding_block(np.moveaxis(band, 0, -1), w), -1, 0)
+
+
+def reference_gamma_beta(clue, bw):
+    clue_mat = np.atleast_2d(clue)
+    h = last_axis_encoding_block(clue_mat, bw.clue)
+    return h, h @ bw.w_gamma.T + bw.b_gamma, h @ bw.w_beta.T + bw.b_beta
+
+
+def sum_film_fuse(feat, clue, bw):
+    _, gamma, beta = reference_gamma_beta(clue, bw)
+    static = np.ndim(clue) == 1
+    g = gamma[0][:, None, None] if static else gamma.T[:, :, None]
+    b = beta[0][:, None, None] if static else beta.T[:, :, None]
+    return feat + g * feat + b
+
+
+def sum_film_gradients(feat, clue, bw, upstream):
+    """The backward pass with the band reductions written as .sum(axis=2)."""
+    static = np.ndim(clue) == 1
+    clue_mat = np.atleast_2d(clue)
+    w = bw.clue
+    a = clue_mat @ w.w.T + w.b
+    mu = a.mean(axis=-1, keepdims=True)
+    s = np.sqrt(((a - mu) ** 2).mean(axis=-1, keepdims=True) + ADANORM_EPS)
+    y = (a - mu) / s
+    yw = (1.0 - w.k_ada * y) * y
+    z = w.gain * yw + w.bias
+    h = np.where(z >= 0.0, z, w.prelu_slope * z)
+    gamma = h @ bw.w_gamma.T + bw.b_gamma
+    if static:
+        d_feat = upstream * (1.0 + gamma[0][:, None, None])
+        g_gamma = (upstream * feat).sum(axis=(1, 2))[None, :]
+        g_beta = upstream.sum(axis=(1, 2))[None, :]
+    else:
+        d_feat = upstream * (1.0 + gamma.T[:, :, None])
+        g_gamma = (upstream * feat).sum(axis=2).T
+        g_beta = upstream.sum(axis=2).T
+    g_h = g_gamma @ bw.w_gamma + g_beta @ bw.w_beta
+    g_z = g_h * np.where(z >= 0.0, 1.0, w.prelu_slope)
+    g_yw = g_z * w.gain
+    g_y = g_yw * (1.0 - 2.0 * w.k_ada * y)
+    g_a = (g_y - g_y.mean(axis=-1, keepdims=True) - y * (g_y * y).mean(axis=-1, keepdims=True)) / s
+    d_clue = g_a @ w.w
+    return {
+        "d_feat": d_feat,
+        "d_clue": d_clue[0] if static else d_clue,
+        "w1": g_a.T @ clue_mat,
+        "b1": g_a.sum(axis=0),
+        "gain": (g_z * yw).sum(axis=0),
+        "bias": g_z.sum(axis=0),
+        "prelu_slope": float((g_h * z * (z < 0.0)).sum()),
+        "k_ada": float((g_yw * (-(y**2))).sum()),
+        "w_gamma": g_gamma.T @ h,
+        "b_gamma": g_gamma.sum(axis=0),
+        "w_beta": g_beta.T @ h,
+        "b_beta": g_beta.sum(axis=0),
+    }
+
+
+def assert_close_to_reference(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= KERNEL_BOUND * max(1.0, np.abs(want).max())
+
+
+def kernel_cases(rng):
+    """(band, clue, weights, upstream): static and time-varying clues, and a
+    band that is a strided view into a wider tensor."""
+    t, width, c_in, c = 7, 5, 12, 4
+    wide = rng.standard_normal((c_in, t, 3 * width))
+    contiguous = rng.standard_normal((c_in, t, width))
+    for band in (contiguous, wide[:, :, 1 : 3 * width : 3]):
+        for clue in (rng.standard_normal(6), rng.standard_normal((t, 6))):
+            bw = make_band_weights(rng, c=c, c_in=c_in)
+            yield band, clue, bw, rng.standard_normal((c, t, width))
+
+
+def test_band_kernels_match_last_axis_references(rng):
+    for band, clue, bw, upstream in kernel_cases(rng):
+        x = np.moveaxis(band, 0, -1)
+        assert_close_to_reference(encoding_block(x, bw.feat), last_axis_encoding_block(x, bw.feat))
+        assert_close_to_reference(encoding_block(clue, bw.clue), last_axis_encoding_block(clue, bw.clue))
+        enc = encode_band_feature(band, bw.feat)
+        assert_close_to_reference(enc, moveaxis_encode_band_feature(band, bw.feat))
+        assert_close_to_reference(film_fuse(enc, clue, bw), sum_film_fuse(enc, clue, bw))
+        got = film_gradients(enc, clue, bw, upstream)
+        want = sum_film_gradients(enc, clue, bw, upstream)
+        assert sorted(got) == sorted(want)
+        for name in want:
+            assert_close_to_reference(got[name], want[name])
+
+
+def test_encode_band_feature_checks_kept(rng):
+    w = make_encoder(rng, 9, 4)
+    band = rng.standard_normal((9, 6, 11))
+    band[3, 2, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite values in encoding_block input"):
+        encode_band_feature(band, w)
+    with pytest.raises(ValueError, match="input width 8 != weight input 9"):
+        encode_band_feature(np.zeros((8, 6, 11)), w)
+
+
+def test_fuse_all_bands_matches_per_band_references(rng):
+    layout = make_band_layout(33, 2000, f_min=80.0)
+    spin = spin_forward(ComplexSpectrogram(rng.standard_normal((8, 9, 33)), 16, 64, 2000))
+    c_in = spin.pairwise.shape[0]
+    weights = init_fusion_weights(layout, dim_clue=6, c_in=c_in, c_band=4, hidden=5, seed=3)
+    clue = rng.standard_normal((9, 6))
+    fused = fuse_all_bands(spin, layout, clue, weights)
+    for (lo, hi), bw, got in zip(layout.bands, weights.bands, fused.bands):
+        band = spin.pairwise[..., lo : hi + 1]
+        want = sum_film_fuse(moveaxis_encode_band_feature(band, bw.feat), clue, bw)
+        assert_close_to_reference(got, want)
+
+
+# ---------------------------------------------------------------------------
 # Init and serialization
 
 

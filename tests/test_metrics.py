@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,17 @@ from soundcompass import (
     write_reports_csv,
 )
 from soundcompass.delays import delay_signal
-from soundcompass.metrics import CSV_HEADER
+from soundcompass.metrics import (
+    CSV_HEADER,
+    DEFAULT_HOP,
+    DEFAULT_WINDOW,
+    ENERGY_FLOOR,
+    IPD_GATE_DB,
+    _gcc_phat_itds,
+    _ratio_db,
+    ipd,
+)
+from soundcompass.spectral import stft
 
 FS = 16000
 
@@ -248,6 +259,195 @@ def test_spatial_errors_validation(rng):
         spatial_errors(a, b)
     with pytest.raises(ValueError):
         spatial_errors(mono, mono)
+
+
+# ---------------------------------------------------------------------------
+# Reference-pinned kernels: the per-channel and per-pair loops these
+# functions replaced, kept here as references
+
+
+def loop_snr(est, ref):
+    e, r = np.atleast_2d(est), np.atleast_2d(ref)
+    vals = []
+    for ch in range(r.shape[0]):
+        rr = float(r[ch] @ r[ch])
+        if rr <= 0.0:
+            raise ValueError(f"reference channel {ch} is all zero")
+        vals.append(_ratio_db(rr, float((e[ch] - r[ch]) @ (e[ch] - r[ch]))))
+    return float(np.mean(vals))
+
+
+def loop_si_snr(est, ref):
+    e, r = np.atleast_2d(est), np.atleast_2d(ref)
+    vals = []
+    for ch in range(r.shape[0]):
+        rr = float(r[ch] @ r[ch])
+        if rr <= 0.0:
+            raise ValueError(f"reference channel {ch} is all zero")
+        s_target = (float(e[ch] @ r[ch]) / rr) * r[ch]
+        resid = e[ch] - s_target
+        vals.append(_ratio_db(float(s_target @ s_target), float(resid @ resid)))
+    return float(np.mean(vals))
+
+
+def per_pair_gcc_phat_itd(w, pair, max_lag_s):
+    """Both channels transformed per call, every lag inverted."""
+    i, j = pair
+    xi, xj = w.samples[i], w.samples[j]
+    if float(xi @ xi) < ENERGY_FLOOR or float(xj @ xj) < ENERGY_FLOOR:
+        return math.nan
+    s = xi.shape[0]
+    nfft = 1 << max(1, (2 * s - 1).bit_length())
+    cross = np.fft.rfft(xj, nfft) * np.conj(np.fft.rfft(xi, nfft))
+    mag = np.abs(cross)
+    cross = np.where(mag > 0, cross / np.maximum(mag, 1e-300), 0.0)
+    corr = np.fft.irfft(cross, nfft)
+    max_lag = min(int(round(max_lag_s * w.sample_rate)), nfft // 2 - 1)
+    lags = np.arange(-max_lag, max_lag + 1)
+    vals = corr[lags % nfft]
+    k = int(np.argmax(vals))
+    peak_lag = float(lags[k])
+    if 0 < k < len(vals) - 1:
+        y0, y1, y2 = vals[k - 1], vals[k], vals[k + 1]
+        denom = y0 - 2.0 * y1 + y2
+        if denom < 0:
+            peak_lag += 0.5 * (y0 - y2) / denom
+    return peak_lag / w.sample_rate
+
+
+def per_pair_spatial_errors(est, ref, max_lag_s=None):
+    """One IPD per pair and signal from fresh complex spectra, ITD per call."""
+    m = est.num_channels
+    if max_lag_s is None:
+        max_lag_s = 64 / est.sample_rate
+    spec_est = stft(est, DEFAULT_WINDOW, DEFAULT_WINDOW.length, DEFAULT_HOP)
+    spec_ref = stft(ref, DEFAULT_WINDOW, DEFAULT_WINDOW.length, DEFAULT_HOP)
+    mag_est = np.abs(spec_est.as_complex())
+    mag_ref = np.abs(spec_ref.as_complex())
+    peak = max(mag_est.max(), mag_ref.max())
+    gate = peak * 10.0 ** (IPD_GATE_DB / 20.0)
+    rows = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            d_ild = abs(ild(est, (i, j)) - ild(ref, (i, j)))
+            mask = (
+                (mag_est[i] >= gate)
+                & (mag_est[j] >= gate)
+                & (mag_ref[i] >= gate)
+                & (mag_ref[j] >= gate)
+                & (peak > 0.0)
+            )
+            if mask.any():
+                diff = np.angle(np.exp(1j * (ipd(spec_est, (i, j)) - ipd(spec_ref, (i, j)))))
+                d_ipd = float(np.abs(diff[mask]).mean())
+            else:
+                d_ipd = math.nan
+            itd_e = per_pair_gcc_phat_itd(est, (i, j), max_lag_s)
+            itd_r = per_pair_gcc_phat_itd(ref, (i, j), max_lag_s)
+            rows.append((d_ild, d_ipd, abs(itd_e - itd_r) * 1e6))
+    return np.array(rows)
+
+
+def spatial_pair(rng, m, n=6000):
+    """est/ref: delayed copies of one source per channel, plus independent noise."""
+    src = rng.standard_normal(n + 64)
+    ref = np.stack([src[8 + 3 * c : 8 + 3 * c + n] for c in range(m)]) + 0.3 * rng.standard_normal((m, n))
+    est = 0.8 * ref + 0.4 * rng.standard_normal((m, n))
+    return MultichannelWaveform(est, FS), MultichannelWaveform(ref, FS)
+
+
+SPATIAL_BOUND = 1e-9  # per-pair dB / rad / us; set before measuring
+
+
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("max_lag_s", [None, 5.0 / FS, 1.0], ids=["default", "5-lags", "above-cap"])
+def test_spatial_errors_match_per_pair_loop(rng, m, max_lag_s):
+    est, ref = spatial_pair(rng, m)
+    if max_lag_s == 1.0:  # 16000 lags, capped at nfft/2 - 1
+        est = MultichannelWaveform(est.samples[:, :300], FS)
+        ref = MultichannelWaveform(ref.samples[:, :300], FS)
+    *means, per_pair = spatial_errors(est, ref, max_lag_s=max_lag_s)
+    got = np.array([(p.d_ild_db, p.d_ipd_rad, p.d_itd_us) for p in per_pair])
+    want = per_pair_spatial_errors(est, ref, max_lag_s)
+    assert [p.pair for p in per_pair] == [(i, j) for i in range(m) for j in range(i + 1, m)]
+    np.testing.assert_allclose(got, want, rtol=0, atol=SPATIAL_BOUND)
+    np.testing.assert_allclose(means, np.nanmean(want, axis=0), rtol=0, atol=SPATIAL_BOUND)
+
+
+def test_spatial_errors_silent_channel_matches_per_pair_loop(rng):
+    est, ref = spatial_pair(rng, 4)
+    est.samples[2] = 0.0
+    *means, per_pair = spatial_errors(est, ref, max_lag_s=5.0 / FS)
+    got = np.array([(p.d_ild_db, p.d_ipd_rad, p.d_itd_us) for p in per_pair])
+    want = per_pair_spatial_errors(est, ref, 5.0 / FS)
+    silent = [2 in p.pair for p in per_pair]
+    assert [not p.defined for p in per_pair] == silent
+    np.testing.assert_allclose(got, want, rtol=0, atol=SPATIAL_BOUND)
+    np.testing.assert_allclose(means, np.nanmean(want, axis=0), rtol=0, atol=SPATIAL_BOUND)
+
+
+def test_spatial_errors_all_silent_matches_per_pair_loop():
+    zero = MultichannelWaveform(np.zeros((4, 2000)), FS)  # peak == 0
+    *means, per_pair = spatial_errors(zero, zero)
+    got = np.array([(p.d_ild_db, p.d_ipd_rad, p.d_itd_us) for p in per_pair])
+    assert np.isnan(got).all() and np.isnan(per_pair_spatial_errors(zero, zero)).all()
+    assert all(math.isnan(v) for v in means)
+
+
+@pytest.mark.parametrize("max_lag_s", [2.0 / FS, 6.0 / FS, 64.0 / FS, 1.0])
+def test_gcc_phat_itd_matches_per_pair_loop(rng, max_lag_s):
+    est, _ = spatial_pair(rng, 4, n=3000)
+    for pair in [(0, 1), (1, 0), (0, 3), (3, 2)]:
+        got = gcc_phat_itd(est, pair, max_lag_s)
+        want = per_pair_gcc_phat_itd(est, pair, max_lag_s)
+        assert abs(got - want) * 1e6 <= SPATIAL_BOUND, pair
+
+
+def test_gcc_phat_itd_pairs_peak_allocation(rng):
+    """All six pairs of a 4-channel, 4 s input hold no more than a few spectra.
+
+    Four whitened spectra take 32 nfft bytes, one pair's cross-spectrum and
+    correlation 16 nfft; 64 nfft leaves room for FFT scratch but not for the
+    cross-spectra of every pair at once.
+    """
+    w = MultichannelWaveform(rng.standard_normal((4, 4 * FS)), FS)
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    nfft = 1 << (2 * w.num_samples - 1).bit_length()
+    tracemalloc.start()
+    try:
+        itds = _gcc_phat_itds(w, pairs, 5.0 / FS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(itds) == 6
+    assert peak <= 64 * nfft, peak / nfft
+
+
+def test_gcc_phat_itd_checks_kept(rng):
+    w = MultichannelWaveform(np.stack([rng.standard_normal(512), np.zeros(512), rng.standard_normal(512)]), FS)
+    assert math.isnan(gcc_phat_itd(w, (0, 1), max_lag_s=0.0))  # silent first, as before
+    with pytest.raises(ValueError, match="max_lag_s must be positive"):
+        gcc_phat_itd(w, (0, 2), max_lag_s=0.0)
+    with pytest.raises(ValueError, match="two distinct channels"):
+        gcc_phat_itd(w, (1, 1), max_lag_s=1e-3)
+
+
+def test_snr_family_matches_channel_loop(rng):
+    ref = rng.standard_normal((4, 5000))
+    cases = [
+        0.9 * ref + 0.1 * rng.standard_normal(ref.shape),
+        ref,  # +100 dB cap on every channel
+        np.stack([ref[0], -ref[1], np.zeros(5000), ref[3] + 1e-3]),  # mixed caps
+    ]
+    interleaved = np.asfortranarray(ref)  # the layout read_wav returns
+    for est in cases:
+        for r in (ref, interleaved):
+            assert snr(est, r) == pytest.approx(loop_snr(est, ref), abs=1e-9)
+            assert si_snr(est, r) == pytest.approx(loop_si_snr(est, ref), abs=1e-9)
+    ref[2] = 0.0
+    for fn in (snr, si_snr):
+        with pytest.raises(ValueError, match="reference channel 2 is all zero"):
+            fn(ref + 1.0, ref)
 
 
 # ---------------------------------------------------------------------------

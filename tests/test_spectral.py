@@ -195,6 +195,31 @@ def test_stft_validates_args(rng):
         stft(MultichannelWaveform(np.zeros((1, 0)), 16000), DEFAULT_P, 512, 256)
 
 
+def slice_stacking_stft(w, p, fft_size, hop):
+    """The framing stft replaced: one slice per frame, stacked."""
+    x = w.samples
+    t_frames = frame_count(x.shape[1], fft_size, hop)
+    padded = np.zeros((x.shape[0], (t_frames - 1) * hop + fft_size))
+    padded[:, : x.shape[1]] = x
+    frames = np.stack([padded[:, s : s + fft_size] for s in np.arange(t_frames) * hop], axis=1)
+    spec = np.fft.rfft(frames * make_gaussian_window(p), axis=2)
+    return ComplexSpectrogram.from_complex(spec, hop, fft_size, w.sample_rate)
+
+
+@pytest.mark.parametrize(
+    "channels, samples, fft_size, hop",
+    [(1, 100, 64, 16), (2, 64, 64, 16), (4, 8000, 512, 256), (3, 1001, 64, 64), (2, 300, 32, 1)],
+    ids=["one-frame", "exactly-one-window", "bench-framing", "hop-equals-fft", "hop-one"],
+)
+def test_stft_equals_slice_stacking_bitwise(rng, channels, samples, fft_size, hop):
+    w = MultichannelWaveform(rng.standard_normal((channels, samples)), 16000)
+    p = GaussianWindowParams(mean=0.45, std=0.2, length=fft_size)
+    got = stft(w, p, fft_size, hop)
+    want = slice_stacking_stft(w, p, fft_size, hop)
+    assert got.planes.shape == want.planes.shape
+    assert np.array_equal(got.planes, want.planes)
+
+
 # ---------------------------------------------------------------------------
 # Band layout
 
@@ -300,6 +325,67 @@ def test_split_single_band_identity(rng):
     parts = split_bands(x, layout)
     np.testing.assert_array_equal(parts[0], x)
     np.testing.assert_array_equal(merge_bands(parts, layout), x)
+
+
+def test_band_layout_fs_must_be_positive_integer():
+    for fs in ("16000", 0, -8000, 8000.0, False):
+        with pytest.raises(ValueError, match="fs must be a positive integer"):
+            BandLayout(bands=[(0, 16)], num_bins=17, sample_rate=fs)
+    layout = BandLayout(bands=[(0, 16)], num_bins=17, sample_rate=np.int64(8000))
+    assert type(layout.sample_rate) is int  # so to_json can write it
+    assert json.loads(layout.to_json())["fs"] == 8000
+
+
+def per_bin_merge_weights(layout):
+    """The merge_weights replaced: a Python loop over bins and their bands."""
+    bands = layout.bands
+    profiles = []
+    for k, (lo, hi) in enumerate(bands):
+        width = hi - lo + 1
+        prof = np.ones(width)
+        n_prev = (bands[k - 1][1] - lo + 1) if k > 0 else 0
+        n_next = (hi - bands[k + 1][0] + 1) if k + 1 < len(bands) else 0
+        if n_prev > 0:
+            ramp_up = np.arange(1, min(n_prev, width) + 1) / (n_prev + 1)
+            prof[: len(ramp_up)] = np.minimum(prof[: len(ramp_up)], ramp_up)
+        if n_next > 0:
+            ramp_dn = np.arange(min(n_next, width), 0, -1) / (n_next + 1)
+            prof[width - len(ramp_dn) :] = np.minimum(prof[width - len(ramp_dn) :], ramp_dn)
+        profiles.append(prof)
+    weights = [np.zeros(hi - lo + 1) for lo, hi in bands]
+    for f in range(layout.num_bins):
+        cover = [k for k in range(len(bands)) if bands[k][0] <= f <= bands[k][1]]
+        vals = [profiles[k][f - bands[k][0]] for k in cover]
+        total = sum(vals)
+        acc = 0.0
+        for i, k in enumerate(cover):
+            if i == len(cover) - 1:
+                w = 1.0 - acc
+            else:
+                w = vals[i] / total
+                acc += w
+            weights[k][f - bands[k][0]] = w
+    return weights
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        make_band_layout(257, 16000),
+        make_band_layout(257, 48000, f_min=30.0, step_semitones=2.0, overlap_semitones=1.5),
+        make_band_layout(33, 2000, f_min=80.0),
+        BandLayout(bands=[(0, 16)], num_bins=17),
+        BandLayout(bands=[(0, 4), (5, 11), (12, 16)], num_bins=17),
+        BandLayout(bands=[(0, 10), (2, 12), (4, 16)], num_bins=17),  # three bands share bins
+        BandLayout(bands=[(0, 9), (3, 5), (5, 14)], num_bins=15),  # a band inside another
+    ],
+    ids=["default", "fine-48k", "fuse-check", "single", "no-overlap", "triple", "nested"],
+)
+def test_merge_weights_equal_per_bin_loop_bitwise(layout):
+    got, want = merge_weights(layout), per_bin_merge_weights(layout)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 def test_partition_of_unity_exact():
