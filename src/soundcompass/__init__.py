@@ -18,7 +18,7 @@ from .clues import (
     encode_sh,
     sh_complex,
 )
-from .extractor import contour_grid, delay_and_sum, steering_delays, steering_vector
+from .extractor import contour_grid, delay_and_sum, steering_delays
 from .fusion import (
     BandFusionWeights,
     EncoderWeights,

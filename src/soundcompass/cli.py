@@ -2,7 +2,7 @@
 
 Angles are degrees at this boundary (azimuth from +x, elevation above the
 horizon) and radians everywhere inside. Exit codes: 0 success, 1 internal
-error, 2 invalid input. SOUNDCOMPASS_SEED provides the default --seed.
+error, 2 invalid input. SOUNDCOMPASS_SEED provides the default fuse-check --seed.
 """
 
 from __future__ import annotations
@@ -10,15 +10,17 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .audio_io import MultichannelWaveform, WavFormatError, read_wav, write_wav
-from .clues import ClueEmbedding, DoAClue, build_time_varying_clue, encode_cyc_pos, encode_sh
+from .clues import DoAClue, build_time_varying_clue, encode_cyc_pos, encode_sh
 from .extractor import SPEED_OF_SOUND, contour_grid, delay_and_sum
 from .fusion import (
     film_fuse,
@@ -29,7 +31,7 @@ from .metrics import evaluate_extraction, write_reports_csv
 from .metrics import si_snr_i  # noqa: F401  (unused here; perfbench wraps cli.si_snr_i)
 from .roomsim import SimulationError, render_scene_to_dir
 from .scenes import SceneValidationError, read_manifest
-from .spectral import GaussianWindowParams, make_band_layout, stft
+from .spectral import FFT_SIZE, HOP, WINDOW, BandLayout, make_band_layout, stft
 from .spin import spin_forward
 
 EXIT_OK = 0
@@ -120,7 +122,7 @@ def cmd_featurize(args) -> int:
     wav = read_wav(args.wav)
     if args.hop <= 0 or args.fft <= 0:
         raise CliError("--fft and --hop must be positive")
-    window = GaussianWindowParams(mean=0.5, std=0.25, length=args.fft)
+    window = replace(WINDOW, length=args.fft)
     spec = stft(wav, window, args.fft, args.hop)
     feat = spin_forward(spec)
 
@@ -128,8 +130,6 @@ def cmd_featurize(args) -> int:
     if args.bands == "default":
         layout = make_band_layout(num_bins, wav.sample_rate, fft_size=args.fft)
     else:
-        from .spectral import BandLayout
-
         layout = BandLayout.load(args.bands)
         if layout.num_bins != num_bins:
             raise CliError(
@@ -174,8 +174,10 @@ def cmd_clue(args) -> int:
     if args.activation is not None:
         if args.frames is None:
             raise CliError("--activation requires --frames")
-        activation = np.asarray(json.loads(Path(args.activation).read_text()), dtype=np.float64)
-        tv = build_time_varying_clue(emb, activation, args.frames)
+        activation = json.loads(Path(args.activation).read_text())
+        if not (isinstance(activation, list) and all(type(v) in (int, float) for v in activation)):
+            raise CliError(f"{args.activation}: activation must be a JSON array of numbers")
+        tv = build_time_varying_clue(emb, np.asarray(activation, dtype=np.float64), args.frames)
         payload = {
             "kind": emb.kind,
             "order": emb.order,
@@ -198,18 +200,17 @@ def cmd_clue(args) -> int:
 
 
 def cmd_fuse_check(args) -> int:
-    rng = np.random.default_rng(args.seed)
+    seed = _default_seed() if args.seed is None else args.seed
+    rng = np.random.default_rng(seed)
     num_bins = 33
     layout = make_band_layout(num_bins, 2000, f_min=80.0)
     if args.bands is not None:
         keep = min(args.bands, layout.num_bands)
         bands = layout.bands[:keep]
         bands[-1] = (bands[-1][0], num_bins - 1)
-        from .spectral import BandLayout
-
         layout = BandLayout(bands, num_bins, 2000, 64)
 
-    weights = init_fusion_weights(layout, dim_clue=18, c_in=16, c_band=6, hidden=12, seed=args.seed)
+    weights = init_fusion_weights(layout, dim_clue=18, c_in=16, c_band=6, hidden=12, seed=seed)
     worst = 0.0
     for k, bw in enumerate(weights.bands):
         lo, hi = layout.bands[k]
@@ -221,7 +222,7 @@ def cmd_fuse_check(args) -> int:
         worst = max(worst, rel)
 
         # null modulation: zeroed heads must reproduce the input bit for bit
-        bw_null = init_fusion_weights(layout, 18, 16, 6, 12, seed=args.seed).bands[k]
+        bw_null = init_fusion_weights(layout, 18, 16, 6, 12, seed=seed).bands[k]
         bw_null.w_gamma[:] = 0.0
         bw_null.b_gamma[:] = 0.0
         bw_null.w_beta[:] = 0.0
@@ -256,11 +257,7 @@ def _array_offsets(truth) -> np.ndarray:
 
 
 def _max_lag_s(offsets: np.ndarray) -> float:
-    m = offsets.shape[0]
-    aperture = 0.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            aperture = max(aperture, float(np.linalg.norm(offsets[i] - offsets[j])))
+    aperture = float(np.linalg.norm(offsets[:, None] - offsets[None, :], axis=-1).max())
     return 1.5 * aperture / SPEED_OF_SOUND if aperture > 0 else 16 / 16000
 
 
@@ -304,6 +301,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_contour(args) -> int:
+    if not (math.isfinite(args.step) and args.step > 0):
+        raise CliError(f"--step must be a finite number > 0, got {args.step}")
+    if not (math.isfinite(args.span) and args.span >= 0):
+        raise CliError(f"--span must be a finite number >= 0, got {args.span}")
     scene_dir, truth, mixture = _load_scene_dir(args.scene)
     ref = _source_reference(scene_dir, truth, args.source)
     offsets = _array_offsets(truth)
@@ -350,14 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--manifest", required=True)
     s.add_argument("--out", required=True)
     s.add_argument("--jobs", type=int, default=1)
-    s.add_argument("--seed", type=int, default=None)
     s.add_argument("--keep-going", action="store_true")
     s.set_defaults(func=cmd_simulate)
 
     s = sub.add_parser("featurize", help="pairwise spatial features + band layout")
     s.add_argument("--wav", required=True)
-    s.add_argument("--fft", type=int, default=512)
-    s.add_argument("--hop", type=int, default=256)
+    s.add_argument("--fft", type=int, default=FFT_SIZE)
+    s.add_argument("--hop", type=int, default=HOP)
     s.add_argument("--bands", default="default")
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_featurize)
@@ -404,16 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = _default_seed()
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
-    except INVALID_INPUT_ERRORS as e:
+    except (CliError, *INVALID_INPUT_ERRORS) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     except Exception as e:  # internal failure

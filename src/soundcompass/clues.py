@@ -214,7 +214,7 @@ def build_time_varying_clue(
     activation = np.asarray(activation, dtype=np.float64).ravel()
     if activation.size < 1 or num_frames < 1:
         raise ValueError("need at least one activation value and one output frame")
-    if (activation < 0).any() or (activation > 1).any():
+    if not ((activation >= 0) & (activation <= 1)).all():  # NaN fails too
         raise ValueError("activation values must lie in [0, 1]")
     t_src = activation.size
     if num_frames == 1:

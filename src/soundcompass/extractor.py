@@ -38,13 +38,6 @@ def steering_delays(offsets: np.ndarray, clue: DoAClue) -> np.ndarray:
     return -(offsets @ u) / SPEED_OF_SOUND
 
 
-def steering_vector(offsets: np.ndarray, clue: DoAClue, freqs_hz: np.ndarray) -> np.ndarray:
-    """Unit-magnitude phasors e^{-i 2 pi f tau_m}, shape [F x M]."""
-    tau = steering_delays(offsets, clue)
-    freqs_hz = np.asarray(freqs_hz, dtype=np.float64)
-    return np.exp(-2j * np.pi * freqs_hz[:, None] * tau[None, :])
-
-
 def delay_and_sum(
     mixture: MultichannelWaveform, clue: DoAClue, offsets: np.ndarray
 ) -> MultichannelWaveform:

@@ -12,19 +12,18 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .audio_io import MultichannelWaveform
+from .spectral import HOP as DEFAULT_HOP
+from .spectral import WINDOW as DEFAULT_WINDOW
 from .spectral import ComplexSpectrogram, GaussianWindowParams, stft
 
 SNR_CAP_DB = 100.0
 ENERGY_FLOOR = 1e-12
 IPD_GATE_DB = -60.0
 BCE_EPS = 1e-7
-DEFAULT_WINDOW = GaussianWindowParams(mean=0.5, std=0.25, length=512)
-DEFAULT_HOP = 256
 
 CSV_HEADER = ["scene_id", "source_id", "snri_db", "si_snri_db", "d_ild_db", "d_ipd_rad", "d_itd_us"]
 

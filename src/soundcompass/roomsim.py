@@ -24,12 +24,11 @@ from .audio_io import MultichannelWaveform, read_wav, write_wav
 from .clues import DoAClue
 from .delays import KERNEL_HALF, KERNEL_TAPS, SPEED_OF_SOUND, fractional_delay_kernel
 from .scenes import SceneSpec
+from .spectral import FFT_SIZE, HOP, frame_view
 
 MAX_IMAGE_ORDER = 12
 MIN_SOURCE_MIC_DISTANCE = 1e-3  # 1 mm
 ACTIVATION_GATE_DB = -40.0
-DEFAULT_FFT_SIZE = 512
-DEFAULT_HOP = 256
 
 # arrivals are placed on a grid of 1/64 sample; row q is the kernel for fraction q/64
 DELAY_FRACTIONS = 64
@@ -237,23 +236,20 @@ def ground_truth_doa(spec: SceneSpec, source_index: int) -> DoAClue:
     return DoAClue.from_vector(v)
 
 
-def frame_activation(
-    direct: MultichannelWaveform, fft_size: int = DEFAULT_FFT_SIZE, hop: int = DEFAULT_HOP
-) -> np.ndarray:
-    """Binary per-frame activity of a stem: frame RMS gated at -40 dB of peak."""
-    from .spectral import frame_count
+def _frame_rms(x: np.ndarray, fft_size: int, hop: int) -> np.ndarray:
+    """RMS over all channels of each frame of [M, S] samples, [T]."""
+    frames = np.moveaxis(frame_view(x, fft_size, hop), -2, 0)  # [T, M, N]
+    # squared into one contiguous row per frame: each mean sums its M*N values in the
+    # order a per-frame (seg**2).mean() does, so the result matches it bit for bit
+    return np.sqrt(np.square(frames, order="C").reshape(frames.shape[0], -1).mean(axis=1))
 
-    x = direct.samples
-    t_frames = frame_count(x.shape[1], fft_size, hop)
-    padded = np.zeros((x.shape[0], (t_frames - 1) * hop + fft_size))
-    padded[:, : x.shape[1]] = x
-    rms = np.empty(t_frames)
-    for t in range(t_frames):
-        seg = padded[:, t * hop : t * hop + fft_size]
-        rms[t] = np.sqrt((seg**2).mean())
+
+def frame_activation(direct: MultichannelWaveform, fft_size: int = FFT_SIZE, hop: int = HOP) -> np.ndarray:
+    """Binary per-frame activity of a stem: frame RMS gated at -40 dB of peak."""
+    rms = _frame_rms(direct.samples, fft_size, hop)
     peak = rms.max()
     if peak == 0.0:
-        return np.zeros(t_frames)
+        return np.zeros(rms.shape[0])
     gate = peak * 10.0 ** (ACTIVATION_GATE_DB / 20.0)
     return (rms >= gate).astype(np.float64)
 
@@ -433,7 +429,7 @@ def truth_to_dict(spec: SceneSpec, truth: SceneTruth, num_samples: int) -> dict:
         "room_dims": list(map(float, spec.room_dims)),
         "array_center": list(map(float, spec.array_center)),
         "array_offsets": np.asarray(spec.array_offsets, dtype=np.float64).tolist(),
-        "frame": {"fft_size": DEFAULT_FFT_SIZE, "hop": DEFAULT_HOP},
+        "frame": {"fft_size": FFT_SIZE, "hop": HOP},
         "sources": [
             {
                 "azimuth": st.doa.azimuth,

@@ -1,10 +1,12 @@
 """Gaussian-window STFT/iSTFT and the musical-scale overlapping band split.
 
-Frames start at multiples of the hop; the signal is zero-padded at the end so
-the final partial frame is kept: T = floor((S - fft_size)/hop) + 2 for
-S > fft_size, else 1. Synthesis is least-squares overlap-add with per-sample
-window-energy normalization, so arbitrary Gaussian windows invert cleanly as
-long as their energy stays above a floor at every sample.
+The package frames audio only here: FFT_SIZE, HOP and WINDOW are its frame
+defaults, frame_view and overlap_add its framing. Frames start at multiples
+of the hop; the signal is zero-padded at the end so the final partial frame
+is kept: T = floor((S - fft_size)/hop) + 2 for S > fft_size, else 1.
+Synthesis is least-squares overlap-add with per-sample window-energy
+normalization, so arbitrary Gaussian windows invert cleanly as long as their
+energy stays above a floor at every sample.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .audio_io import MultichannelWaveform
 
 ENERGY_FLOOR = 1e-8  # min per-sample synthesis window energy
+FFT_SIZE = 512  # default frame length in samples
+HOP = 256  # default frame hop in samples
 
 
 class WindowEnergyError(ValueError):
@@ -41,6 +45,9 @@ class GaussianWindowParams:
             raise ValueError(f"window length must be >= 2, got {self.length}")
         if self.std <= 0:
             raise ValueError(f"std must be positive, got {self.std}")
+
+
+WINDOW = GaussianWindowParams(mean=0.5, std=0.25, length=FFT_SIZE)
 
 
 def make_gaussian_window(p: GaussianWindowParams) -> np.ndarray:
@@ -102,6 +109,31 @@ def frame_count(num_samples: int, fft_size: int, hop: int) -> int:
     return (num_samples - fft_size) // hop + 2
 
 
+def frame_view(x: np.ndarray, fft_size: int, hop: int) -> np.ndarray:
+    """[..., T, N] view of the frames x[..., t*hop : t*hop + N], end-padded to frame_count frames."""
+    num_samples = x.shape[-1]
+    t_frames = frame_count(num_samples, fft_size, hop)
+    padded = np.zeros(x.shape[:-1] + ((t_frames - 1) * hop + fft_size,))
+    padded[..., :num_samples] = x
+    return sliding_window_view(padded, fft_size, axis=-1)[..., ::hop, :]
+
+
+def overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Sum [..., T, N] frames placed hop apart into [..., (T-1)*hop + N] samples.
+
+    Frame slices j*hop..(j+1)*hop (phase j) tile the output, so each phase is
+    one add; highest phase first, each sample sums its frames in ascending t
+    like a per-frame loop, and matches that loop bit for bit.
+    """
+    *lead, t_frames, n = frames.shape
+    phases = -(-n // hop)
+    out = np.zeros((*lead, t_frames + phases - 1, hop))
+    for j in reversed(range(phases)):
+        part = frames[..., j * hop : (j + 1) * hop]
+        out[..., j : j + t_frames, : part.shape[-1]] += part
+    return out.reshape(*lead, -1)[..., : (t_frames - 1) * hop + n]
+
+
 def stft(w: MultichannelWaveform, p: GaussianWindowParams, fft_size: int, hop: int) -> ComplexSpectrogram:
     if hop <= 0:
         raise ValueError("hop must be positive")
@@ -109,30 +141,17 @@ def stft(w: MultichannelWaveform, p: GaussianWindowParams, fft_size: int, hop: i
         raise ValueError("hop must not exceed fft_size")
     if p.length != fft_size:
         raise ValueError(f"window length {p.length} != fft_size {fft_size}")
-    x = w.samples
-    if x.shape[1] == 0:
+    if w.samples.shape[1] == 0:
         raise ValueError("empty signal")
-
-    t_frames = frame_count(x.shape[1], fft_size, hop)
-    padded_len = (t_frames - 1) * hop + fft_size
-    padded = np.zeros((x.shape[0], padded_len))
-    padded[:, : x.shape[1]] = x
-
-    window = make_gaussian_window(p)
-    frames = sliding_window_view(padded, fft_size, axis=1)[:, ::hop]  # [M, T, N] view
-    spec = np.fft.rfft(frames * window, axis=2)
+    frames = frame_view(w.samples, fft_size, hop)  # [M, T, N]
+    spec = np.fft.rfft(frames * make_gaussian_window(p), axis=2)
     return ComplexSpectrogram.from_complex(spec, hop, fft_size, w.sample_rate)
 
 
 def synthesis_window_energy(p: GaussianWindowParams, hop: int, num_frames: int) -> np.ndarray:
     """Per-sample sum of squared window values over all frames covering it."""
-    window = make_gaussian_window(p)
-    total = (num_frames - 1) * hop + p.length
-    energy = np.zeros(total)
-    w2 = window**2
-    for t in range(num_frames):
-        energy[t * hop : t * hop + p.length] += w2
-    return energy
+    w2 = make_gaussian_window(p) ** 2
+    return overlap_add(np.broadcast_to(w2, (num_frames, p.length)), hop)
 
 
 def istft(spec: ComplexSpectrogram, p: GaussianWindowParams, out_len: int | None = None) -> MultichannelWaveform:
@@ -144,15 +163,12 @@ def istft(spec: ComplexSpectrogram, p: GaussianWindowParams, out_len: int | None
     """
     if p.length != spec.fft_size:
         raise ValueError(f"window length {p.length} != fft_size {spec.fft_size}")
-    hop, fft_size = spec.frame_hop, spec.fft_size
-    t_frames = spec.num_frames
-    full_len = (t_frames - 1) * hop + fft_size
+    energy = synthesis_window_energy(p, spec.frame_hop, spec.num_frames)
+    full_len = energy.shape[0]
     if out_len is None:
         out_len = full_len
     if out_len > full_len:
         raise ValueError(f"out_len {out_len} exceeds synthesizable length {full_len}")
-
-    energy = synthesis_window_energy(p, hop, t_frames)
     min_energy = energy[:out_len].min()
     if min_energy < ENERGY_FLOOR:
         bad = int(np.argmin(energy[:out_len]))
@@ -161,12 +177,9 @@ def istft(spec: ComplexSpectrogram, p: GaussianWindowParams, out_len: int | None
             "widen std or shrink the hop"
         )
 
-    window = make_gaussian_window(p)
-    frames = np.fft.irfft(spec.as_complex(), n=fft_size, axis=2)  # [M, T, N]
-    acc = np.zeros((spec.num_channels, full_len))
-    for t in range(t_frames):
-        acc[:, t * hop : t * hop + fft_size] += frames[:, t, :] * window
-    out = acc[:, :out_len] / energy[:out_len]
+    frames = np.fft.irfft(spec.as_complex(), n=spec.fft_size, axis=2)  # [M, T, N]
+    frames *= make_gaussian_window(p)
+    out = overlap_add(frames, spec.frame_hop)[:, :out_len] / energy[:out_len]
     return MultichannelWaveform(out, spec.sample_rate)
 
 
@@ -181,7 +194,7 @@ class BandLayout:
     bands: list[tuple[int, int]]
     num_bins: int
     sample_rate: int = 16000
-    fft_size: int = 512
+    fft_size: int = FFT_SIZE
 
     def __post_init__(self):
         fs = self.sample_rate

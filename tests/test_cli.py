@@ -298,6 +298,15 @@ def test_clue_activation_requires_frames(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("payload", ['{"a": 1}', "null", '"0.5"', "[[0.5]]", '[0.5, "x"]', "[true]", "[NaN]"])
+def test_clue_bad_activation_exits_2(tmp_path, capsys, payload):
+    act = tmp_path / "act.json"
+    act.write_text(payload)
+    rc = main(["clue", "--az", "0", "--el", "0", "--activation", str(act), "--frames", "3"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # fuse-check
 
@@ -307,6 +316,20 @@ def test_fuse_check_passes(capsys):
     assert rc == 0
     outp = capsys.readouterr().out
     assert "max relative gradient error" in outp
+
+
+def test_fuse_check_bad_env_seed_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("SOUNDCOMPASS_SEED", "abc")
+    assert main(["fuse-check", "--bands", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: SOUNDCOMPASS_SEED") and err.count("\n") == 1
+
+
+def test_simulate_has_no_seed_option(tmp_path):
+    manifest = write_manifest(tmp_path)
+    with pytest.raises(SystemExit) as e:
+        main(["simulate", "--manifest", str(manifest), "--out", str(tmp_path / "o"), "--seed", "1"])
+    assert e.value.code == 2
 
 
 def test_fuse_check_env_seed_deterministic(capsys, monkeypatch):
@@ -374,6 +397,18 @@ def test_contour_grid(rendered_scene, tmp_path):
     table = {(float(r[0]), float(r[1])): float(r[2]) for r in rows[1:]}
     best = max(table, key=table.get)
     assert best == (0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--step", "0"), ("--step", "-1"), ("--step", "nan"), ("--step", "inf"), ("--span", "-5"), ("--span", "inf")],
+)
+def test_contour_bad_grid_exits_2(rendered_scene, tmp_path, capsys, option, value):
+    out = tmp_path / "contour.csv"
+    argv = ["contour", "--scene", str(rendered_scene), "--source", "0", "--out", str(out)]
+    assert main(argv + [option, value]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {option} must be")
+    assert not out.exists()
 
 
 def test_contour_parallel_matches_serial(rendered_scene, tmp_path):

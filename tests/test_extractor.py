@@ -13,7 +13,6 @@ from soundcompass import (
     render_scene,
     si_snr_i,
     steering_delays,
-    steering_vector,
     tetrahedral_offsets,
 )
 from soundcompass.delays import delay_signal
@@ -53,15 +52,6 @@ def test_delays_antisymmetric_in_direction():
     u = DoAClue.from_degrees(37, 12).unit_vector()
     b = steering_delays(offsets, DoAClue.from_vector(-u))
     np.testing.assert_allclose(a, -b, atol=1e-15)
-
-
-def test_steering_vector_unit_magnitude():
-    offsets = tetrahedral_offsets()
-    freqs = np.linspace(0.0, 8000.0, 257)
-    sv = steering_vector(offsets, DoAClue.from_degrees(50, -10), freqs)
-    assert sv.shape == (257, 4)
-    np.testing.assert_allclose(np.abs(sv), 1.0, atol=1e-12)
-    np.testing.assert_allclose(sv[0], 1.0, atol=1e-12)  # DC has no phase
 
 
 def test_steering_validation(rng):

@@ -331,6 +331,36 @@ def test_frame_activation_silence():
     assert np.all(act == 0.0)
 
 
+def loop_frame_rms(x, fft_size, hop):
+    """The per-frame RMS loop frame_activation replaced."""
+    t_frames = frame_count(x.shape[1], fft_size, hop)
+    padded = np.zeros((x.shape[0], (t_frames - 1) * hop + fft_size))
+    padded[:, : x.shape[1]] = x
+    rms = np.empty(t_frames)
+    for t in range(t_frames):
+        seg = padded[:, t * hop : t * hop + fft_size]
+        rms[t] = np.sqrt((seg**2).mean())
+    return rms
+
+
+@pytest.mark.parametrize(
+    "channels, samples, fft_size, hop",
+    [(1, 16000, 512, 256), (4, 8000, 512, 256), (3, 1001, 64, 24), (2, 500, 100, 37), (3, 1001, 64, 64), (2, 40, 64, 16)],
+    ids=["mono", "bench", "hop-not-dividing", "three-phases", "hop-equals-fft", "shorter-than-frame"],
+)
+def test_frame_rms_equals_per_frame_loop_bitwise(channels, samples, fft_size, hop):
+    rng = np.random.default_rng(samples + hop)
+    # a swelling envelope so the -40 dB gate splits the frames
+    x = rng.standard_normal((channels, samples)) * np.geomspace(1e-4, 1.0, samples)
+    want = loop_frame_rms(x, fft_size, hop)
+    got = roomsim._frame_rms(x, fft_size, hop)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    gate = want.max() * 10.0 ** (roomsim.ACTIVATION_GATE_DB / 20.0)
+    act = frame_activation(MultichannelWaveform(x, FS), fft_size, hop)
+    assert np.array_equal(act, (want >= gate).astype(np.float64))
+
+
 # ---------------------------------------------------------------------------
 # Scene rendering
 

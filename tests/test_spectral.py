@@ -220,6 +220,59 @@ def test_stft_equals_slice_stacking_bitwise(rng, channels, samples, fft_size, ho
     assert np.array_equal(got.planes, want.planes)
 
 
+def loop_synthesis_window_energy(p, hop, num_frames):
+    """The per-frame loop synthesis_window_energy replaced."""
+    window = make_gaussian_window(p)
+    energy = np.zeros((num_frames - 1) * hop + p.length)
+    w2 = window**2
+    for t in range(num_frames):
+        energy[t * hop : t * hop + p.length] += w2
+    return energy
+
+
+def loop_istft(spec, p, out_len):
+    """The per-frame overlap-add loop istft replaced (energy floor check left out)."""
+    hop, fft_size = spec.frame_hop, spec.fft_size
+    t_frames = spec.num_frames
+    energy = loop_synthesis_window_energy(p, hop, t_frames)
+    window = make_gaussian_window(p)
+    frames = np.fft.irfft(spec.as_complex(), n=fft_size, axis=2)
+    acc = np.zeros((spec.num_channels, (t_frames - 1) * hop + fft_size))
+    for t in range(t_frames):
+        acc[:, t * hop : t * hop + fft_size] += frames[:, t, :] * window
+    return acc[:, :out_len] / energy[:out_len]
+
+
+FRAMING_CASES = [
+    (4, 8000, 512, 256),
+    (3, 1001, 64, 24),
+    (2, 500, 100, 37),
+    (2, 700, 64, 48),
+    (3, 1001, 64, 64),
+    (2, 40, 64, 16),
+    (2, 300, 32, 1),
+]
+FRAMING_IDS = ["bench", "hop-not-dividing", "three-phases", "hop-over-half", "hop-equals-fft", "shorter-than-frame", "hop-one"]
+
+
+@pytest.mark.parametrize("channels, samples, fft_size, hop", FRAMING_CASES, ids=FRAMING_IDS)
+def test_overlap_add_equals_per_frame_loops_bitwise(rng, channels, samples, fft_size, hop):
+    p = GaussianWindowParams(mean=0.45, std=0.2, length=fft_size)
+    t_frames = frame_count(samples, fft_size, hop)
+    got = synthesis_window_energy(p, hop, t_frames)
+    want = loop_synthesis_window_energy(p, hop, t_frames)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+    planes = rng.standard_normal((2 * channels, t_frames, fft_size // 2 + 1))
+    spec = ComplexSpectrogram(planes, hop, fft_size, 16000)
+    for out_len in (samples, (t_frames - 1) * hop + fft_size):
+        got = istft(spec, p, out_len=out_len).samples
+        want = loop_istft(spec, p, out_len)
+        assert got.shape == want.shape == (channels, out_len)
+        assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # Band layout
 
