@@ -25,7 +25,6 @@ from .fusion import (
     FusedFeature,
     FusionWeights,
     encode_band_feature,
-    encoding_block,
     film_fuse,
     film_gradients,
     finite_difference_check,

@@ -200,6 +200,8 @@ def cmd_clue(args) -> int:
 
 
 def cmd_fuse_check(args) -> int:
+    if args.bands is not None and args.bands < 1:
+        raise CliError(f"--bands must be an integer >= 1, got {args.bands}")
     seed = _default_seed() if args.seed is None else args.seed
     rng = np.random.default_rng(seed)
     num_bins = 33

@@ -5,8 +5,8 @@ Each band runs the same wiring: the clue vector goes through a small encoder
 and shift beta per feature channel; the band feature is then modulated with a
 residual connection, out = x + gamma*x + beta. gamma and beta vary per
 (channel, frame) and broadcast across the band's frequency bins. A
-time-varying clue supplies one encoder input per frame; a static embedding
-broadcasts across frames.
+time-varying clue supplies one encoder input per frame; a static embedding is
+a one-frame clue whose gamma and beta broadcast across frames.
 
 Everything here is a deterministic forward pass plus hand-derived reverse-mode
 gradients; there is no training loop. The gradient code is checked against
@@ -16,6 +16,7 @@ central finite differences (see finite_difference_check).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -136,19 +137,13 @@ class FusedFeature:
                 raise ValueError(f"band {k} width {b.shape[2]} != layout width {hi - lo + 1}")
 
 
-def _standardize(a: np.ndarray):
-    """Zero-mean unit-variance over the last axis; returns (y, scale s)."""
-    mu = a.mean(axis=-1, keepdims=True)
-    var = ((a - mu) ** 2).mean(axis=-1, keepdims=True)
-    s = np.sqrt(var + ADANORM_EPS)
-    return (a - mu) / s, s
-
-
-def _encode_columns(cols: np.ndarray, w: EncoderWeights) -> np.ndarray:
+def _encode_columns(cols: np.ndarray, w: EncoderWeights):
     """PReLU(AdaNorm(W c + b)) for each column c of a [dim_in, N] array.
 
     One matrix product for all columns, then the norm over the channel
-    (leading) axis and the PReLU in place; returns [dim_out, N].
+    (leading) axis and the PReLU in place. Returns the output [dim_out, N]
+    with the standardized pre-activation y [dim_out, N] and its scale s [N],
+    which the backward pass reuses.
     """
     a = w.w @ cols
     a += w.b[:, None]
@@ -164,21 +159,11 @@ def _encode_columns(cols: np.ndarray, w: EncoderWeights) -> np.ndarray:
     z *= w.gain[:, None]
     z += w.bias[:, None]
     np.multiply(z, w.prelu_slope, out=z, where=z < 0.0)
-    return z
+    return z, a, s
 
 
-def encoding_block(x: np.ndarray, w: EncoderWeights) -> np.ndarray:
-    """PReLU(AdaNorm(W x + b)) applied over the last axis of x."""
-    x = np.asarray(x, dtype=np.float64)
-    _finite("encoding_block input", x)
-    if x.shape[-1] != w.dim_in:
-        raise ValueError(f"input width {x.shape[-1]} != weight input {w.dim_in}")
-    out = _encode_columns(x.reshape(-1, w.dim_in).T, w)
-    return out.T.reshape(x.shape[:-1] + (w.dim_out,))
-
-
-def _clue_matrix(clue, dim_expected: int) -> tuple[np.ndarray, bool]:
-    """Coerce a static embedding or time-varying clue to [Tc x dim]."""
+def _clue_matrix(clue, dim_expected: int, num_frames: int) -> tuple[np.ndarray, bool]:
+    """Coerce a clue to [Tc x dim]: one row if static, num_frames rows if not."""
     if isinstance(clue, ClueEmbedding):
         mat, static = clue.vector[None, :], True
     elif isinstance(clue, TimeVaryingClue):
@@ -193,14 +178,21 @@ def _clue_matrix(clue, dim_expected: int) -> tuple[np.ndarray, bool]:
             raise ValueError("clue must be a vector or [T x dim] matrix")
     if mat.shape[-1] != dim_expected:
         raise ValueError(f"clue dim {mat.shape[-1]} != encoder input {dim_expected}")
+    if not static and mat.shape[0] != num_frames:
+        raise ValueError(f"time-varying clue has {mat.shape[0]} frames, features have {num_frames}")
+    _finite("clue", mat)
     return mat, static
 
 
-def _gamma_beta(clue_mat: np.ndarray, bw: BandFusionWeights):
-    h = encoding_block(clue_mat, bw.clue)  # [Tc, H]
-    gamma = h @ bw.w_gamma.T + bw.b_gamma  # [Tc, C]
-    beta = h @ bw.w_beta.T + bw.b_beta
-    return gamma, beta
+def _clue_forward(clue_mat: np.ndarray, bw: BandFusionWeights):
+    """Clue encoder and gamma/beta heads, channel-first: h, y [H, Tc], s [Tc],
+    gamma, beta [C, Tc]."""
+    h, y, s = _encode_columns(clue_mat.T, bw.clue)
+    gamma = bw.w_gamma @ h
+    gamma += bw.b_gamma[:, None]
+    beta = bw.w_beta @ h
+    beta += bw.b_beta[:, None]
+    return h, y, s, gamma, beta
 
 
 def film_fuse(feat_k: np.ndarray, clue, bw: BandFusionWeights) -> np.ndarray:
@@ -211,29 +203,25 @@ def film_fuse(feat_k: np.ndarray, clue, bw: BandFusionWeights) -> np.ndarray:
     if feat_k.shape[0] != bw.num_channels:
         raise ValueError(f"feature channels {feat_k.shape[0]} != weights {bw.num_channels}")
     _finite("film_fuse input", feat_k)
-    clue_mat, static = _clue_matrix(clue, bw.clue.dim_in)
-    if not static and clue_mat.shape[0] != feat_k.shape[1]:
-        raise ValueError(
-            f"time-varying clue has {clue_mat.shape[0]} frames, features have {feat_k.shape[1]}"
-        )
-    gamma, beta = _gamma_beta(clue_mat, bw)
-    g = gamma.T[:, :, None] if not static else gamma[0][:, None, None]
-    b = beta.T[:, :, None] if not static else beta[0][:, None, None]
-    out = feat_k * (1.0 + g)
-    out += b
+    clue_mat, _ = _clue_matrix(clue, bw.clue.dim_in, feat_k.shape[1])
+    _, _, _, gamma, beta = _clue_forward(clue_mat, bw)
+    # a static clue's single column broadcasts over the frames
+    out = feat_k * (1.0 + gamma[:, :, None])
+    out += beta[:, :, None]
     return out
 
 
 def encode_band_feature(band: np.ndarray, w: EncoderWeights) -> np.ndarray:
     """Mix input planes down to the band's channel count at every (t, f).
 
-    The same block as encoding_block, over the leading (channel) axis.
+    The same linear -> AdaNorm -> PReLU block as the clue encoder, over the
+    leading (channel) axis.
     """
     band = np.asarray(band, dtype=np.float64)
     _finite("encoding_block input", band)
     if band.shape[0] != w.dim_in:
         raise ValueError(f"input width {band.shape[0]} != weight input {w.dim_in}")
-    out = _encode_columns(band.reshape(band.shape[0], -1), w)  # [C_k, T*F]
+    out, _, _ = _encode_columns(band.reshape(band.shape[0], -1), w)  # [C_k, T*F]
     return out.reshape((w.dim_out,) + band.shape[1:])  # [C_k, T, F]
 
 
@@ -268,47 +256,39 @@ def film_gradients(feat_k: np.ndarray, clue, bw: BandFusionWeights, upstream: np
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != feat_k.shape:
         raise ValueError("upstream gradient must match feature shape")
-    clue_mat, static = _clue_matrix(clue, bw.clue.dim_in)
-    if not static and clue_mat.shape[0] != feat_k.shape[1]:
-        raise ValueError("time-varying clue frame count must match features")
+    clue_mat, static = _clue_matrix(clue, bw.clue.dim_in, feat_k.shape[1])
+    h, y, s, gamma, _ = _clue_forward(clue_mat, bw)
+
+    d_feat = upstream * (1.0 + gamma[:, :, None])
+    g_gamma = np.einsum("ctf,ctf->ct", upstream, feat_k)  # [C, T]
+    g_beta = np.einsum("ctf->ct", upstream)
+    if static:  # one clue column modulates every frame
+        g_gamma = g_gamma.sum(axis=1, keepdims=True)
+        g_beta = g_beta.sum(axis=1, keepdims=True)
 
     w = bw.clue
-    # forward trace (kept for the backward pass)
-    a = clue_mat @ w.w.T + w.b
-    y, s = _standardize(a)
     yw = (1.0 - w.k_ada * y) * y
-    z = w.gain * yw + w.bias
-    h = np.where(z >= 0.0, z, w.prelu_slope * z)  # [Tc, H]
-    gamma = h @ bw.w_gamma.T + bw.b_gamma  # [Tc, C]
+    z = w.gain[:, None] * yw + w.bias[:, None]  # the PReLU input, recomputed from y
+    d_w_gamma = g_gamma @ h.T
+    d_b_gamma = g_gamma.sum(axis=1)
+    d_w_beta = g_beta @ h.T
+    d_b_beta = g_beta.sum(axis=1)
 
-    if static:
-        d_feat = upstream * (1.0 + gamma[0][:, None, None])
-        g_gamma = np.einsum("ctf,ctf->c", upstream, feat_k)[None, :]  # [1, C]
-        g_beta = np.einsum("ctf->c", upstream)[None, :]
-    else:
-        d_feat = upstream * (1.0 + gamma.T[:, :, None])
-        g_gamma = np.einsum("ctf,ctf->tc", upstream, feat_k)  # [T, C]
-        g_beta = np.einsum("ctf->tc", upstream)
-
-    d_w_gamma = g_gamma.T @ h
-    d_b_gamma = g_gamma.sum(axis=0)
-    d_w_beta = g_beta.T @ h
-    d_b_beta = g_beta.sum(axis=0)
-
-    g_h = g_gamma @ bw.w_gamma + g_beta @ bw.w_beta  # [Tc, H]
+    g_h = bw.w_gamma.T @ g_gamma + bw.w_beta.T @ g_beta  # [H, Tc]
     g_z = g_h * np.where(z >= 0.0, 1.0, w.prelu_slope)
     d_slope = float((g_h * z * (z < 0.0)).sum())
-    g_yw = g_z * w.gain
-    d_gain = (g_z * yw).sum(axis=0)
-    d_bias = g_z.sum(axis=0)
+    g_yw = g_z * w.gain[:, None]
+    d_gain = (g_z * yw).sum(axis=1)
+    d_bias = g_z.sum(axis=1)
     g_y = g_yw * (1.0 - 2.0 * w.k_ada * y)
     d_k_ada = float((g_yw * (-(y**2))).sum())
     # standardization backward: y = (a - mean a)/s with s fixed by a
-    g_a = (g_y - g_y.mean(axis=-1, keepdims=True) - y * (g_y * y).mean(axis=-1, keepdims=True)) / s
-    d_w1 = g_a.T @ clue_mat
-    d_b1 = g_a.sum(axis=0)
-    d_clue_mat = g_a @ w.w
-    d_clue = d_clue_mat[0] if static else d_clue_mat
+    g_a = (g_y - g_y.mean(axis=0) - y * (g_y * y).mean(axis=0)) / s
+    d_w1 = g_a @ clue_mat
+    d_b1 = g_a.sum(axis=1)
+    d_clue = g_a.T @ w.w
+    if static:
+        d_clue = d_clue[0]
 
     return {
         "d_feat": d_feat,
@@ -326,11 +306,6 @@ def film_gradients(feat_k: np.ndarray, clue, bw: BandFusionWeights, upstream: np
     }
 
 
-def _film_loss(feat_k, clue_mat, static, bw, upstream):
-    clue = clue_mat[0] if static else clue_mat
-    return float((upstream * film_fuse(feat_k, clue, bw)).sum())
-
-
 def finite_difference_check(
     bw: BandFusionWeights,
     feat_k: np.ndarray,
@@ -346,8 +321,9 @@ def finite_difference_check(
     analytic and numeric values are tiny (< 1e-12) are counted as exact.
     """
     rng = rng or np.random.default_rng(0)
-    clue_mat, static = _clue_matrix(clue, bw.clue.dim_in)
-    grads = film_gradients(feat_k, clue_mat[0] if static else clue_mat, bw, upstream)
+    grads = film_gradients(feat_k, clue, bw, upstream)
+    # the clue as an array in its own shape, perturbed in place below
+    clue = _clue_matrix(clue, bw.clue.dim_in, feat_k.shape[1])[0].reshape(grads["d_clue"].shape)
 
     slots = []
 
@@ -359,13 +335,13 @@ def finite_difference_check(
                     f"{name}{list(idx)}",
                     lambda a=arr, i=idx: a[i],
                     lambda v, a=arr, i=idx: a.__setitem__(i, v),
-                    grad[idx] if hasattr(grad, "__getitem__") else grad,
+                    grad[idx],
                 )
             )
 
     w = bw.clue
     arr_slot("feat", feat_k, grads["d_feat"])
-    arr_slot("clue", clue_mat, grads["d_clue"][None, :] if static else grads["d_clue"])
+    arr_slot("clue", clue, grads["d_clue"])
     arr_slot("w1", w.w, grads["w1"])
     arr_slot("b1", w.b, grads["b1"])
     arr_slot("gain", w.gain, grads["gain"])
@@ -382,13 +358,16 @@ def finite_difference_check(
     )
     slots.append(("k_ada", lambda: w.k_ada, lambda v: setattr(w, "k_ada", v), grads["k_ada"]))
 
+    def loss():
+        return float((upstream * film_fuse(feat_k, clue, bw)).sum())
+
     max_rel = 0.0
     for name, get, set_, analytic in slots:
         base = get()
         set_(base + step)
-        hi = _film_loss(feat_k, clue_mat, static, bw, upstream)
+        hi = loss()
         set_(base - step)
-        lo = _film_loss(feat_k, clue_mat, static, bw, upstream)
+        lo = loss()
         set_(base)
         numeric = (hi - lo) / (2.0 * step)
         denom = max(abs(analytic), abs(numeric))
@@ -472,18 +451,24 @@ def save_weights(weights: FusionWeights, bin_path, manifest_path) -> None:
 
 def load_weights(bin_path, manifest_path) -> FusionWeights:
     manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors"), list):
+        raise ValueError("weight manifest must be a JSON object with a 'tensors' list")
     if manifest.get("format") != "float32-le":
         raise ValueError(f"unsupported weight format {manifest.get('format')!r}")
     raw = Path(bin_path).read_bytes()
     tensors = {}
     offset = 0
     for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        name, shape = (entry.get("name"), entry.get("shape")) if isinstance(entry, dict) else (None, None)
+        if not isinstance(name, str) or name in tensors:
+            raise ValueError(f"tensor name {name!r} is not a string or is listed twice")
+        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+            raise ValueError(f"tensor {name!r} shape must be a list of integers >= 0, got {shape!r}")
+        count = math.prod(shape)
         nbytes = count * 4
         if offset + nbytes > len(raw):
-            raise ValueError(f"weight file truncated at tensor {entry['name']}")
-        tensors[entry["name"]] = (
+            raise ValueError(f"weight file truncated at tensor {name}")
+        tensors[name] = (
             np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
             .reshape(shape)
             .astype(np.float64)
@@ -491,6 +476,11 @@ def load_weights(bin_path, manifest_path) -> FusionWeights:
         offset += nbytes
     if offset != len(raw):
         raise ValueError("weight file has trailing bytes not covered by the manifest")
+
+    def tensor(name):
+        if name not in tensors:
+            raise ValueError(f"weight manifest lacks tensor {name!r}")
+        return tensors[name]
 
     band_ids = sorted({int(n.split(".")[0][4:]) for n in tensors if n.startswith("band")})
     if band_ids != list(range(len(band_ids))):
@@ -500,22 +490,22 @@ def load_weights(bin_path, manifest_path) -> FusionWeights:
         def enc(part):
             p = f"band{k}.{part}"
             return EncoderWeights(
-                w=tensors[f"{p}.w"],
-                b=tensors[f"{p}.b"],
-                gain=tensors[f"{p}.gain"],
-                bias=tensors[f"{p}.bias"],
-                prelu_slope=float(tensors[f"{p}.prelu_slope"][0]),
-                k_ada=float(tensors[f"{p}.k_ada"][0]),
+                w=tensor(f"{p}.w"),
+                b=tensor(f"{p}.b"),
+                gain=tensor(f"{p}.gain"),
+                bias=tensor(f"{p}.bias"),
+                prelu_slope=tensor(f"{p}.prelu_slope").item(),  # ValueError unless one value
+                k_ada=tensor(f"{p}.k_ada").item(),
             )
 
         bands.append(
             BandFusionWeights(
                 feat=enc("feat"),
                 clue=enc("clue"),
-                w_gamma=tensors[f"band{k}.gamma.w"],
-                b_gamma=tensors[f"band{k}.gamma.b"],
-                w_beta=tensors[f"band{k}.beta.w"],
-                b_beta=tensors[f"band{k}.beta.b"],
+                w_gamma=tensor(f"band{k}.gamma.w"),
+                b_gamma=tensor(f"band{k}.gamma.b"),
+                w_beta=tensor(f"band{k}.beta.w"),
+                b_beta=tensor(f"band{k}.beta.b"),
             )
         )
     return FusionWeights(bands)

@@ -16,9 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio_io import MultichannelWaveform
-from .spectral import HOP as DEFAULT_HOP
-from .spectral import WINDOW as DEFAULT_WINDOW
-from .spectral import ComplexSpectrogram, GaussianWindowParams, stft
+from .spectral import FFT_SIZE, HOP, WINDOW, ComplexSpectrogram, stft
 
 SNR_CAP_DB = 100.0
 ENERGY_FLOOR = 1e-12
@@ -216,8 +214,6 @@ def spatial_errors(
     est: MultichannelWaveform,
     ref: MultichannelWaveform,
     max_lag_s: float | None = None,
-    window: GaussianWindowParams = DEFAULT_WINDOW,
-    hop: int = DEFAULT_HOP,
 ) -> tuple[float, float, float, list]:
     """MAE of ILD/IPD/ITD cues over all channel pairs, est vs ref.
 
@@ -234,8 +230,8 @@ def spatial_errors(
     if max_lag_s is None:
         max_lag_s = 64 / est.sample_rate
 
-    x_est = stft(est, window, window.length, hop).as_complex()
-    x_ref = stft(ref, window, window.length, hop).as_complex()
+    x_est = stft(est, WINDOW, FFT_SIZE, HOP).as_complex()
+    x_ref = stft(ref, WINDOW, FFT_SIZE, HOP).as_complex()
     mag_est, mag_ref = np.abs(x_est), np.abs(x_ref)
     peak = max(mag_est.max(), mag_ref.max())
     gate = peak * 10.0 ** (IPD_GATE_DB / 20.0)

@@ -148,7 +148,32 @@ def resolve_array(value) -> tuple[np.ndarray, str | None]:
     raise SceneValidationError("array must be a preset string or an object with offsets")
 
 
+def _object(value, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise SceneValidationError(f"{context} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _typed(value, types: tuple, what: str, key: str, context: str):
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise SceneValidationError(f"{key!r} in {context} must be {what}, got {value!r}")
+    return value
+
+
+def _number(d: dict, key: str, context: str, default=0.0):
+    return _typed(d.get(key, default), (int, float), "a number", key, context)
+
+
 def scene_from_dict(d: dict, strict: bool = True) -> SceneSpec:
+    try:
+        return _scene_from_dict(_object(d, "scene"), strict)
+    except SceneValidationError:
+        raise
+    except (TypeError, ValueError) as e:  # e.g. a room_dims or position that is not three numbers
+        raise SceneValidationError(f"scene has a malformed value: {e}") from None
+
+
+def _scene_from_dict(d: dict, strict: bool) -> SceneSpec:
     _check_keys(
         d,
         {"room_dims", "rt60_s", "absorption", "array_center", "array", "sources", "noise", "seed"},
@@ -157,30 +182,31 @@ def scene_from_dict(d: dict, strict: bool = True) -> SceneSpec:
     )
     offsets, preset = resolve_array(_require(d, "array", "scene"))
     sources = []
-    for j, s in enumerate(_require(d, "sources", "scene")):
+    for j, s in enumerate(_typed(_require(d, "sources", "scene"), (list,), "a list", "sources", "scene")):
         ctx = f"sources[{j}]"
-        _check_keys(s, {"position", "class", "gain_db", "wav"}, ctx, strict)
+        _check_keys(_object(s, ctx), {"position", "class", "gain_db", "wav"}, ctx, strict)
         sources.append(
             SourceSpec(
                 position=_require(s, "position", ctx),
-                class_label=_require(s, "class", ctx),
-                gain_db=s.get("gain_db", 0.0),
-                wav=_require(s, "wav", ctx),
+                class_label=_typed(_require(s, "class", ctx), (str,), "a string", "class", ctx),
+                gain_db=_number(s, "gain_db", ctx),
+                wav=_typed(_require(s, "wav", ctx), (str,), "a string", "wav", ctx),
             )
         )
     noise = None
     if d.get("noise") is not None:
-        _check_keys(d["noise"], {"wav", "gain_db"}, "noise", strict)
-        noise = NoiseSpec(wav=_require(d["noise"], "wav", "noise"), gain_db=d["noise"].get("gain_db", 0.0))
+        _check_keys(_object(d["noise"], "noise"), {"wav", "gain_db"}, "noise", strict)
+        wav = _typed(_require(d["noise"], "wav", "noise"), (str,), "a string", "wav", "noise")
+        noise = NoiseSpec(wav=wav, gain_db=_number(d["noise"], "gain_db", "noise"))
     return SceneSpec(
         room_dims=_require(d, "room_dims", "scene"),
         array_center=_require(d, "array_center", "scene"),
         array_offsets=offsets,
         sources=sources,
-        rt60_s=d.get("rt60_s"),
+        rt60_s=None if d.get("rt60_s") is None else _number(d, "rt60_s", "scene"),
         absorption=d.get("absorption"),
         noise=noise,
-        seed=d.get("seed", 0),
+        seed=_typed(d.get("seed", 0), (int,), "an integer", "seed", "scene"),
         array_preset=preset,
     )
 

@@ -70,11 +70,28 @@ def test_evaluate_non_scene_dir_exits_2(tmp_path):
     assert rc == 2
 
 
-def test_malformed_manifest_line_exits_2(tmp_path):
+def test_malformed_manifest_line_exits_2(tmp_path, capsys):
+    scene = json.loads(write_manifest(tmp_path).read_text())
+    source = scene["sources"][0]
+    rt60_text = {k: v for k, v in scene.items() if k != "absorption"} | {"rt60_s": "0.3"}
+    lines = ['{"room_dims": [1,\n', "5\n"] + [
+        json.dumps(d) + "\n"
+        for d in (
+            scene | {"sources": 5},
+            scene | {"sources": ["abc"]},
+            scene | {"sources": [source | {"gain_db": None}]},
+            scene | {"seed": None},
+            rt60_text,
+        )
+    ]
     manifest = tmp_path / "scenes.jsonl"
-    manifest.write_text('{"room_dims": [1,\n', encoding="utf-8")
-    rc = main(["simulate", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
-    assert rc == 2
+    for line in lines:
+        manifest.write_text(line, encoding="utf-8")
+        rc = main(["simulate", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
+        assert rc == 2, line
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "unknown key" not in err, err
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +333,13 @@ def test_fuse_check_passes(capsys):
     assert rc == 0
     outp = capsys.readouterr().out
     assert "max relative gradient error" in outp
+
+
+@pytest.mark.parametrize("bands", ["0", "-1", "-20"])
+def test_fuse_check_bad_bands_exits_2(capsys, bands):
+    assert main(["fuse-check", "--seed", "0", "--bands", bands]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --bands must be") and err.count("\n") == 1
 
 
 def test_fuse_check_bad_env_seed_exits_2(capsys, monkeypatch):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soundcompass import (
     BandFusionWeights,
@@ -11,7 +13,6 @@ from soundcompass import (
     EncoderWeights,
     FusionWeights,
     encode_band_feature,
-    encoding_block,
     film_fuse,
     film_gradients,
     finite_difference_check,
@@ -92,10 +93,15 @@ def test_film_matches_scalar_oracle_time_varying(rng):
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+def last_axis_encode(x, w):
+    """encode_band_feature over the last axis of x, on the moved-axis input."""
+    return np.moveaxis(encode_band_feature(np.moveaxis(x, -1, 0), w), 0, -1)
+
+
 def test_encoding_block_matches_oracle(rng):
     w = make_encoder(rng, 7, 4)
     x = rng.standard_normal((3, 5, 7))
-    np.testing.assert_allclose(encoding_block(x, w), oracle_encoding(x, w), atol=1e-12)
+    np.testing.assert_allclose(last_axis_encode(x, w), oracle_encoding(x, w), atol=1e-12)
 
 
 def test_null_modulation_is_bitwise_passthrough(rng):
@@ -141,7 +147,7 @@ def test_beta_shift_is_additive(rng):
 def test_relu_limit_zero_slope(rng):
     w = make_encoder(rng, 6, 5)
     w.prelu_slope = 0.0
-    out = encoding_block(rng.standard_normal((10, 6)), w)
+    out = last_axis_encode(rng.standard_normal((10, 6)), w)
     assert np.all(out >= 0.0)
     assert (out == 0.0).any()  # some units do go negative pre-activation
 
@@ -336,7 +342,7 @@ KERNEL_BOUND = 1e-12  # relative to the reference's largest magnitude; set befor
 
 
 def last_axis_encoding_block(x, w):
-    """The block over the last axis, as encoding_block computed it."""
+    """The block over the last axis, as the removed encoding_block computed it."""
     a = x @ w.w.T + w.b
     mu = a.mean(axis=-1, keepdims=True)
     y = (a - mu) / np.sqrt(((a - mu) ** 2).mean(axis=-1, keepdims=True) + ADANORM_EPS)
@@ -426,8 +432,8 @@ def kernel_cases(rng):
 def test_band_kernels_match_last_axis_references(rng):
     for band, clue, bw, upstream in kernel_cases(rng):
         x = np.moveaxis(band, 0, -1)
-        assert_close_to_reference(encoding_block(x, bw.feat), last_axis_encoding_block(x, bw.feat))
-        assert_close_to_reference(encoding_block(clue, bw.clue), last_axis_encoding_block(clue, bw.clue))
+        assert_close_to_reference(last_axis_encode(x, bw.feat), last_axis_encoding_block(x, bw.feat))
+        assert_close_to_reference(last_axis_encode(clue, bw.clue), last_axis_encoding_block(clue, bw.clue))
         enc = encode_band_feature(band, bw.feat)
         assert_close_to_reference(enc, moveaxis_encode_band_feature(band, bw.feat))
         assert_close_to_reference(film_fuse(enc, clue, bw), sum_film_fuse(enc, clue, bw))
@@ -459,6 +465,21 @@ def test_fuse_all_bands_matches_per_band_references(rng):
         band = spin.pairwise[..., lo : hi + 1]
         want = sum_film_fuse(moveaxis_encode_band_feature(band, bw.feat), clue, bw)
         assert_close_to_reference(got, want)
+
+
+@pytest.mark.parametrize("frames", [1, 4])
+def test_static_clue_gradients_equal_tiled_clue_gradients(rng, frames):
+    # a static clue is the one-frame case: its gradients are the tiled
+    # clue's, with d_clue summed over the frames it modulates
+    bw = make_band_weights(rng)
+    feat = rng.standard_normal((3, frames, 5))
+    upstream = rng.standard_normal(feat.shape)
+    vec = rng.standard_normal(6)
+    static = film_gradients(feat, vec, bw, upstream)
+    tiled = film_gradients(feat, np.tile(vec, (frames, 1)), bw, upstream)
+    assert sorted(static) == sorted(tiled)
+    for name, want in tiled.items():
+        assert_close_to_reference(static[name], want.sum(axis=0) if name == "d_clue" else want)
 
 
 # ---------------------------------------------------------------------------
@@ -546,3 +567,93 @@ def test_load_rejects_bad_format(tmp_path):
     (tmp_path / "w.bin").write_bytes(b"")
     with pytest.raises(ValueError, match="format"):
         load_weights(tmp_path / "w.bin", man_path)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_load_rejects_malformed_manifest_with_value_error(tmp_path_factory, data):
+    tmp = tmp_path_factory.mktemp("weights")
+    layout = BandLayout(bands=[(0, 4), (3, 8)], num_bins=9)
+    weights = init_fusion_weights(layout, dim_clue=3, c_in=2, c_band=2, hidden=3, seed=1)
+    bin_path, man_path = tmp / "w.bin", tmp / "w.json"
+    save_weights(weights, bin_path, man_path)
+    manifest = json.loads(man_path.read_text())
+    entries = manifest["tensors"]
+    i = data.draw(st.integers(0, len(entries) - 1), label="entry")
+    mutation = data.draw(
+        st.sampled_from(["root", "top_key", "entry", "name", "shape", "dim", "drop", "duplicate"]),
+        label="mutation",
+    )
+    value = data.draw(JSON_VALUES, label="value")
+    if mutation == "root":
+        manifest = value
+    elif mutation == "top_key":
+        key = data.draw(st.sampled_from(["format", "tensors"]), label="key")
+        if data.draw(st.booleans(), label="delete"):
+            del manifest[key]
+        else:
+            manifest[key] = value
+    elif mutation == "entry":
+        entries[i] = value
+    elif mutation == "name":
+        names = st.sampled_from([entries[0]["name"], "band9.feat.w", "bandx.w"])
+        entries[i]["name"] = data.draw(names | JSON_VALUES)
+    elif mutation == "shape":
+        entries[i]["shape"] = value
+    elif mutation == "dim":
+        shape = entries[i]["shape"]
+        shape[data.draw(st.integers(0, len(shape) - 1))] = data.draw(st.integers(-5, 12) | JSON_VALUES)
+    elif mutation == "drop":
+        del entries[i]
+    else:
+        entries.insert(i, dict(entries[i]))
+    man_path.write_text(json.dumps(manifest))
+    try:
+        loaded = load_weights(bin_path, man_path)
+    except ValueError:
+        return
+    assert isinstance(loaded, FusionWeights)
+
+
+def _drop_last_tensor(m):
+    # the [3] band0.beta.b entry; the test cuts its 12 bytes from the binary
+    return {**m, "tensors": m["tensors"][:-1]}
+
+
+def _set_shape(i, shape):
+    def edit(m):
+        m["tensors"][i]["shape"] = shape
+        return m
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, cut, match",
+    [
+        (_drop_last_tensor, 12, "lacks tensor 'band0.beta.b'"),
+        (lambda m: {"format": m["format"]}, 0, "'tensors' list"),
+        (lambda m: m["tensors"], 0, "JSON object"),
+        (lambda m: {**m, "tensors": m["tensors"][:1] + m["tensors"]}, 0, "listed twice"),
+        (_set_shape(4, [0]), 4, "size 1"),
+        (_set_shape(0, "3"), 0, "list of integers"),
+        (_set_shape(0, [-3, 16]), 0, "list of integers"),
+    ],
+)
+def test_load_malformed_manifest_raises_value_error(tmp_path, edit, cut, match):
+    layout = BandLayout(bands=[(0, 8)], num_bins=9)
+    weights = init_fusion_weights(layout, dim_clue=6, c_in=16, c_band=3, hidden=5)
+    bin_path, man_path = tmp_path / "w.bin", tmp_path / "w.json"
+    save_weights(weights, bin_path, man_path)
+    raw = bin_path.read_bytes()
+    bin_path.write_bytes(raw[: len(raw) - cut])
+    man_path.write_text(json.dumps(edit(json.loads(man_path.read_text()))))
+    with pytest.raises(ValueError, match=match):
+        load_weights(bin_path, man_path)

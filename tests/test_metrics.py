@@ -24,14 +24,14 @@ from soundcompass import (
 from soundcompass.delays import delay_signal
 from soundcompass.metrics import (
     CSV_HEADER,
-    DEFAULT_HOP,
-    DEFAULT_WINDOW,
     ENERGY_FLOOR,
     IPD_GATE_DB,
     _gcc_phat_itds,
     _ratio_db,
     ipd,
 )
+from soundcompass.spectral import HOP as DEFAULT_HOP
+from soundcompass.spectral import WINDOW as DEFAULT_WINDOW
 from soundcompass.spectral import stft
 
 FS = 16000

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,3 +161,14 @@ def test_validate_positive_dims():
             sources=[SourceSpec([0.5, 0.5, 0.5], "x", 0.0, "s.wav")],
             rt60_s=0.3,
         ).validate()
+
+
+def test_readme_scene_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    line = readme.split("A scene line looks like:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    scene = json.loads(line)
+    spec = scene_from_dict(scene)
+    assert spec.array_preset == "tetrahedral_4ch_r0.042" and spec.rt60_s == 0.32
+    array = re.search(r'`"array": (\{.*?\})`', readme.replace("\n", " ")).group(1)
+    spec = scene_from_dict({**scene, "array": json.loads(array)})
+    assert spec.array_preset is None and spec.num_mics == 2
