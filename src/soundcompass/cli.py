@@ -19,18 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import MultichannelWaveform, WavFormatError, read_wav, write_wav
+from .audio_io import MultichannelWaveform, read_wav, write_wav
 from .clues import DoAClue, build_time_varying_clue, encode_cyc_pos, encode_sh
 from .extractor import SPEED_OF_SOUND, contour_grid, delay_and_sum
-from .fusion import (
-    film_fuse,
-    finite_difference_check,
-    init_fusion_weights,
-)
+from .fusion import BAND_PARAMS, film_fuse, finite_difference_check, init_fusion_weights
 from .metrics import evaluate_extraction, write_reports_csv
 from .metrics import si_snr_i  # noqa: F401  (unused here; perfbench wraps cli.si_snr_i)
-from .roomsim import SimulationError, render_scene_to_dir
-from .scenes import SceneValidationError, read_manifest
+from .roomsim import render_scene_to_dir
+from .scenes import read_manifest
 from .spectral import FFT_SIZE, HOP, WINDOW, BandLayout, make_band_layout, stft
 from .spin import spin_forward
 
@@ -38,13 +34,12 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INVALID = 2
 
+# SceneValidationError, WavFormatError, SimulationError and JSONDecodeError are ValueErrors
 INVALID_INPUT_ERRORS = (
-    SceneValidationError,
-    WavFormatError,
-    SimulationError,
     FileNotFoundError,
     NotADirectoryError,
-    json.JSONDecodeError,
+    IsADirectoryError,
+    PermissionError,
     ValueError,
 )
 
@@ -224,12 +219,8 @@ def cmd_fuse_check(args) -> int:
         worst = max(worst, rel)
 
         # null modulation: zeroed heads must reproduce the input bit for bit
-        bw_null = init_fusion_weights(layout, 18, 16, 6, 12, seed=seed).bands[k]
-        bw_null.w_gamma[:] = 0.0
-        bw_null.b_gamma[:] = 0.0
-        bw_null.w_beta[:] = 0.0
-        bw_null.b_beta[:] = 0.0
-        if not np.array_equal(film_fuse(feat, clue_vec, bw_null), feat):
+        heads = {attr: np.zeros_like(getattr(bw, attr)) for _, owner, attr, _ in BAND_PARAMS if owner is None}
+        if not np.array_equal(film_fuse(feat, clue_vec, replace(bw, **heads)), feat):
             print("null-modulation identity FAILED", file=sys.stderr)
             return EXIT_INTERNAL
 

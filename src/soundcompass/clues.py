@@ -208,8 +208,9 @@ def build_time_varying_clue(
     """Interpolate the activation to num_frames, scale the embedding per frame.
 
     Endpoints map to endpoints: target frame t samples the activation at
-    position t*(T'-1)/(T-1). Interpolating the scalar activation first keeps
-    every output row an exact nonnegative multiple of the static embedding.
+    position t*(T'-1)/max(T-1, 1). Interpolating the scalar activation first
+    keeps every output row an exact nonnegative multiple of the static
+    embedding.
     """
     activation = np.asarray(activation, dtype=np.float64).ravel()
     if activation.size < 1 or num_frames < 1:
@@ -217,12 +218,7 @@ def build_time_varying_clue(
     if not ((activation >= 0) & (activation <= 1)).all():  # NaN fails too
         raise ValueError("activation values must lie in [0, 1]")
     t_src = activation.size
-    if num_frames == 1:
-        scale = activation[:1] if t_src == 1 else np.array([activation[0]])
-    elif t_src == 1:
-        scale = np.full(num_frames, activation[0])
-    else:
-        pos = np.arange(num_frames) * (t_src - 1) / (num_frames - 1)
-        scale = np.interp(pos, np.arange(t_src), activation)
+    pos = np.arange(num_frames) * (t_src - 1) / max(num_frames - 1, 1)
+    scale = np.interp(pos, np.arange(t_src), activation)
     matrix = scale[:, None] * emb.vector[None, :]
     return TimeVaryingClue(matrix, t_src)

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -56,6 +58,9 @@ class EncoderWeights:
         self.b = np.asarray(self.b, dtype=np.float64)
         self.gain = np.asarray(self.gain, dtype=np.float64)
         self.bias = np.asarray(self.bias, dtype=np.float64)
+        # a weight file holds a scalar as a 1-element tensor; ValueError unless one value
+        self.prelu_slope = np.asarray(self.prelu_slope, dtype=np.float64).item()
+        self.k_ada = np.asarray(self.k_ada, dtype=np.float64).item()
         if self.w.ndim != 2:
             raise ValueError("w must be [out x in]")
         out = self.w.shape[0]
@@ -103,6 +108,30 @@ class BandFusionWeights:
     @property
     def num_channels(self) -> int:
         return self.w_gamma.shape[0]
+
+
+# The 16 parameters of a band, in weight-file order. Each row gives the file
+# name suffix (after "band{k}."), the owner (the "feat" or "clue" encoder, or
+# None for the band itself), the attribute, and the film_gradients key (None
+# for the feature encoder, which film_fuse does not read).
+BAND_PARAMS = (
+    ("feat.w", "feat", "w", None),
+    ("feat.b", "feat", "b", None),
+    ("feat.gain", "feat", "gain", None),
+    ("feat.bias", "feat", "bias", None),
+    ("feat.prelu_slope", "feat", "prelu_slope", None),
+    ("feat.k_ada", "feat", "k_ada", None),
+    ("clue.w", "clue", "w", "w1"),
+    ("clue.b", "clue", "b", "b1"),
+    ("clue.gain", "clue", "gain", "gain"),
+    ("clue.bias", "clue", "bias", "bias"),
+    ("clue.prelu_slope", "clue", "prelu_slope", "prelu_slope"),
+    ("clue.k_ada", "clue", "k_ada", "k_ada"),
+    ("gamma.w", None, "w_gamma", "w_gamma"),
+    ("gamma.b", None, "b_gamma", "b_gamma"),
+    ("beta.w", None, "w_beta", "w_beta"),
+    ("beta.b", None, "b_beta", "b_beta"),
+)
 
 
 @dataclass
@@ -317,65 +346,41 @@ def finite_difference_check(
 ):
     """Compare analytic gradients to central differences at random coordinates.
 
-    Returns (max_relative_error, checked_count). Coordinates where both the
-    analytic and numeric values are tiny (< 1e-12) are counted as exact.
+    Perturbs the feature, the clue and every BAND_PARAMS row with a gradient
+    key, each on a copy: max(1, num_coords // 6) coordinates of an array, the
+    value of a float. Returns (max_relative_error, checked_count). Coordinates
+    where both the analytic and numeric values are tiny (< 1e-12) count as exact.
     """
     rng = rng or np.random.default_rng(0)
     grads = film_gradients(feat_k, clue, bw, upstream)
-    # the clue as an array in its own shape, perturbed in place below
+    # the clue as an array in its own shape, so it indexes like grads["d_clue"]
     clue = _clue_matrix(clue, bw.clue.dim_in, feat_k.shape[1])[0].reshape(grads["d_clue"].shape)
+    inputs = SimpleNamespace(feat=feat_k, clue=clue)
+    slots = [(inputs, "feat", "d_feat"), (inputs, "clue", "d_clue")]
+    slots += [(getattr(bw, owner) if owner else bw, attr, key) for _, owner, attr, key in BAND_PARAMS if key]
 
-    slots = []
+    def loss_at(obj, attr, idx, delta):
+        saved = getattr(obj, attr)
+        moved = np.array(saved, dtype=np.float64)  # a float becomes a 0-d array, idx ()
+        moved[idx] += delta
+        setattr(obj, attr, moved)
+        try:
+            return float((upstream * film_fuse(inputs.feat, inputs.clue, bw)).sum())
+        finally:
+            setattr(obj, attr, saved)
 
-    def arr_slot(name, arr, grad):
-        for _ in range(max(1, num_coords // 6)):
-            idx = tuple(rng.integers(0, d) for d in arr.shape)
-            slots.append(
-                (
-                    f"{name}{list(idx)}",
-                    lambda a=arr, i=idx: a[i],
-                    lambda v, a=arr, i=idx: a.__setitem__(i, v),
-                    grad[idx],
-                )
-            )
-
-    w = bw.clue
-    arr_slot("feat", feat_k, grads["d_feat"])
-    arr_slot("clue", clue, grads["d_clue"])
-    arr_slot("w1", w.w, grads["w1"])
-    arr_slot("b1", w.b, grads["b1"])
-    arr_slot("gain", w.gain, grads["gain"])
-    arr_slot("bias", w.bias, grads["bias"])
-    arr_slot("w_gamma", bw.w_gamma, grads["w_gamma"])
-    arr_slot("b_beta", bw.b_beta, grads["b_beta"])
-    slots.append(
-        (
-            "prelu_slope",
-            lambda: w.prelu_slope,
-            lambda v: setattr(w, "prelu_slope", v),
-            grads["prelu_slope"],
-        )
-    )
-    slots.append(("k_ada", lambda: w.k_ada, lambda v: setattr(w, "k_ada", v), grads["k_ada"]))
-
-    def loss():
-        return float((upstream * film_fuse(feat_k, clue, bw)).sum())
-
-    max_rel = 0.0
-    for name, get, set_, analytic in slots:
-        base = get()
-        set_(base + step)
-        hi = loss()
-        set_(base - step)
-        lo = loss()
-        set_(base)
-        numeric = (hi - lo) / (2.0 * step)
-        denom = max(abs(analytic), abs(numeric))
-        if denom < 1e-12:
-            continue
-        rel = abs(analytic - numeric) / denom
-        max_rel = max(max_rel, rel)
-    return max_rel, len(slots)
+    max_rel, checked = 0.0, 0
+    for obj, attr, key in slots:
+        shape = np.shape(getattr(obj, attr))
+        for _ in range(max(1, num_coords // 6) if shape else 1):
+            idx = tuple(rng.integers(0, d) for d in shape)
+            numeric = (loss_at(obj, attr, idx, step) - loss_at(obj, attr, idx, -step)) / (2.0 * step)
+            analytic = np.asarray(grads[key])[idx]
+            checked += 1
+            denom = max(abs(analytic), abs(numeric))
+            if denom >= 1e-12:
+                max_rel = max(max_rel, abs(analytic - numeric) / denom)
+    return max_rel, checked
 
 
 # ---------------------------------------------------------------------------
@@ -422,34 +427,24 @@ def init_fusion_weights(
     return FusionWeights(bands)
 
 
-def _named_tensors(weights: FusionWeights):
-    for k, bw in enumerate(weights.bands):
-        for part, enc in (("feat", bw.feat), ("clue", bw.clue)):
-            yield f"band{k}.{part}.w", enc.w
-            yield f"band{k}.{part}.b", enc.b
-            yield f"band{k}.{part}.gain", enc.gain
-            yield f"band{k}.{part}.bias", enc.bias
-            yield f"band{k}.{part}.prelu_slope", np.array([enc.prelu_slope])
-            yield f"band{k}.{part}.k_ada", np.array([enc.k_ada])
-        yield f"band{k}.gamma.w", bw.w_gamma
-        yield f"band{k}.gamma.b", bw.b_gamma
-        yield f"band{k}.beta.w", bw.w_beta
-        yield f"band{k}.beta.b", bw.b_beta
+_BAND_PREFIX = re.compile(r"band([0-9]+)\.")
 
 
 def save_weights(weights: FusionWeights, bin_path, manifest_path) -> None:
-    """float32 little-endian tensors, concatenated in manifest order."""
+    """float32 little-endian tensors in manifest order: BAND_PARAMS per band."""
     entries = []
     with open(bin_path, "wb") as f:
-        for name, tensor in _named_tensors(weights):
-            data = np.ascontiguousarray(tensor, dtype="<f4")
-            f.write(data.tobytes())
-            entries.append({"name": name, "shape": list(tensor.shape)})
+        for k, bw in enumerate(weights.bands):
+            for suffix, owner, attr, _ in BAND_PARAMS:
+                tensor = np.atleast_1d(getattr(getattr(bw, owner) if owner else bw, attr))
+                f.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
+                entries.append({"name": f"band{k}.{suffix}", "shape": list(tensor.shape)})
     manifest = {"format": "float32-le", "tensors": entries}
     Path(manifest_path).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
 def load_weights(bin_path, manifest_path) -> FusionWeights:
+    """Read save_weights' files: exactly the BAND_PARAMS rows of bands 0..K-1."""
     manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
     if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors"), list):
         raise ValueError("weight manifest must be a JSON object with a 'tensors' list")
@@ -477,35 +472,20 @@ def load_weights(bin_path, manifest_path) -> FusionWeights:
     if offset != len(raw):
         raise ValueError("weight file has trailing bytes not covered by the manifest")
 
-    def tensor(name):
-        if name not in tensors:
-            raise ValueError(f"weight manifest lacks tensor {name!r}")
-        return tensors[name]
-
-    band_ids = sorted({int(n.split(".")[0][4:]) for n in tensors if n.startswith("band")})
+    band_ids = sorted({int(m.group(1)) for n in tensors if (m := _BAND_PREFIX.match(n))})
     if band_ids != list(range(len(band_ids))):
         raise ValueError("manifest band indices must be contiguous from 0")
+    unused = sorted(set(tensors) - {f"band{k}.{row[0]}" for k in band_ids for row in BAND_PARAMS})
+    if unused:
+        raise ValueError(f"weight manifest has tensors no band uses: {unused}")
     bands = []
     for k in band_ids:
-        def enc(part):
-            p = f"band{k}.{part}"
-            return EncoderWeights(
-                w=tensor(f"{p}.w"),
-                b=tensor(f"{p}.b"),
-                gain=tensor(f"{p}.gain"),
-                bias=tensor(f"{p}.bias"),
-                prelu_slope=tensor(f"{p}.prelu_slope").item(),  # ValueError unless one value
-                k_ada=tensor(f"{p}.k_ada").item(),
-            )
-
-        bands.append(
-            BandFusionWeights(
-                feat=enc("feat"),
-                clue=enc("clue"),
-                w_gamma=tensor(f"band{k}.gamma.w"),
-                b_gamma=tensor(f"band{k}.gamma.b"),
-                w_beta=tensor(f"band{k}.beta.w"),
-                b_beta=tensor(f"band{k}.beta.b"),
-            )
-        )
+        kw, encoders = {}, {}
+        for suffix, owner, attr, _ in BAND_PARAMS:
+            name = f"band{k}.{suffix}"
+            if name not in tensors:
+                raise ValueError(f"weight manifest lacks tensor {name!r}")
+            (encoders.setdefault(owner, {}) if owner else kw)[attr] = tensors[name]
+        kw.update({owner: EncoderWeights(**enc) for owner, enc in encoders.items()})
+        bands.append(BandFusionWeights(**kw))
     return FusionWeights(bands)

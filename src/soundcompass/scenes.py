@@ -1,7 +1,7 @@
 """Scene descriptions: cuboid room, microphone array, sources.
 
-The JSON schema is strict by default: unknown keys are rejected so config
-typos surface immediately. Geometry is metric (meters), gains in dB.
+The JSON schema is strict: unknown keys are rejected so config typos surface
+immediately. Geometry is metric (meters), gains in dB.
 """
 
 from __future__ import annotations
@@ -92,6 +92,19 @@ class SceneSpec:
         return self.array_center[np.newaxis, :] + self.array_offsets
 
     def validate(self):
+        numbers = {
+            "room_dims": self.room_dims,
+            "array_center": self.array_center,
+            "array offsets": self.array_offsets,
+            "rt60_s": self.rt60_s,
+            "absorption": self.absorption,
+            "noise gain_db": None if self.noise is None else self.noise.gain_db,
+        }
+        for j, src in enumerate(self.sources):
+            numbers |= {f"source {j} position": src.position, f"source {j} gain_db": src.gain_db}
+        for name, value in numbers.items():
+            if value is not None and not np.isfinite(value).all():
+                raise SceneValidationError(f"{name} must be finite, got {np.asarray(value).tolist()}")
         if np.any(self.room_dims <= 0):
             raise SceneValidationError(f"room_dims must be positive, got {self.room_dims}")
         if (self.rt60_s is None) == (self.absorption is None):
@@ -125,9 +138,7 @@ def _require(d: dict, key: str, context: str):
     return d[key]
 
 
-def _check_keys(d: dict, allowed: set, context: str, strict: bool):
-    if not strict:
-        return
+def _check_keys(d: dict, allowed: set, context: str):
     unknown = set(d) - allowed
     if unknown:
         raise SceneValidationError(f"unknown key(s) {sorted(unknown)} in {context}")
@@ -164,27 +175,26 @@ def _number(d: dict, key: str, context: str, default=0.0):
     return _typed(d.get(key, default), (int, float), "a number", key, context)
 
 
-def scene_from_dict(d: dict, strict: bool = True) -> SceneSpec:
+def scene_from_dict(d: dict) -> SceneSpec:
     try:
-        return _scene_from_dict(_object(d, "scene"), strict)
+        return _scene_from_dict(_object(d, "scene"))
     except SceneValidationError:
         raise
     except (TypeError, ValueError) as e:  # e.g. a room_dims or position that is not three numbers
         raise SceneValidationError(f"scene has a malformed value: {e}") from None
 
 
-def _scene_from_dict(d: dict, strict: bool) -> SceneSpec:
+def _scene_from_dict(d: dict) -> SceneSpec:
     _check_keys(
         d,
         {"room_dims", "rt60_s", "absorption", "array_center", "array", "sources", "noise", "seed"},
         "scene",
-        strict,
     )
     offsets, preset = resolve_array(_require(d, "array", "scene"))
     sources = []
     for j, s in enumerate(_typed(_require(d, "sources", "scene"), (list,), "a list", "sources", "scene")):
         ctx = f"sources[{j}]"
-        _check_keys(_object(s, ctx), {"position", "class", "gain_db", "wav"}, ctx, strict)
+        _check_keys(_object(s, ctx), {"position", "class", "gain_db", "wav"}, ctx)
         sources.append(
             SourceSpec(
                 position=_require(s, "position", ctx),
@@ -195,7 +205,7 @@ def _scene_from_dict(d: dict, strict: bool) -> SceneSpec:
         )
     noise = None
     if d.get("noise") is not None:
-        _check_keys(_object(d["noise"], "noise"), {"wav", "gain_db"}, "noise", strict)
+        _check_keys(_object(d["noise"], "noise"), {"wav", "gain_db"}, "noise")
         wav = _typed(_require(d["noise"], "wav", "noise"), (str,), "a string", "wav", "noise")
         noise = NoiseSpec(wav=wav, gain_db=_number(d["noise"], "gain_db", "noise"))
     return SceneSpec(
@@ -238,13 +248,13 @@ def scene_to_dict(spec: SceneSpec) -> dict:
     return d
 
 
-def parse_scene(path, strict: bool = True) -> SceneSpec:
+def parse_scene(path) -> SceneSpec:
     with Path(path).open("r", encoding="utf-8") as fh:
         try:
             d = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SceneValidationError(f"{path}: invalid JSON ({exc})") from exc
-    return scene_from_dict(d, strict=strict)
+    return scene_from_dict(d)
 
 
 def serialize_scene(spec: SceneSpec, path) -> None:

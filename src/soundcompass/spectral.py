@@ -189,14 +189,23 @@ def istft(spec: ComplexSpectrogram, p: GaussianWindowParams, out_len: int | None
 
 @dataclass
 class BandLayout:
-    """K inclusive (lo_bin, hi_bin) ranges covering every bin in [0, F-1]."""
+    """K inclusive (lo_bin, hi_bin) ranges covering every bin in [0, F-1].
+
+    fft_size defaults to 2 * (F - 1), the even FFT size that gives F bins.
+    """
 
     bands: list[tuple[int, int]]
     num_bins: int
     sample_rate: int = 16000
-    fft_size: int = FFT_SIZE
+    fft_size: int | None = None
 
     def __post_init__(self):
+        if self.fft_size is None:
+            self.fft_size = 2 * (self.num_bins - 1)
+        if self.fft_size // 2 + 1 != self.num_bins:
+            raise ValueError(
+                f"fft_size {self.fft_size} gives {self.fft_size // 2 + 1} bins, layout has {self.num_bins}"
+            )
         fs = self.sample_rate
         if isinstance(fs, bool) or not isinstance(fs, numbers.Integral) or fs <= 0:
             raise ValueError(f"band layout fs must be a positive integer, got {fs!r}")

@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import soundcompass
-from soundcompass.cli import main
+from soundcompass.cli import build_parser, main
 
 from conftest import make_noise_wav
 
@@ -73,7 +75,8 @@ def test_evaluate_non_scene_dir_exits_2(tmp_path):
 def test_malformed_manifest_line_exits_2(tmp_path, capsys):
     scene = json.loads(write_manifest(tmp_path).read_text())
     source = scene["sources"][0]
-    rt60_text = {k: v for k, v in scene.items() if k != "absorption"} | {"rt60_s": "0.3"}
+    no_absorption = {k: v for k, v in scene.items() if k != "absorption"}
+    rt60_text = no_absorption | {"rt60_s": "0.3"}
     lines = ['{"room_dims": [1,\n', "5\n"] + [
         json.dumps(d) + "\n"
         for d in (
@@ -82,6 +85,11 @@ def test_malformed_manifest_line_exits_2(tmp_path, capsys):
             scene | {"sources": [source | {"gain_db": None}]},
             scene | {"seed": None},
             rt60_text,
+            no_absorption | {"rt60_s": math.nan},
+            no_absorption | {"rt60_s": math.inf},
+            scene | {"absorption": [math.nan] * 6},
+            scene | {"sources": [source | {"gain_db": math.nan}]},
+            scene | {"room_dims": [5.57, math.inf, 3.79]},
         )
     ]
     manifest = tmp_path / "scenes.jsonl"
@@ -92,6 +100,33 @@ def test_malformed_manifest_line_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "unknown key" not in err, err
+
+
+@pytest.mark.parametrize("command", ["simulate", "featurize", "extract"])
+def test_directory_path_exits_2(rendered_scene, tmp_path, capsys, command):
+    argv = {
+        "simulate": ["simulate", "--manifest", str(tmp_path), "--out", str(tmp_path / "o")],
+        "featurize": ["featurize", "--wav", str(tmp_path), "--out", str(tmp_path / "o")],
+        "extract": ["extract", "--scene", str(rendered_scene), "--az", "0", "--el", "0", "--out", str(tmp_path)],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_readme_commands_parse():
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```[a-z]*\n(.*?)```", text, flags=re.S)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("soundcompass ")]
+    # an inline span with options is an example invocation; a bare `soundcompass contour` names a command
+    lines += [span for span in re.findall(r"`(soundcompass [^`]*)`", text) if " --" in span]
+    assert len(lines) >= 7 and any(line.startswith("soundcompass fuse-check") for line in lines)
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 # ---------------------------------------------------------------------------

@@ -325,6 +325,28 @@ def test_time_varying_constant_activation():
         np.testing.assert_allclose(tv.matrix[t], emb.vector, atol=1e-15)
 
 
+def branched_scale(activation, num_frames):
+    """The per-case resampling that np.interp over one position grid replaced."""
+    t_src = activation.size
+    if num_frames == 1:
+        return activation[:1] if t_src == 1 else np.array([activation[0]])
+    if t_src == 1:
+        return np.full(num_frames, activation[0])
+    pos = np.arange(num_frames) * (t_src - 1) / (num_frames - 1)
+    return np.interp(pos, np.arange(t_src), activation)
+
+
+def test_time_varying_scale_matches_branched_reference():
+    emb = encode_sh(DoAClue.from_degrees(30, -5), order=2)
+    rng = np.random.default_rng(5)
+    for t_src in (1, 2, 3, 7, 250):
+        act = rng.uniform(0.0, 1.0, t_src)
+        for num_frames in (1, 2, 3, 7, 250):
+            tv = build_time_varying_clue(emb, act, num_frames)
+            expected = branched_scale(act, num_frames)[:, None] * emb.vector[None, :]
+            assert np.array_equal(tv.matrix, expected), (t_src, num_frames)
+
+
 def test_time_varying_validation():
     emb = encode_sh(DoAClue.from_degrees(0, 0), order=1)
     with pytest.raises(ValueError):

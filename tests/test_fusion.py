@@ -23,7 +23,8 @@ from soundcompass import (
     save_weights,
     spin_forward,
 )
-from soundcompass.fusion import ADANORM_EPS, FusedFeature
+from soundcompass import fusion
+from soundcompass.fusion import ADANORM_EPS, BAND_PARAMS, FusedFeature
 
 
 def make_encoder(rng, dim_in, dim_out, bias_free=False):
@@ -293,6 +294,38 @@ def test_gradients_many_seeded_configs():
         max_rel, _ = finite_difference_check(bw, feat, clue, upstream, num_coords=20, rng=rng)
         worst = max(worst, max_rel)
     assert worst <= 1e-5
+
+
+@pytest.mark.parametrize("key", [key for *_, key in BAND_PARAMS if key])
+def test_finite_difference_check_catches_each_wrong_gradient(rng, monkeypatch, key):
+    # every weight film_fuse reads is perturbed: a 1% error in any one gradient shows
+    exact = fusion.film_gradients
+
+    def skewed(*args):
+        grads = exact(*args)
+        grads[key] = 1.01 * grads[key] + 1e-3
+        return grads
+
+    monkeypatch.setattr(fusion, "film_gradients", skewed)
+    bw = make_band_weights(rng)
+    feat, upstream = rng.standard_normal((2, 3, 4, 5))
+    max_rel, checked = finite_difference_check(bw, feat, rng.standard_normal(6), upstream, rng=rng)
+    assert max_rel > 1e-5, key
+    assert checked == 2 + 10  # feat, clue and one coordinate or float per gradient key
+
+
+def test_finite_difference_check_restores_every_value(rng):
+    bw = make_band_weights(rng)
+    feat, upstream = rng.standard_normal((2, 3, 4, 5))
+    clue = rng.standard_normal((4, 6))
+    params = [(getattr(bw, owner) if owner else bw, attr) for _, owner, attr, _ in BAND_PARAMS]
+    before = [getattr(obj, attr) for obj, attr in params]
+    copies = [np.copy(v) for v in before + [feat, clue]]
+    finite_difference_check(bw, feat, clue, upstream, num_coords=40, rng=rng)
+    after = [getattr(obj, attr) for obj, attr in params]
+    assert all(a is b for a, b in zip(after, before))  # floats stay floats, arrays are not replaced
+    for value, copy in zip(after + [feat, clue], copies):
+        np.testing.assert_array_equal(value, copy)
 
 
 def test_zero_upstream_zeroes_gradients(rng):
@@ -620,6 +653,19 @@ def test_load_rejects_malformed_manifest_with_value_error(tmp_path_factory, data
     except ValueError:
         return
     assert isinstance(loaded, FusionWeights)
+
+
+def test_load_rejects_tensors_no_band_uses(tmp_path):
+    layout = BandLayout(bands=[(0, 8)], num_bins=9)
+    weights = init_fusion_weights(layout, dim_clue=6, c_in=16, c_band=3, hidden=5)
+    bin_path, man_path = tmp_path / "w.bin", tmp_path / "w.json"
+    save_weights(weights, bin_path, man_path)
+    manifest = json.loads(man_path.read_text())
+    manifest["tensors"] += [{"name": "band0.feat.typo", "shape": [2]}, {"name": "junk", "shape": [1]}]
+    man_path.write_text(json.dumps(manifest))
+    bin_path.write_bytes(bin_path.read_bytes() + bytes(12))
+    with pytest.raises(ValueError, match=r"no band uses: \['band0.feat.typo', 'junk'\]"):
+        load_weights(bin_path, man_path)
 
 
 def _drop_last_tensor(m):

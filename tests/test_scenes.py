@@ -152,6 +152,25 @@ def test_manifest_reports_line_numbers(tmp_path):
     assert len(read_manifest(path)) == 2  # blank lines skipped
 
 
+@pytest.mark.parametrize(
+    "over, field",
+    [
+        ({"rt60_s": math.nan}, "rt60_s"),
+        ({"rt60_s": math.inf}, "rt60_s"),
+        ({"rt60_s": None, "absorption": [math.nan] * 6}, "absorption"),
+        ({"array_center": [3.0, math.nan, 1.5]}, "array_center"),
+        ({"array": {"offsets": [[0.05, 0, 0], [-math.inf, 0, 0]]}}, "array offsets"),
+        ({"sources": [minimal_dict()["sources"][0] | {"gain_db": -math.inf}]}, "source 0 gain_db"),
+        ({"noise": {"wav": "n.wav", "gain_db": math.nan}}, "noise gain_db"),
+    ],
+)
+def test_manifest_rejects_non_finite_numbers(tmp_path, over, field):
+    path = tmp_path / "m.jsonl"
+    path.write_text(json.dumps(minimal_dict()) + "\n" + json.dumps(minimal_dict(**over)) + "\n", encoding="utf-8")
+    with pytest.raises(SceneValidationError, match=rf":2: {field} must be finite"):
+        read_manifest(path)
+
+
 def test_validate_positive_dims():
     with pytest.raises(SceneValidationError):
         SceneSpec(

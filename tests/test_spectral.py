@@ -317,6 +317,8 @@ def test_band_layout_type_validation():
         BandLayout(bands=[(0, 20)], num_bins=10)
     with pytest.raises(ValueError):
         BandLayout(bands=[], num_bins=10)
+    with pytest.raises(ValueError, match="fft_size 64 gives 33 bins"):
+        BandLayout(bands=[(0, 16)], num_bins=17, fft_size=64)
 
 
 def test_band_layout_json_round_trip(tmp_path):
@@ -333,8 +335,8 @@ def test_band_layout_json_round_trip(tmp_path):
 
 def test_band_layout_json_text_round_trip():
     # the default layout's text is longer than a file name may be
-    layout = make_band_layout(257, 16000)
-    assert BandLayout.from_json(layout.to_json()) == layout
+    for layout in (make_band_layout(257, 16000), BandLayout(bands=[(0, 8)], num_bins=9)):
+        assert BandLayout.from_json(layout.to_json()) == layout
 
 
 @settings(max_examples=30, deadline=None)
