@@ -246,7 +246,9 @@ def encode_band_feature(band: np.ndarray, w: EncoderWeights) -> np.ndarray:
     The same linear -> AdaNorm -> PReLU block as the clue encoder, over the
     leading (channel) axis.
     """
-    band = np.asarray(band, dtype=np.float64)
+    # one contiguous copy of a strided band view, so the checks and the
+    # product below run over whole rows
+    band = np.ascontiguousarray(band, dtype=np.float64)
     _finite("encoding_block input", band)
     if band.shape[0] != w.dim_in:
         raise ValueError(f"input width {band.shape[0]} != weight input {w.dim_in}")

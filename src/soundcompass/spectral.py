@@ -21,6 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import MultichannelWaveform
+from .buffers import recycled_empty
 
 ENERGY_FLOOR = 1e-8  # min per-sample synthesis window energy
 FFT_SIZE = 512  # default frame length in samples
@@ -342,11 +343,15 @@ def make_band_layout(
 
 
 def split_bands(x: np.ndarray, layout: BandLayout) -> list[np.ndarray]:
-    """Slice [C, T, F] into K tensors [C, T, F_k]; overlapping bins repeat."""
+    """Slice [C, T, F] into K views [C, T, F_k] of x; overlapping bins repeat.
+
+    The views share x's memory: writing to a band writes to x and to the
+    bands that overlap it.
+    """
     x = np.asarray(x)
     if x.shape[-1] != layout.num_bins:
         raise ValueError(f"last axis {x.shape[-1]} != layout bins {layout.num_bins}")
-    return [x[..., lo : hi + 1].copy() for lo, hi in layout.bands]
+    return [x[..., lo : hi + 1] for lo, hi in layout.bands]
 
 
 def merge_weights(layout: BandLayout) -> list[np.ndarray]:
@@ -399,7 +404,8 @@ def merge_bands(bands: list[np.ndarray], layout: BandLayout) -> np.ndarray:
             raise ValueError(f"band {k} has {b.shape[-1]} bins, layout wants {hi - lo + 1}")
     weights = merge_weights(layout)
     lead_shape = bands[0].shape[:-1]
-    out = np.zeros(lead_shape + (layout.num_bins,))
+    out = recycled_empty(lead_shape + (layout.num_bins,))
+    out.fill(0.0)
     for (lo, hi), w, b in zip(layout.bands, weights, bands):
         out[..., lo : hi + 1] += w * b
     return out

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .buffers import recycled_empty
 from .spectral import ComplexSpectrogram
 
 EPS_NORM = 1e-12
@@ -56,7 +57,8 @@ def spin_forward(spec: ComplexSpectrogram) -> SpinFeature:
     """All ordered pairwise products of the normalized planes, [(2M)^2, T, F]."""
     unit = normalize_planes(spec.planes)
     m2 = unit.shape[0]
-    pairwise = (unit[:, None] * unit[None, :]).reshape(m2 * m2, *unit.shape[1:])
+    pairwise = np.multiply(unit[:, None], unit[None, :], out=recycled_empty((m2, m2) + unit.shape[1:]))
+    pairwise = pairwise.reshape(m2 * m2, *unit.shape[1:])
     mag = np.abs(spec.as_complex())
     log_mag_half = np.log(np.maximum(mag, LOG_FLOOR))
     log_mag = np.concatenate([log_mag_half, log_mag_half], axis=0)

@@ -374,6 +374,16 @@ def test_split_shapes(rng):
         np.testing.assert_array_equal(p, x[..., lo : hi + 1])
 
 
+def test_split_bands_are_views(rng):
+    layout = make_band_layout(257, 16000)
+    x = rng.standard_normal((2, 3, 257))
+    parts = split_bands(x, layout)
+    assert all(np.shares_memory(p, x) for p in parts)
+    hi = layout.bands[4][1]  # band 5 overlaps band 4's last bin
+    parts[4][0, 0, -1] = 5.0
+    assert x[0, 0, hi] == 5.0 and parts[5][0, 0, hi - layout.bands[5][0]] == 5.0
+
+
 def test_split_single_band_identity(rng):
     layout = BandLayout(bands=[(0, 16)], num_bins=17)
     x = rng.standard_normal((2, 3, 17))
