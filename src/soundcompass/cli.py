@@ -238,15 +238,16 @@ def _load_scene_dir(scene_dir):
     if not truth_path.exists():
         raise CliError(f"{scene_dir}: no truth.json (is this a simulate output dir?)")
     truth = json.loads(truth_path.read_text(encoding="utf-8"))
-    mixture = read_wav(scene_dir / "mixture.wav")
-    return scene_dir, truth, mixture
-
-
-def _array_offsets(truth) -> np.ndarray:
+    sources = truth.get("sources") if isinstance(truth, dict) else None
+    if not (isinstance(sources, list) and all(isinstance(s, dict) for s in sources)) or not all(
+        type(s.get(k)) in (int, float) for s in sources for k in ("azimuth", "polar")
+    ):
+        raise CliError(f"{truth_path}: needs an object whose sources are objects with numeric azimuth and polar")
     offsets = np.asarray(truth.get("array_offsets", []), dtype=np.float64)
     if offsets.size == 0:
         raise CliError("truth.json lacks array_offsets")
-    return offsets
+    mixture = read_wav(scene_dir / "mixture.wav")
+    return scene_dir, sources, offsets, mixture
 
 
 def _max_lag_s(offsets: np.ndarray) -> float:
@@ -255,8 +256,7 @@ def _max_lag_s(offsets: np.ndarray) -> float:
 
 
 def cmd_extract(args) -> int:
-    _, truth, mixture = _load_scene_dir(args.scene)
-    offsets = _array_offsets(truth)
+    _, _, offsets, mixture = _load_scene_dir(args.scene)
     clue = DoAClue.from_degrees(args.az, args.el)
     est = delay_and_sum(mixture, clue, offsets)
     write_wav(est, args.out)
@@ -264,18 +264,18 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def _source_reference(scene_dir: Path, truth, j: int) -> MultichannelWaveform:
-    if not (0 <= j < len(truth["sources"])):
-        raise CliError(f"source {j} out of range; scene has {len(truth['sources'])}")
+def _source_reference(scene_dir: Path, sources: list, j: int) -> MultichannelWaveform:
+    if not (0 <= j < len(sources)):
+        raise CliError(f"source {j} out of range; scene has {len(sources)}")
     direct = read_wav(scene_dir / f"src{j}_direct.wav")
     reverb = read_wav(scene_dir / f"src{j}_reverb.wav")
     return MultichannelWaveform(direct.samples + reverb.samples, direct.sample_rate)
 
 
 def cmd_evaluate(args) -> int:
-    scene_dir, truth, mixture = _load_scene_dir(args.scene)
+    scene_dir, sources, offsets, mixture = _load_scene_dir(args.scene)
     est = read_wav(args.est)
-    ref = _source_reference(scene_dir, truth, args.source)
+    ref = _source_reference(scene_dir, sources, args.source)
     if est.samples.shape != ref.samples.shape:
         raise CliError(
             f"estimate shape {est.samples.shape} != reference {ref.samples.shape}"
@@ -286,9 +286,9 @@ def cmd_evaluate(args) -> int:
         mixture,
         scene_id=scene_dir.name,
         source_id=str(args.source),
-        max_lag_s=_max_lag_s(_array_offsets(truth)),
+        max_lag_s=_max_lag_s(offsets),
     )
-    write_reports_csv([report], args.out, aggregate=True)
+    write_reports_csv([report], args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -298,10 +298,9 @@ def cmd_contour(args) -> int:
         raise CliError(f"--step must be a finite number > 0, got {args.step}")
     if not (math.isfinite(args.span) and args.span >= 0):
         raise CliError(f"--span must be a finite number >= 0, got {args.span}")
-    scene_dir, truth, mixture = _load_scene_dir(args.scene)
-    ref = _source_reference(scene_dir, truth, args.source)
-    offsets = _array_offsets(truth)
-    src = truth["sources"][args.source]
+    scene_dir, sources, offsets, mixture = _load_scene_dir(args.scene)
+    ref = _source_reference(scene_dir, sources, args.source)
+    src = sources[args.source]
     clue = DoAClue(src["azimuth"], src["polar"])
 
     steps = int(round(args.span / args.step))

@@ -22,24 +22,15 @@ def fractional_delay_kernel(frac: float) -> np.ndarray:
 
 
 def delay_signal(x: np.ndarray, delay_samples: float) -> np.ndarray:
-    """Shift x by delay_samples (positive = later), same length, zero-filled.
-
-    Works on [S] or [M, S] arrays; the same delay applies to every channel.
-    """
+    """Shift the [S] signal x by delay_samples (positive = later), same length, zero-filled."""
     x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
-    s = x.shape[1]
     d_int = int(np.floor(delay_samples))
     frac = delay_samples - d_int
-    kernel = fractional_delay_kernel(frac)
-    out = np.zeros_like(x)
+    full = np.convolve(x, fractional_delay_kernel(frac))  # full[n] ~= x(n - KERNEL_HALF - frac)
     start = KERNEL_HALF - d_int  # out[n] = full[n + start]
-    for ch in range(x.shape[0]):
-        full = np.convolve(x[ch], kernel)  # full[n] ~= x(n - KERNEL_HALF - frac)
-        src_lo = max(start, 0)
-        src_hi = min(start + s, full.shape[0])
-        if src_hi > src_lo:
-            out[ch, src_lo - start : src_hi - start] = full[src_lo:src_hi]
-    return out[0] if squeeze else out
+    src_lo = max(start, 0)
+    src_hi = min(start + x.shape[0], full.shape[0])
+    out = np.zeros_like(x)
+    if src_hi > src_lo:
+        out[src_lo - start : src_hi - start] = full[src_lo:src_hi]
+    return out

@@ -349,16 +349,15 @@ def evaluate_extraction(
     )
 
 
-def write_reports_csv(reports: list, path, aggregate: bool = True) -> None:
+def write_reports_csv(reports: list, path) -> None:
     """One row per report plus a trailing mean row over finite values."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(CSV_HEADER)
         for r in reports:
             writer.writerow(r.row())
-        if aggregate and reports:
-            cols = []
-            for name in ("snri_db", "si_snri_db", "d_ild_db", "d_ipd_rad", "d_itd_us"):
-                vals = [getattr(r, name) for r in reports if not math.isnan(getattr(r, name))]
-                cols.append(f"{float(np.mean(vals)):.6f}" if vals else "nan")
-            writer.writerow(["mean", ""] + cols)
+        cols = []
+        for name in ("snri_db", "si_snri_db", "d_ild_db", "d_ipd_rad", "d_itd_us"):
+            vals = [getattr(r, name) for r in reports if not math.isnan(getattr(r, name))]
+            cols.append(f"{float(np.mean(vals)):.6f}" if vals else "nan")
+        writer.writerow(["mean", ""] + cols)

@@ -41,12 +41,18 @@ class SimulationError(ValueError):
     pass
 
 
-# module-level binding: perfbench traces stem convolution through roomsim.fftconvolve
-def fftconvolve(*args, **kwargs):
-    """scipy.signal.fftconvolve, imported on first use so that importing the package stays cheap."""
-    from scipy.signal import fftconvolve as impl
+def _fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, the transform length scipy.signal.fftconvolve picks."""
+    k = n.bit_length()
+    return min(m << (-(-n // m) - 1).bit_length() for m in (3**b * 5**c for b in range(k) for c in range(k)))
 
-    return impl(*args, **kwargs)
+
+# module-level binding: perfbench traces stem convolution through roomsim.fftconvolve
+def fftconvolve(sig: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Full linear convolution of a [1, S] signal with each row of [M, L] taps: [M, S + L - 1]."""
+    n = sig.shape[-1] + taps.shape[-1] - 1
+    nfft = _fft_length(n)
+    return np.fft.irfft(np.fft.rfft(sig, nfft) * np.fft.rfft(taps, nfft), nfft)[..., :n]
 
 
 def sabine_absorption(room_dims, rt60: float) -> float:
@@ -310,8 +316,8 @@ def render_scene(spec: SceneSpec, base_dir=None) -> tuple[MultichannelWaveform, 
     truths = []
     for j, sig in enumerate(signals):
         rir = simulate_rir(spec, j, sample_rate=rate)
-        direct = _fit_length(fftconvolve(sig[None, :], rir.direct_taps, axes=1), num_samples)
-        reverb = _fit_length(fftconvolve(sig[None, :], rir.reverb_taps(), axes=1), num_samples)
+        direct = _fit_length(fftconvolve(sig[None, :], rir.direct_taps), num_samples)
+        reverb = _fit_length(fftconvolve(sig[None, :], rir.reverb_taps()), num_samples)
         dw = MultichannelWaveform(direct, rate)
         rw = MultichannelWaveform(reverb, rate)
         mixture += direct + reverb

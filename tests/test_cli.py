@@ -187,12 +187,18 @@ def test_simulate_parallel_stops_after_first_failure(tmp_path):
     assert rendered < 11
 
 
-def test_import_loads_no_scipy():
-    # scipy is needed only to render; every other command starts without it
-    code = "import sys, soundcompass.cli; print('scipy' in sys.modules)"
+def test_import_loads_no_scipy(tmp_path):
+    # no command needs scipy, rendering included
+    code = (
+        "import sys, soundcompass.cli; print('scipy' in sys.modules); "
+        "rc = soundcompass.cli.main(sys.argv[1:]); print(rc, 'scipy' in sys.modules)"
+    )
+    argv = ["simulate", "--manifest", str(write_manifest(tmp_path)), "--out", str(tmp_path / "o")]
     env = {**os.environ, "PYTHONPATH": str(Path(soundcompass.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert proc.stdout.strip() == "False"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True, env=env)
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "False" and lines[-1] == "0 False"
+    assert (tmp_path / "o" / "scene_0" / "mixture.wav").exists()
 
 
 def test_import_loads_no_process_pool():
@@ -442,6 +448,32 @@ def test_evaluate_source_out_of_range(rendered_scene, tmp_path):
         ["evaluate", "--est", str(est), "--scene", str(rendered_scene), "--source", "5", "--out", str(tmp_path / "r.csv")]
     )
     assert rc == 2
+
+
+MALFORMED_TRUTHS = {
+    "no_sources": lambda t: {k: v for k, v in t.items() if k != "sources"},
+    "sources_not_list": lambda t: {**t, "sources": 5},
+    "source_without_azimuth": lambda t: {**t, "sources": [{k: v for k, v in t["sources"][0].items() if k != "azimuth"}]},
+    "json_list": lambda t: [t],
+    "no_array_offsets": lambda t: {k: v for k, v in t.items() if k != "array_offsets"},
+}
+
+
+@pytest.mark.parametrize("command", ["extract", "evaluate", "contour"])
+@pytest.mark.parametrize("payload", sorted(MALFORMED_TRUTHS))
+def test_malformed_truth_exits_2(rendered_scene, tmp_path, capsys, command, payload):
+    truth_path = rendered_scene / "truth.json"
+    truth_path.write_text(json.dumps(MALFORMED_TRUTHS[payload](json.loads(truth_path.read_text()))))
+    out = tmp_path / "out"
+    argv = {
+        "extract": ["--az", "0", "--el", "0"],
+        "evaluate": ["--est", str(rendered_scene / "mixture.wav"), "--source", "0"],
+        "contour": ["--source", "0"],
+    }[command]
+    assert main([command, "--scene", str(rendered_scene), "--out", str(out), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def test_contour_grid(rendered_scene, tmp_path):

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
 from soundcompass import (
@@ -396,6 +397,37 @@ def test_render_stems_match_full_convolution(scene_factory):
     full = fftconvolve(sig[None, :], rir.taps, axes=1)[:, : mixture.num_samples]
     stems = truth.sources[0].direct.samples + truth.sources[0].reverb.samples
     assert np.abs(stems - full).max() <= 1e-9
+
+
+def test_fft_length_matches_scipy():
+    lengths = range(1, 20001)
+    assert [roomsim._fft_length(n) for n in lengths] == [next_fast_len(n, real=True) for n in lengths]
+
+
+def order_12_rir():
+    rir = simulate_rir(geometry_scene([(1.2, 3.8, 1.7)], tetrahedral_offsets(), rt60=1.2), 0, sample_rate=FS)
+    assert rir.image_order == 12
+    return rir.taps
+
+
+@pytest.mark.parametrize(
+    "num_samples, taps",
+    [
+        (50, lambda rng: rng.standard_normal((4, 300))),  # signal shorter than the taps
+        (1000, lambda rng: rng.standard_normal((4, 1))),  # one tap
+        (1000, lambda rng: rng.standard_normal((4, 102))),  # odd output length 1101
+        (4 * FS, lambda rng: order_12_rir()),  # a 4 s source through an order-12 RIR
+    ],
+    ids=["short_signal", "one_tap", "odd_length", "4s_order_12"],
+)
+def test_stem_convolution_matches_scipy(num_samples, taps):
+    rng = np.random.default_rng(num_samples)
+    sig = rng.standard_normal((1, num_samples))
+    taps = taps(rng)
+    ref = fftconvolve(sig, taps, axes=1)
+    out = roomsim.fftconvolve(sig, taps)
+    assert out.shape == ref.shape
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_render_mixture_is_exact_stem_sum(scene_factory):
