@@ -61,42 +61,37 @@ class MultichannelWaveform:
         return self.num_samples / self.sample_rate
 
 
-def _read_exact(fh, n, what):
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise WavFormatError(f"truncated file: expected {n} bytes for {what}, got {len(buf)}")
-    return buf
+def _take(blob: memoryview, start: int, n: int, what: str, path) -> memoryview:
+    if start + n > len(blob):
+        got = max(0, len(blob) - start)
+        raise WavFormatError(f"{path}: truncated file: expected {n} bytes for {what}, got {got}")
+    return blob[start : start + n]
 
 
 def read_wav(path) -> MultichannelWaveform:
     """Read a PCM16 or float32 WAV file into a [-1, 1]-scaled waveform.
 
     Channel count and sample rate come from the header. PCM16 samples are
-    scaled by 1/32768, so +32767 maps to 32767/32768.
+    scaled by 1/32768, so +32767 maps to 32767/32768. Anything malformed, and
+    a float sample that is NaN or infinite, raises WavFormatError.
     """
     path = Path(path)
-    with path.open("rb") as fh:
-        riff, _size, wave_id = struct.unpack("<4sI4s", _read_exact(fh, 12, "RIFF header"))
-        if riff != b"RIFF" or wave_id != b"WAVE":
-            raise WavFormatError(f"{path}: not a RIFF/WAVE file")
+    blob = memoryview(path.read_bytes())
+    riff, _size, wave_id = struct.unpack("<4sI4s", _take(blob, 0, 12, "RIFF header", path))
+    if riff != b"RIFF" or wave_id != b"WAVE":
+        raise WavFormatError(f"{path}: not a RIFF/WAVE file")
 
-        fmt = None
-        data = None
-        while True:
-            head = fh.read(8)
-            if len(head) == 0:
-                break
-            if len(head) < 8:
-                raise WavFormatError(f"{path}: truncated chunk header")
-            chunk_id, chunk_size = struct.unpack("<4sI", head)
-            if chunk_id == b"fmt ":
-                fmt = _read_exact(fh, chunk_size, "fmt chunk")
-            elif chunk_id == b"data":
-                data = _read_exact(fh, chunk_size, "data chunk")
-            else:
-                fh.seek(chunk_size, 1)
-            if chunk_size % 2:  # chunks are word-aligned
-                fh.seek(1, 1)
+    fmt = None
+    data = None
+    pos = 12
+    while pos < len(blob):
+        chunk_id, chunk_size = struct.unpack("<4sI", _take(blob, pos, 8, "chunk header", path))
+        pos += 8
+        if chunk_id == b"fmt ":
+            fmt = _take(blob, pos, chunk_size, "fmt chunk", path)
+        elif chunk_id == b"data":
+            data = _take(blob, pos, chunk_size, "data chunk", path)
+        pos += chunk_size + chunk_size % 2  # chunks are word-aligned
 
     if fmt is None:
         raise WavFormatError(f"{path}: missing fmt chunk")
@@ -113,25 +108,25 @@ def read_wav(path) -> MultichannelWaveform:
         audio_format = struct.unpack("<H", fmt[24:26])[0]
     if channels == 0:
         raise WavFormatError(f"{path}: zero channels")
+    if rate == 0:
+        raise WavFormatError(f"{path}: zero sample rate")
 
     if audio_format == _FMT_PCM and bits == 16:
-        raw = np.frombuffer(data, dtype="<i2")
-        scale = 1.0 / PCM16_SCALE
+        dtype, scale = "<i2", 1.0 / PCM16_SCALE
     elif audio_format == _FMT_IEEE_FLOAT and bits == 32:
-        raw = np.frombuffer(data, dtype="<f4")
-        scale = 1.0
+        dtype, scale = "<f4", 1.0
     else:
         raise WavFormatError(
             f"{path}: unsupported encoding (format {audio_format}, {bits}-bit); "
             "only PCM16 and float32 are handled"
         )
-
-    if block_align and len(data) % block_align:
+    if (block_align and len(data) % block_align) or len(data) % (channels * bits // 8):
         raise WavFormatError(f"{path}: data chunk is not a whole number of frames")
-    if raw.size % channels:
-        raise WavFormatError(f"{path}: sample count not divisible by channel count")
 
-    frames = raw.reshape(-1, channels)  # interleaved on disk
+    frames = np.frombuffer(data, dtype=dtype).reshape(-1, channels)  # interleaved on disk
+    bad = np.flatnonzero(~np.isfinite(frames).all(axis=1))  # only float32 can hold one
+    if bad.size:
+        raise WavFormatError(f"{path}: frame {bad[0]} holds a non-finite sample")
     samples = frames.T.astype(np.float64) * scale
     return MultichannelWaveform(samples, rate)
 

@@ -13,7 +13,8 @@ def fractional_delay_kernel(frac: float) -> np.ndarray:
     """81-tap Hann-windowed sinc whose peak sits frac samples past center.
 
     Convolving x with this kernel evaluates the bandlimited interpolant of x
-    at a lag of (KERNEL_HALF + frac) samples.
+    at a lag of (KERNEL_HALF + frac) samples. An array frac of shape [..., 1]
+    gives one kernel per entry, [..., KERNEL_TAPS].
     """
     t = np.arange(KERNEL_TAPS) - KERNEL_HALF - frac
     window = 0.5 * (1.0 + np.cos(np.pi * t / (KERNEL_HALF + 1)))

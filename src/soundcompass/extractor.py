@@ -22,12 +22,6 @@ from .audio_io import MultichannelWaveform
 from .clues import DoAClue
 from .delays import KERNEL_HALF, KERNEL_TAPS, SPEED_OF_SOUND, delay_signal, fractional_delay_kernel
 
-# contour_grid aligns this many points per matrix product; together with
-# ALIGN_ROWS output samples per product it bounds the working set to a few
-# tens of MB for 4-channel, 4 s mixtures at 16 kHz
-CONTOUR_BLOCK = 32
-ALIGN_ROWS = 2048
-
 
 def steering_delays(offsets: np.ndarray, clue: DoAClue) -> np.ndarray:
     """tau_m = -(u . r_m)/c in seconds, [M]."""
@@ -61,39 +55,69 @@ def delay_and_sum(
     return MultichannelWaveform(out, fs)
 
 
-def _aligned_means(x: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Channel means of delay_signal(x[ch], shifts[p, ch]) for P points at once, [P, S].
+def _kernel_spectra(delays: np.ndarray, n: int) -> np.ndarray:
+    """rfft of the filter that delay_signal applies for each delay, on an n-sample circle.
 
-    Every point's windowed-sinc taps (with their integer shifts folded in)
-    are one column of a matrix, so each block of output samples is one
-    matrix product against a window of the mixture instead of P x M
-    convolutions. Equal to the per-point path up to summation order.
+    delay_signal(x, d)[t] = sum_u h[u] x[t - u] over the zero-filled signal,
+    with h[u] = kernel[u + KERNEL_HALF - floor(d)]; h[u] sits at index u mod n.
+    Returns [*delays.shape, n // 2 + 1].
+    """
+    d_int = np.floor(delays)
+    kernels = fractional_delay_kernel((delays - d_int)[..., None])
+    lags = np.arange(KERNEL_TAPS) - KERNEL_HALF + d_int[..., None].astype(int)
+    placed = np.zeros(delays.shape + (n,))
+    np.put_along_axis(placed, lags % n, kernels, axis=-1)
+    return np.fft.rfft(placed)
+
+
+def _lag_spectra(x: np.ndarray, y: np.ndarray, lags: int, n: int) -> np.ndarray:
+    """Spectra on an n-sample circle of c[i, k, l] = sum_t x[i, t] y[k, t + l] for |l| <= lags.
+
+    The correlations are taken once over the whole signal by FFT; lags past
+    +-lags are dropped. Returns [len(x), len(y), n // 2 + 1].
+    """
+    s = x.shape[1]
+    nfft = 1 << (s + lags - 1).bit_length()  # no wrap-around within +-lags
+    xs = np.fft.rfft(x, nfft)
+    ys = np.fft.rfft(y, nfft)
+    keep = np.r_[0 : lags + 1, -lags:0]
+    out = np.empty((len(x), len(y), n // 2 + 1), dtype=complex)
+    for i, xi in enumerate(xs):  # one channel at a time keeps the [len(y), nfft] temporaries small
+        window = np.zeros((len(y), n))
+        window[:, keep] = np.fft.irfft(np.conj(xi) * ys, nfft)[:, keep]
+        out[i] = np.fft.rfft(window)
+    return out
+
+
+def _edge_sums(x, r, align, project, lo: int, hi: int, half: int):
+    """Corrections to every point's (||out_c||^2, <out_c, r_c>) from output samples [lo, hi), [P, M] each.
+
+    The correlation sums score an output whose aligned estimate runs past the
+    signal's ends. On [lo, hi) that output is subtracted and delay_and_sum's
+    own, which zero-fills the estimate outside [0, S), is added. Every filter
+    reaches at most half samples, so these outputs read the mixture only
+    within 2 * half samples of [lo, hi); the circle of align/project must
+    hold hi - lo + 4 * half samples.
     """
     m, s = x.shape
-    p = shifts.shape[0]
-    d_int = np.floor(shifts).astype(int)
-    lo = -KERNEL_HALF - int(d_int.max())  # est[n] reads x[n + lo .. n + hi]
-    hi = KERNEL_HALF - int(d_int.min())
-    width = hi - lo + 1
-    taps = np.zeros((m, width, p))
-    for i in range(p):
-        for ch in range(m):
-            kernel = fractional_delay_kernel(shifts[i, ch] - d_int[i, ch])
-            # tap t multiplies x[n + KERNEL_HALF - d_int - t]: reversed, the last tap comes first
-            r0 = KERNEL_HALF - d_int[i, ch] - (KERNEL_TAPS - 1) - lo
-            taps[ch, r0 : r0 + KERNEL_TAPS, i] = kernel[::-1] / m
-    taps = taps.reshape(m * width, p)
-
-    pad = max(0, -lo)
-    padded = np.zeros((m, pad + s + max(0, hi)))
-    padded[:, pad : pad + s] = x
-    windows = np.lib.stride_tricks.sliding_window_view(padded, width, axis=1)
-    est = np.empty((p, s))
-    for n0 in range(0, s, ALIGN_ROWS):
-        n1 = min(n0 + ALIGN_ROWS, s)
-        rows = windows[:, pad + lo + n0 : pad + lo + n1].transpose(1, 0, 2)
-        est[:, n0:n1] = (np.ascontiguousarray(rows).reshape(n1 - n0, m * width) @ taps).T
-    return est
+    n = 2 * (align.shape[-1] - 1)
+    j0 = max(0, lo - 2 * half)
+    seg = x[:, j0 : min(s, hi + 2 * half)]
+    origin = j0 - 2 * half  # sample index at circle position 0
+    placed = np.zeros((m, n))
+    placed[:, 2 * half : 2 * half + seg.shape[1]] = seg
+    spec = np.fft.rfft(placed)
+    est = sum(align[:, i] * spec[i] for i in range(m)) / m  # aligned estimate, [P, n // 2 + 1]
+    full = np.fft.irfft(project * est[:, None], n)
+    t = np.arange(origin, origin + n)
+    zero_filled = np.fft.rfft(np.fft.irfft(est, n) * ((t >= 0) & (t < s)))
+    trunc = np.fft.irfft(project * zero_filled[:, None], n)
+    a, b = max(lo, 0), min(hi, s)  # the part of [lo, hi) inside the signal
+    full_in = full[..., a - origin : b - origin]
+    trunc_in = trunc[..., a - origin : b - origin]
+    energy = (trunc_in * trunc_in).sum(-1) - (full[..., lo - origin : hi - origin] ** 2).sum(-1)
+    dot = ((trunc_in - full_in) * r[:, a:b]).sum(-1)
+    return energy, dot
 
 
 def contour_grid(
@@ -108,23 +132,63 @@ def contour_grid(
     grid holds (d_az, d_el) offsets in degrees; the steered elevation is
     clamped to [-90, 90]. Each entry equals
     si_snr_i(delay_and_sum(mixture, steered, offsets), ref, mixture) to
-    within summation order: the mixture's own SI-SNR is computed once, and
-    the alignment step runs for CONTOUR_BLOCK points at a time.
+    within rounding, but no point touches the signal. Per output channel c,
+    SI-SNR needs only <out_c, r_c> and ||out_c||^2, and both are bilinear in
+    the mixture: out_c is the mixture through alignment composed with
+    re-projection. So the mixture's channel auto- and cross-correlations,
+    and its cross-correlations with the reference, are taken once over the
+    lags the composed kernels reach, and each point is a kernel-weighted sum
+    over them (the steered-response-power identity of DiBiase, Silverman &
+    Brandstein, 2001), evaluated in the frequency domain for all points at
+    once. Those sums describe an estimate that runs past the signal's ends;
+    _edge_sums swaps in the zero-filled one on a strip at each end. The strip
+    and the lag window follow from the largest steering delay the array
+    allows, so a point's value does not depend on the rest of the grid.
+
+    Where an output channel is exactly silent (a signal shorter than its
+    steering delays), rounding in the sums decides its capped ratio.
     """
     az, el = clue.to_degrees()
     clues = [DoAClue.from_degrees(az + d_az, min(max(el + d_el, -90.0), 90.0)) for d_az, d_el in grid]
     base = metrics.si_snr(mixture, ref)
     offsets = np.asarray(offsets, dtype=np.float64)
-    if offsets.shape[0] != mixture.num_channels:
-        raise ValueError(f"{offsets.shape[0]} offsets for {mixture.num_channels} channels")
-    if mixture.num_channels == 1:  # delay_and_sum passes mono input through unchanged
+    m, s = mixture.samples.shape
+    if offsets.shape[0] != m:
+        raise ValueError(f"{offsets.shape[0]} offsets for {m} channels")
+    if m == 1:  # delay_and_sum passes mono input through unchanged
         return np.zeros(len(clues))
 
-    delays = np.array([steering_delays(offsets, c) for c in clues]) * mixture.sample_rate
-    out = np.empty(len(clues))
-    for p0 in range(0, len(clues), CONTOUR_BLOCK):
-        aligned = _aligned_means(mixture.samples, -delays[p0 : p0 + CONTOUR_BLOCK])
-        for p, est in enumerate(aligned, p0):
-            steered = np.stack([delay_signal(est, d) for d in delays[p]])
-            out[p] = metrics.si_snr(steered, ref) - base
-    return out
+    x, r = mixture.samples, ref.samples
+    fs = mixture.sample_rate
+    # every delay_signal kernel lies within +-half lags, whatever the clue: |floor(d)| <= int(reach) + 2
+    reach = float(np.linalg.norm(offsets, axis=1).max()) * fs / SPEED_OF_SOUND
+    half = KERNEL_HALF + int(reach) + 2
+    lags = 4 * half  # reach of the correlation of two composed (alignment then re-projection) kernels
+    n = 1 << (2 * lags).bit_length()  # holds lags -lags..lags apart, and an edge strip's 7 * half samples
+
+    delays = np.array([steering_delays(offsets, c) for c in clues]).reshape(-1, m) * fs
+    align = _kernel_spectra(-delays, n)  # [P, M, n // 2 + 1]
+    project = _kernel_spectra(delays, n)
+    corr = _lag_spectra(x, np.concatenate([x, r]), lags, n)  # [M, 2M, n // 2 + 1]
+    xx, xr = corr[:, :m], corr[:, m:]
+
+    # Parseval on the circle: sum over a real spectrum's half, interior bins twice
+    weights = np.full(n // 2 + 1, 2.0 / n)
+    weights[[0, -1]] = 1.0 / n
+    steered = sum(xx[:, j] * align[:, j, None] for j in range(m))  # [P, M, n // 2 + 1]
+    power = (np.conj(align) * steered).real.sum(axis=1) / (m * m)  # steered response power, [P, n // 2 + 1]
+    energy = (project.real**2 + project.imag**2) * power[:, None] @ weights
+    cross = sum(np.conj(align[:, i, None]) * xr[i] for i in range(m)) / m  # [P, M, n // 2 + 1]
+    dot = (np.conj(project) * cross).real @ weights
+
+    strip = min(half, s // 2)  # the zero-filled ends differ within half samples of each end
+    for lo, hi in ((-2 * half, strip), (max(s - half, strip), s + 2 * half)):
+        d_energy, d_dot = _edge_sums(x, r, align, project, lo, hi, half)
+        energy += d_energy
+        dot += d_dot
+
+    rr = metrics._energies(r)
+    scale = dot / rr
+    num = scale * scale * rr
+    den = energy - scale * dot
+    return np.array([metrics._mean_ratio_db(a, b) for a, b in zip(num, den)]) - base

@@ -31,10 +31,10 @@ def _cap(db: float) -> float:
 
 
 def _ratio_db(num: float, den: float) -> float:
+    if num <= 0.0:  # a silent estimate scores the floor even when its residual is 0 too
+        return -SNR_CAP_DB
     if den <= 0.0:
         return SNR_CAP_DB
-    if num <= 0.0:
-        return -SNR_CAP_DB
     return _cap(10.0 * math.log10(num / den))
 
 

@@ -180,7 +180,7 @@ def scene_from_dict(d: dict) -> SceneSpec:
         return _scene_from_dict(_object(d, "scene"))
     except SceneValidationError:
         raise
-    except (TypeError, ValueError) as e:  # e.g. a room_dims or position that is not three numbers
+    except (TypeError, ValueError, OverflowError) as e:  # e.g. a position that is not three floats
         raise SceneValidationError(f"scene has a malformed value: {e}") from None
 
 
@@ -264,19 +264,16 @@ def serialize_scene(spec: SceneSpec, path) -> None:
 
 
 def read_manifest(path) -> list[SceneSpec]:
-    """Read a JSON-lines manifest, one scene per line."""
+    """Read a JSON-lines manifest, one scene per line; any bad line raises SceneValidationError."""
     scenes = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
+    with Path(path).open("rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
             try:
-                d = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SceneValidationError(f"{path}:{lineno + 1}: invalid JSON ({exc})") from exc
-            try:
-                scenes.append(scene_from_dict(d))
+                line = raw.decode("utf-8").strip()
+                if line:
+                    scenes.append(scene_from_dict(json.loads(line)))
             except SceneValidationError as exc:
-                raise SceneValidationError(f"{path}:{lineno + 1}: {exc}") from exc
+                raise SceneValidationError(f"{path}:{lineno}: {exc}") from exc
+            except (ValueError, RecursionError) as exc:  # not UTF-8 or not JSON, too deep or too long to read
+                raise SceneValidationError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
     return scenes

@@ -129,3 +129,65 @@ def test_float32_round_trip_property(tmp_path_factory, channels, samples, rate, 
     back = read_wav(path)
     assert back.sample_rate == rate
     np.testing.assert_array_equal(back.samples, x)
+
+
+def test_read_rejects_zero_sample_rate(tmp_path):
+    path = tmp_path / "z.wav"
+    write_wav(MultichannelWaveform(np.zeros((1, 4)), 16000), path)
+    blob = bytearray(path.read_bytes())
+    blob[24:28] = struct.pack("<I", 0)  # fmt chunk's sample rate
+    path.write_bytes(bytes(blob))
+    with pytest.raises(WavFormatError, match="sample rate"):
+        read_wav(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_read_rejects_non_finite_sample(tmp_path, value):
+    path = tmp_path / "n.wav"
+    write_wav(MultichannelWaveform(np.zeros((2, 10)), 16000), path)
+    blob = bytearray(path.read_bytes())
+    blob[-4:] = np.float32(value).tobytes()  # channel 1 of the last frame
+    path.write_bytes(bytes(blob))
+    with pytest.raises(WavFormatError, match=r"n\.wav: frame 9 holds a non-finite sample"):
+        read_wav(path)
+
+
+def _valid_wav(tmp_path_factory, encoding: str) -> bytes:
+    path = tmp_path_factory.mktemp("seed") / f"{encoding}.wav"
+    x = np.random.default_rng(3).uniform(-0.9, 0.9, (3, 40))
+    write_wav(MultichannelWaveform(x, 16000), path, encoding=encoding)
+    return path.read_bytes()
+
+
+# header fields worth hitting directly: RIFF size, fmt size, format code,
+# channels, rate, byte rate, block align, bits, data size
+HEADER_FIELDS = [(4, 4), (16, 4), (20, 2), (22, 2), (24, 4), (28, 4), (32, 2), (34, 2), (40, 4)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    encoding=st.sampled_from(["pcm16", "float32"]),
+    flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=6),
+    fields=st.lists(st.tuples(st.sampled_from(HEADER_FIELDS), st.integers(0, 2**32 - 1)), max_size=3),
+    words=st.lists(st.tuples(st.integers(0, 10**6), st.binary(min_size=4, max_size=4)), max_size=3),
+    keep=st.one_of(st.none(), st.integers(0, 600)),
+)
+def test_read_wav_fuzz_raises_only_wav_format_error(tmp_path_factory, encoding, flips, fields, words, keep):
+    """Mutated or truncated PCM16/float32 files either read as finite audio or raise WavFormatError."""
+    blob = bytearray(_valid_wav(tmp_path_factory, encoding))
+    for (offset, width), value in fields:
+        blob[offset : offset + width] = (value % 2 ** (8 * width)).to_bytes(width, "little")
+    for i, word in words:  # whole sample words, so NaN and Inf bit patterns turn up
+        i = 44 + (i % ((len(blob) - 44) // 4)) * 4
+        blob[i : i + 4] = word
+    for i, byte in flips:
+        blob[i % len(blob)] = byte
+    if keep is not None:
+        del blob[keep:]
+    path = tmp_path_factory.mktemp("fuzz") / "f.wav"
+    path.write_bytes(bytes(blob))
+    try:
+        w = read_wav(path)
+    except WavFormatError:
+        return
+    assert np.isfinite(w.samples).all()

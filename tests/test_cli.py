@@ -476,6 +476,28 @@ def test_malformed_truth_exits_2(rendered_scene, tmp_path, capsys, command, payl
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["extract", "evaluate", "contour"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_mixture_exits_2(rendered_scene, tmp_path, capsys, command, value):
+    est = tmp_path / "est.wav"
+    est.write_bytes((rendered_scene / "mixture.wav").read_bytes())  # a finite estimate for evaluate
+    mixture = rendered_scene / "mixture.wav"
+    blob = bytearray(mixture.read_bytes())
+    blob[-4:] = np.float32(value).tobytes()
+    mixture.write_bytes(bytes(blob))
+    out = tmp_path / "out"
+    argv = {
+        "extract": ["--az", "0", "--el", "0"],
+        "evaluate": ["--est", str(est), "--source", "0"],
+        "contour": ["--source", "0"],
+    }[command]
+    assert main([command, "--scene", str(rendered_scene), "--out", str(out), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "mixture.wav" in err and "non-finite" in err, err
+    assert not out.exists()
+
+
 def test_contour_grid(rendered_scene, tmp_path):
     out = tmp_path / "contour.csv"
     rc = main(

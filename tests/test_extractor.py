@@ -177,3 +177,60 @@ def test_contour_grid_matches_per_point_loop(rng, offsets):
         expected.append(si_snr_i(delay_and_sum(mixture, steered, offsets), ref, mixture))
     # the batched alignment sums in another order than the per-point convolutions
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
+
+
+def per_point_contour(mixture, ref, offsets, clue, grid):
+    """The contour by definition: one delay_and_sum and one SI-SNR improvement per point."""
+    az0, el0 = clue.to_degrees()
+    out = []
+    for d_az, d_el in grid:
+        steered = DoAClue.from_degrees(az0 + d_az, min(max(el0 + d_el, -90.0), 90.0))
+        out.append(si_snr_i(delay_and_sum(mixture, steered, offsets), ref, mixture))
+    return np.array(out)
+
+
+GRID_5X5 = [(d_az, d_el) for d_az in (-10.0, -5.0, 0.0, 5.0, 10.0) for d_el in (-10.0, -5.0, 0.0, 5.0, 10.0)]
+
+
+def test_contour_grid_matches_per_point_loop_on_rendered_scene(scene_factory):
+    spec = scene_factory(positions=((1.2, 3.8, 1.7), (4.4, 1.5, 1.2)), rt60=0.3, seconds=1.0)
+    mixture, truth = render_scene(spec)
+    ref = MultichannelWaveform(truth.sources[0].direct.samples + truth.sources[0].reverb.samples, FS)
+    clue = truth.sources[0].doa
+    got = contour_grid(mixture, ref, spec.array_offsets, clue, GRID_5X5)
+    expected = per_point_contour(mixture, ref, spec.array_offsets, clue, GRID_5X5)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("samples", [200, 120])
+def test_contour_grid_short_signal_wide_array(rng, samples):
+    # up to 49 samples of steering delay: the edge strips of 90 samples leave
+    # the middle 20 of 200 samples to the correlation sums alone, and 120
+    # samples are shorter than two strips, so the strips meet in the middle
+    offsets = 25.0 * tetrahedral_offsets()
+    mixture = MultichannelWaveform(rng.standard_normal((4, samples)), FS)
+    ref = MultichannelWaveform(rng.standard_normal((4, samples)), FS)
+    clue = DoAClue.from_degrees(-40.0, 20.0)
+    got = contour_grid(mixture, ref, offsets, clue, GRID_5X5)
+    np.testing.assert_allclose(got, per_point_contour(mixture, ref, offsets, clue, GRID_5X5), rtol=0, atol=1e-9)
+
+
+def test_contour_grid_all_zero_mixture(rng):
+    offsets = tetrahedral_offsets()
+    mixture = MultichannelWaveform(np.zeros((4, 1000)), FS)
+    ref = MultichannelWaveform(rng.standard_normal((4, 1000)), FS)
+    clue = DoAClue.from_degrees(10.0, 0.0)
+    got = contour_grid(mixture, ref, offsets, clue, GRID_5X5)
+    np.testing.assert_allclose(got, per_point_contour(mixture, ref, offsets, clue, GRID_5X5), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 24])
+def test_contour_grid_chunks_concatenate_to_full_grid(rng, chunk):
+    # contour --jobs splits the grid this way, so each point must not depend on its neighbours
+    offsets = tetrahedral_offsets()
+    mixture = MultichannelWaveform(rng.standard_normal((4, 3000)), FS)
+    ref = MultichannelWaveform(rng.standard_normal((4, 3000)), FS)
+    clue = DoAClue.from_degrees(200.0, -5.0)
+    full = contour_grid(mixture, ref, offsets, clue, GRID_5X5)
+    parts = [contour_grid(mixture, ref, offsets, clue, GRID_5X5[i : i + chunk]) for i in range(0, 25, chunk)]
+    np.testing.assert_array_equal(np.concatenate(parts), full)

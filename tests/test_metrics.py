@@ -55,6 +55,12 @@ def test_si_snr_orthogonal_est_is_minus_100(rng):
     assert si_snr(est, ref) == -100.0
 
 
+def test_si_snr_silent_est_is_minus_100(rng):
+    ref = rng.standard_normal((2, 64))
+    # the residual is zero too, but a silent estimate holds none of the target
+    assert si_snr(np.zeros_like(ref), ref) == -100.0
+
+
 def test_snr_zero_db_for_equal_energy_orthogonal_noise():
     ref = np.zeros(16)
     ref[0] = 2.0

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soundcompass import (
     SceneSpec,
@@ -153,6 +155,18 @@ def test_manifest_reports_line_numbers(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "line",
+    [b'{"room_dims": [6.0, 5.0, 3.0\x80]}', b'{"seed": ' + b"7" * 5000 + b"}", b"[" * 10**5 + b"]" * 10**5],
+    ids=["not_utf8", "integer_over_4300_digits", "nested_too_deep"],
+)
+def test_manifest_unreadable_line_named(tmp_path, line):
+    path = tmp_path / "m.jsonl"
+    path.write_bytes(json.dumps(minimal_dict()).encode() + b"\n" + line + b"\n")
+    with pytest.raises(SceneValidationError, match=r"m\.jsonl:2: invalid JSON"):
+        read_manifest(path)
+
+
+@pytest.mark.parametrize(
     "over, field",
     [
         ({"rt60_s": math.nan}, "rt60_s"),
@@ -191,3 +205,66 @@ def test_readme_scene_examples_parse():
     array = re.search(r'`"array": (\{.*?\})`', readme.replace("\n", " ")).group(1)
     spec = scene_from_dict({**scene, "array": json.loads(array)})
     assert spec.array_preset is None and spec.num_mics == 2
+
+
+@pytest.mark.parametrize("field", ["room_dims", "position", "gain_db"])
+def test_integer_too_large_for_float_rejected(field):
+    d = minimal_dict()
+    if field == "room_dims":
+        d["room_dims"] = [10**400, 5.0, 3.0]
+    else:
+        d["sources"][0][field] = [10**400, 1.0, 1.0] if field == "position" else 10**400
+    with pytest.raises(SceneValidationError, match="malformed"):
+        scene_from_dict(d)
+
+
+FUZZ_LINE = json.dumps(
+    minimal_dict(noise={"wav": "n.wav", "gain_db": -3.0}, seed=4)
+    | {"array": {"offsets": tetrahedral_offsets().tolist()}}
+)
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([10**400, -(10**400)])
+    | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def _replace_at(doc, path: list, value):
+    """doc with the value that path's indices lead to (each taken modulo the container size) replaced."""
+    if not path or not isinstance(doc, (dict, list)) or not doc:
+        return value
+    keys = list(doc) if isinstance(doc, dict) else list(range(len(doc)))
+    key = keys[path[0] % len(keys)]
+    doc[key] = _replace_at(doc[key], path[1:], value)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    path=st.lists(st.integers(0, 20), max_size=4),
+    value=JSON_VALUES,
+    edits=st.lists(st.tuples(st.integers(0, 10**4), st.integers(0, 3), st.text(max_size=3)), max_size=4),
+    flips=st.lists(st.tuples(st.integers(0, 10**4), st.integers(0, 255)), max_size=2),
+    lines=st.integers(1, 3),
+)
+def test_read_manifest_fuzz_raises_only_scene_validation_error(tmp_path_factory, path, value, edits, flips, lines):
+    """Mutated manifest lines either parse to scenes or raise SceneValidationError."""
+    line = json.dumps(_replace_at(json.loads(FUZZ_LINE), path, value))
+    for i, cut, text in edits:  # replace `cut` characters at i with text
+        i %= len(line) + 1
+        line = line[:i] + text + line[i + cut :]
+    blob = bytearray("\n".join([FUZZ_LINE] * (lines - 1) + [line]).encode("utf-8"))
+    for i, byte in flips if blob else ():
+        blob[i % len(blob)] = byte
+    manifest = tmp_path_factory.mktemp("fuzz") / "m.jsonl"
+    manifest.write_bytes(bytes(blob))
+    try:
+        scenes = read_manifest(manifest)
+    except SceneValidationError:
+        return
+    assert all(isinstance(s, SceneSpec) for s in scenes)
