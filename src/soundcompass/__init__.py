@@ -35,8 +35,6 @@ from .fusion import (
 )
 from .metrics import (
     MetricsReport,
-    bce_loss,
-    combined_loss,
     evaluate_extraction,
     gcc_phat_itd,
     ild,

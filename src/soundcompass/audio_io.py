@@ -1,4 +1,4 @@
-"""Multichannel WAV input/output.
+"""Reading and writing the package's files: multichannel WAV and JSON.
 
 Only uncompressed RIFF/WAVE is handled: 16-bit integer PCM and 32-bit IEEE
 float, little-endian, any channel count. Samples are exchanged as float
@@ -7,6 +7,7 @@ matrices of shape [channels, samples] scaled to [-1, 1].
 
 from __future__ import annotations
 
+import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -168,3 +169,30 @@ def write_wav(w: MultichannelWaveform, path, encoding: str = "float32") -> None:
         fh.write(struct.pack("<4sI", b"data", len(payload)))
         fh.write(payload)
         fh.write(pad)
+
+
+def parse_json(data: bytes | str, source, keys=()):
+    """read_json's parse step, for JSON already in memory; source stands for the path in errors."""
+    try:
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, or too deep
+        raise ValueError(f"{source}: invalid JSON ({e})") from e
+    if keys and not isinstance(doc, dict):
+        raise ValueError(f"{source}: expected a JSON object, got {type(doc).__name__}")
+    if missing := [k for k in keys if k not in doc]:
+        raise ValueError(f"{source}: missing {', '.join(map(repr, missing))}")
+    return doc
+
+
+def read_json(path, keys=()):
+    """Read a UTF-8 JSON file; with keys it must be an object holding them.
+
+    Every fault in the file, from bytes that are not UTF-8 to nesting too deep
+    to parse, raises one ValueError that names the file.
+    """
+    return parse_json(Path(path).read_bytes(), path, keys)
+
+
+def write_json(obj, path) -> None:
+    """Write obj as UTF-8 JSON, indented by two spaces, with a final newline."""
+    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")

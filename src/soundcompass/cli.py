@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import MultichannelWaveform, read_wav, write_wav
+from .audio_io import MultichannelWaveform, read_json, read_wav, write_wav
 from .clues import DoAClue, build_time_varying_clue, encode_cyc_pos, encode_sh
 from .extractor import SPEED_OF_SOUND, contour_grid, delay_and_sum
 from .fusion import BAND_PARAMS, film_fuse, finite_difference_check, init_fusion_weights
@@ -34,7 +34,7 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INVALID = 2
 
-# SceneValidationError, WavFormatError, SimulationError and JSONDecodeError are ValueErrors
+# CliError, SceneValidationError, WavFormatError, SimulationError and read_json's errors are ValueErrors
 INVALID_INPUT_ERRORS = (
     FileNotFoundError,
     NotADirectoryError,
@@ -44,7 +44,7 @@ INVALID_INPUT_ERRORS = (
 )
 
 
-class CliError(Exception):
+class CliError(ValueError):
     """Invalid input detected past argparse; maps to exit code 2."""
 
 
@@ -128,11 +128,11 @@ def cmd_featurize(args) -> int:
         layout = BandLayout.load(args.bands)
         if layout.num_bins != num_bins:
             raise CliError(
-                f"band layout covers {layout.num_bins} bins, STFT has {num_bins}"
+                f"{args.bands}: band layout covers {layout.num_bins} bins, STFT has {num_bins}"
             )
         if layout.sample_rate != wav.sample_rate:
             raise CliError(
-                f"band layout is for {layout.sample_rate} Hz, {args.wav} is {wav.sample_rate} Hz"
+                f"{args.bands}: band layout is for {layout.sample_rate} Hz, {args.wav} is {wav.sample_rate} Hz"
             )
 
     out = Path(args.out)
@@ -166,21 +166,19 @@ def cmd_clue(args) -> int:
         dim = 2 * (args.order + 1) ** 2
         emb = encode_cyc_pos(clue, dim)
 
+    payload = {"kind": emb.kind, "order": emb.order}
     if args.activation is not None:
         if args.frames is None:
             raise CliError("--activation requires --frames")
-        activation = json.loads(Path(args.activation).read_text())
-        if not (isinstance(activation, list) and all(type(v) in (int, float) for v in activation)):
-            raise CliError(f"{args.activation}: activation must be a JSON array of numbers")
+        activation = read_json(args.activation)
+        if not (isinstance(activation, list) and activation) or not all(
+            type(v) in (int, float) and 0 <= v <= 1 for v in activation
+        ):
+            raise CliError(f"{args.activation}: activation must be a non-empty JSON array of numbers in [0, 1]")
         tv = build_time_varying_clue(emb, np.asarray(activation, dtype=np.float64), args.frames)
-        payload = {
-            "kind": emb.kind,
-            "order": emb.order,
-            "matrix": [[round(v, 10) for v in row] for row in tv.matrix.tolist()],
-        }
+        payload["matrix"] = [[round(v, 10) for v in row] for row in tv.matrix.tolist()]
     else:
-        payload = json.loads(emb.to_json())
-        payload["vector"] = [round(v, 10) for v in payload["vector"]]
+        payload["vector"] = [round(v, 10) for v in emb.vector.tolist()]
 
     text = json.dumps(payload)
     if args.out:
@@ -237,15 +235,20 @@ def _load_scene_dir(scene_dir):
     truth_path = scene_dir / "truth.json"
     if not truth_path.exists():
         raise CliError(f"{scene_dir}: no truth.json (is this a simulate output dir?)")
-    truth = json.loads(truth_path.read_text(encoding="utf-8"))
-    sources = truth.get("sources") if isinstance(truth, dict) else None
+    truth = read_json(truth_path, keys=("sources", "array_offsets"))
+    sources = truth["sources"]
     if not (isinstance(sources, list) and all(isinstance(s, dict) for s in sources)) or not all(
-        type(s.get(k)) in (int, float) for s in sources for k in ("azimuth", "polar")
+        type(s.get(k)) in (int, float) and abs(s[k]) <= sys.float_info.max  # finite, even an int
+        for s in sources
+        for k in ("azimuth", "polar")
     ):
-        raise CliError(f"{truth_path}: needs an object whose sources are objects with numeric azimuth and polar")
-    offsets = np.asarray(truth.get("array_offsets", []), dtype=np.float64)
-    if offsets.size == 0:
-        raise CliError("truth.json lacks array_offsets")
+        raise CliError(f"{truth_path}: sources must be objects with finite numeric azimuth and polar")
+    try:
+        offsets = np.asarray(truth["array_offsets"], dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):  # e.g. an object, a ragged list, or 10**400
+        offsets = np.empty(0)
+    if offsets.ndim != 2 or offsets.shape[1:] != (3,) or not offsets.size or not np.isfinite(offsets).all():
+        raise CliError(f"{truth_path}: array_offsets must be a non-empty [M, 3] matrix of finite numbers")
     mixture = read_wav(scene_dir / "mixture.wav")
     return scene_dir, sources, offsets, mixture
 
@@ -399,7 +402,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, *INVALID_INPUT_ERRORS) as e:
+    except INVALID_INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     except Exception as e:  # internal failure

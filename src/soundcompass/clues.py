@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .audio_io import parse_json
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -148,9 +150,13 @@ class ClueEmbedding:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "ClueEmbedding":
-        d = json.loads(text)
-        return cls(np.array(d["vector"]), int(d["order"]), d["kind"])
+    def from_json(cls, text: str | bytes, source="clue embedding JSON") -> "ClueEmbedding":
+        """Parse the JSON that to_json returns; every error is a ValueError naming source."""
+        d = parse_json(text, source, keys=("kind", "order", "vector"))
+        try:
+            return cls(d["vector"], int(d["order"]), d["kind"])
+        except (TypeError, ValueError, OverflowError) as e:  # e.g. a string order, an order of Infinity
+            raise ValueError(f"{source}: malformed value: {e}") from None
 
 
 def encode_sh(clue: DoAClue, order: int = 5) -> ClueEmbedding:

@@ -15,7 +15,6 @@ central finite differences (see finite_difference_check).
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -24,6 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .audio_io import read_json, write_json
 from .clues import ClueEmbedding, TimeVaryingClue
 from .spectral import BandLayout, split_bands
 from .spin import SpinFeature
@@ -441,17 +441,23 @@ def save_weights(weights: FusionWeights, bin_path, manifest_path) -> None:
                 tensor = np.atleast_1d(getattr(getattr(bw, owner) if owner else bw, attr))
                 f.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
                 entries.append({"name": f"band{k}.{suffix}", "shape": list(tensor.shape)})
-    manifest = {"format": "float32-le", "tensors": entries}
-    Path(manifest_path).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    write_json({"format": "float32-le", "tensors": entries}, manifest_path)
 
 
 def load_weights(bin_path, manifest_path) -> FusionWeights:
-    """Read save_weights' files: exactly the BAND_PARAMS rows of bands 0..K-1."""
-    manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors"), list):
-        raise ValueError("weight manifest must be a JSON object with a 'tensors' list")
-    if manifest.get("format") != "float32-le":
-        raise ValueError(f"unsupported weight format {manifest.get('format')!r}")
+    """Read save_weights' files: exactly the BAND_PARAMS rows of bands 0..K-1; errors name the manifest."""
+    manifest = read_json(manifest_path, keys=("format",))
+    try:
+        return _weights_from_manifest(manifest, bin_path)
+    except ValueError as e:
+        raise ValueError(f"{manifest_path}: {e}") from None
+
+
+def _weights_from_manifest(manifest: dict, bin_path) -> FusionWeights:
+    if not isinstance(manifest.get("tensors"), list):
+        raise ValueError("weight manifest needs a 'tensors' list")
+    if manifest["format"] != "float32-le":
+        raise ValueError(f"unsupported weight format {manifest['format']!r}")
     raw = Path(bin_path).read_bytes()
     tensors = {}
     offset = 0
@@ -464,7 +470,7 @@ def load_weights(bin_path, manifest_path) -> FusionWeights:
         count = math.prod(shape)
         nbytes = count * 4
         if offset + nbytes > len(raw):
-            raise ValueError(f"weight file truncated at tensor {name}")
+            raise ValueError(f"weight file {bin_path} truncated at tensor {name}")
         tensors[name] = (
             np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
             .reshape(shape)
@@ -472,7 +478,7 @@ def load_weights(bin_path, manifest_path) -> FusionWeights:
         )
         offset += nbytes
     if offset != len(raw):
-        raise ValueError("weight file has trailing bytes not covered by the manifest")
+        raise ValueError(f"weight file {bin_path} has trailing bytes not covered by the manifest")
 
     band_ids = sorted({int(m.group(1)) for n in tensors if (m := _BAND_PREFIX.match(n))})
     if band_ids != list(range(len(band_ids))):

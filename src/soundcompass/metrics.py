@@ -1,4 +1,4 @@
-"""Extraction-quality and spatial-fidelity metrics, plus the training losses.
+"""Extraction-quality and spatial-fidelity metrics.
 
 SNR-family scores are capped at +-100 dB BEFORE improvement subtraction, so a
 perfect estimate against a -3 dB mixture reports an improvement of 103 dB
@@ -21,7 +21,6 @@ from .spectral import FFT_SIZE, HOP, WINDOW, ComplexSpectrogram, stft
 SNR_CAP_DB = 100.0
 ENERGY_FLOOR = 1e-12
 IPD_GATE_DB = -60.0
-BCE_EPS = 1e-7
 
 CSV_HEADER = ["scene_id", "source_id", "snri_db", "si_snri_db", "d_ild_db", "d_ipd_rad", "d_itd_us"]
 
@@ -46,12 +45,8 @@ def _as_2d(x) -> np.ndarray:
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-channel inner product a[c] . b[c] of two [C, S] arrays.
-
-    A batched matrix product, so each row is one BLAS dot, as a @ b is for
-    1-D rows; np.einsum computes the same sums several times slower.
-    """
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    """Per-channel inner product a[c] . b[c] of two [C, S] arrays."""
+    return np.einsum("cs,cs->c", a, b)
 
 
 def _energies(x: np.ndarray) -> np.ndarray:
@@ -268,43 +263,6 @@ def spatial_errors(
         mean_defined([p.d_itd_us for p in per_pair]),
         per_pair,
     )
-
-
-# ---------------------------------------------------------------------------
-# Losses
-
-
-def bce_loss(pred: np.ndarray, target: np.ndarray) -> float:
-    """Mean binary cross-entropy with probability clamp at 1e-7."""
-    p = np.asarray(pred, dtype=np.float64).ravel()
-    t = np.asarray(target, dtype=np.float64).ravel()
-    if p.shape != t.shape:
-        raise ValueError("pred and target must have the same length")
-    p = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
-    return float(-(t * np.log(p) + (1.0 - t) * np.log(1.0 - p)).mean())
-
-
-def combined_loss(
-    direct_est,
-    reverb_est,
-    direct_ref,
-    reverb_ref,
-    sed_pred=None,
-    sed_target=None,
-) -> float:
-    """0.9 (-SNR) + 0.1 (-SI-SNR) over direct, reverb, and their sum, plus BCE."""
-    d_e, r_e = _as_2d(direct_est), _as_2d(reverb_est)
-    d_r, r_r = _as_2d(direct_ref), _as_2d(reverb_ref)
-    if d_e.shape != d_r.shape or r_e.shape != r_r.shape or d_e.shape != r_e.shape:
-        raise ValueError("all four stems must share one shape")
-    total = 0.0
-    for est, ref in ((d_e, d_r), (r_e, r_r), (d_e + r_e, d_r + r_r)):
-        total += 0.9 * (-snr(est, ref)) + 0.1 * (-si_snr(est, ref))
-    if (sed_pred is None) != (sed_target is None):
-        raise ValueError("provide both sed_pred and sed_target, or neither")
-    if sed_pred is not None:
-        total += bce_loss(sed_pred, sed_target)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,13 @@ targets; their sum equals the full convolution by linearity.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .audio_io import MultichannelWaveform, read_wav, write_wav
+from .audio_io import MultichannelWaveform, read_wav, write_json, write_wav
 from .clues import DoAClue
 from .delays import KERNEL_HALF, KERNEL_TAPS, SPEED_OF_SOUND, fractional_delay_kernel
 from .scenes import SceneSpec
@@ -55,14 +54,17 @@ def fftconvolve(sig: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(sig, nfft) * np.fft.rfft(taps, nfft), nfft)[..., :n]
 
 
+def _sabine(room_dims, x: float) -> float:
+    """Sabine's 0.161 V / (x S): the absorption for decay time x, or the decay time for absorption x."""
+    lx, ly, lz = (float(v) for v in room_dims)
+    return 0.161 * (lx * ly * lz) / (x * (2.0 * (lx * ly + ly * lz + lx * lz)))
+
+
 def sabine_absorption(room_dims, rt60: float) -> float:
     """Uniform wall absorption giving the requested decay time (Sabine)."""
-    lx, ly, lz = (float(v) for v in room_dims)
     if rt60 <= 0:
         raise SimulationError(f"rt60 must be positive, got {rt60}")
-    volume = lx * ly * lz
-    surface = 2.0 * (lx * ly + ly * lz + lx * lz)
-    alpha = 0.161 * volume / (rt60 * surface)
+    alpha = _sabine(room_dims, rt60)
     if alpha > 1.0:
         raise SimulationError(
             f"rt60 {rt60} s is unreachable for this room (needs absorption {alpha:.2f} > 1)"
@@ -79,14 +81,9 @@ def _wall_absorptions(spec: SceneSpec) -> np.ndarray:
 
 def _image_order(spec: SceneSpec, absorptions: np.ndarray) -> tuple[int, bool]:
     """Image order that covers the decay time, and whether MAX_IMAGE_ORDER cut it."""
-    if spec.rt60_s is not None:
-        rt60 = spec.rt60_s
-    else:
-        lx, ly, lz = spec.room_dims
-        volume = lx * ly * lz
-        surface = 2.0 * (lx * ly + ly * lz + lx * lz)
-        mean_a = float(absorptions.mean())
-        rt60 = 0.161 * volume / (surface * max(mean_a, 1e-6))
+    rt60 = spec.rt60_s
+    if rt60 is None:
+        rt60 = _sabine(spec.room_dims, max(float(absorptions.mean()), 1e-6))
     order = math.ceil(rt60 * SPEED_OF_SOUND / min(spec.room_dims)) + 1
     return min(order, MAX_IMAGE_ORDER), order > MAX_IMAGE_ORDER
 
@@ -459,6 +456,5 @@ def render_scene_to_dir(spec: SceneSpec, out_dir, base_dir=None) -> Path:
     for j, st in enumerate(truth.sources):
         write_wav(st.direct, out_dir / f"src{j}_direct.wav")
         write_wav(st.reverb, out_dir / f"src{j}_reverb.wav")
-    payload = truth_to_dict(spec, truth, mixture.num_samples)
-    (out_dir / "truth.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_json(truth_to_dict(spec, truth, mixture.num_samples), out_dir / "truth.json")
     return out_dir

@@ -6,13 +6,14 @@ immediately. Geometry is metric (meters), gains in dB.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from .audio_io import parse_json, write_json
 
 TETRAHEDRAL_PRESET = "tetrahedral_4ch_r0.042"
 _PRESET_RE = re.compile(r"^tetrahedral_4ch_r([0-9]*\.?[0-9]+)$")
@@ -248,32 +249,25 @@ def scene_to_dict(spec: SceneSpec) -> dict:
     return d
 
 
+def _scene(data: bytes, where) -> SceneSpec:
+    """One scene from JSON bytes; every error is a SceneValidationError that starts with where."""
+    try:
+        return scene_from_dict(parse_json(data, where))
+    except SceneValidationError as exc:
+        raise SceneValidationError(f"{where}: {exc}") from exc
+    except ValueError as exc:  # parse_json's, which names where
+        raise SceneValidationError(str(exc)) from exc
+
+
 def parse_scene(path) -> SceneSpec:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SceneValidationError(f"{path}: invalid JSON ({exc})") from exc
-    return scene_from_dict(d)
+    return _scene(Path(path).read_bytes(), path)
 
 
 def serialize_scene(spec: SceneSpec, path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(scene_to_dict(spec), fh, indent=2)
-        fh.write("\n")
+    write_json(scene_to_dict(spec), path)
 
 
 def read_manifest(path) -> list[SceneSpec]:
     """Read a JSON-lines manifest, one scene per line; any bad line raises SceneValidationError."""
-    scenes = []
     with Path(path).open("rb") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            try:
-                line = raw.decode("utf-8").strip()
-                if line:
-                    scenes.append(scene_from_dict(json.loads(line)))
-            except SceneValidationError as exc:
-                raise SceneValidationError(f"{path}:{lineno}: {exc}") from exc
-            except (ValueError, RecursionError) as exc:  # not UTF-8 or not JSON, too deep or too long to read
-                raise SceneValidationError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-    return scenes
+        return [_scene(raw, f"{path}:{lineno}") for lineno, raw in enumerate(fh, 1) if raw.strip()]

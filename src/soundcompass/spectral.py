@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio_io import MultichannelWaveform
+from .audio_io import MultichannelWaveform, parse_json, write_json
 from .buffers import recycled_empty
 
 ENERGY_FLOOR = 1e-8  # min per-sample synthesis window energy
@@ -222,12 +222,11 @@ class BandLayout:
         los = [b[0] for b in self.bands]
         if los != sorted(los):
             raise ValueError("bands must be sorted by lo_bin")
-        covered = np.zeros(self.num_bins, dtype=bool)
-        for lo, hi in self.bands:
-            covered[lo : hi + 1] = True
-        if not covered.all():
-            missing = int(np.flatnonzero(~covered)[0])
-            raise ValueError(f"layout leaves bin {missing} uncovered")
+        reach = 0  # bins below reach are covered; no array, so a huge fft_size costs nothing
+        for lo, hi in self.bands + [(self.num_bins, self.num_bins)]:
+            if lo > reach:
+                raise ValueError(f"layout leaves bin {reach} uncovered")
+            reach = max(reach, hi + 1)
 
     @property
     def num_bands(self) -> int:
@@ -237,38 +236,25 @@ class BandLayout:
         return [hi - lo + 1 for lo, hi in self.bands]
 
     def to_json(self, path=None) -> str:
-        payload = json.dumps(
-            {"fs": self.sample_rate, "fft_size": self.fft_size, "bands": [list(b) for b in self.bands]},
-            indent=2,
-        )
+        payload = {"fs": self.sample_rate, "fft_size": self.fft_size, "bands": [list(b) for b in self.bands]}
         if path is not None:
-            Path(path).write_text(payload + "\n", encoding="utf-8")
-        return payload
+            write_json(payload, path)
+        return json.dumps(payload, indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "BandLayout":
-        """Parse the JSON text that to_json returns."""
-        d = json.loads(text)
-        if not isinstance(d, dict):
-            raise ValueError(f"band layout JSON must be an object, got {type(d).__name__}")
-        missing = [k for k in ("fs", "fft_size", "bands") if k not in d]
-        if missing:
-            raise ValueError(f"band layout JSON is missing {', '.join(map(repr, missing))}")
-        fft_size = d["fft_size"]
+    def from_json(cls, text: str | bytes, source="band layout JSON") -> "BandLayout":
+        """Parse the JSON that to_json returns; every error is a ValueError naming source."""
+        d = parse_json(text, source, keys=("fs", "fft_size", "bands"))
         try:
-            return cls(
-                bands=[tuple(b) for b in d["bands"]],
-                num_bins=fft_size // 2 + 1,
-                sample_rate=d["fs"],
-                fft_size=fft_size,
-            )
-        except TypeError as e:  # e.g. a string fft_size or a band that is not a pair
-            raise ValueError(f"band layout JSON has a malformed value: {e}") from None
+            fft = d["fft_size"]
+            return cls([tuple(b) for b in d["bands"]], num_bins=fft // 2 + 1, sample_rate=d["fs"], fft_size=fft)
+        except (TypeError, ValueError, OverflowError) as e:  # e.g. a string fft_size, a band [Infinity, 3]
+            raise ValueError(f"{source}: malformed value: {e}") from None
 
     @classmethod
     def load(cls, path) -> "BandLayout":
         """Read a layout file written by to_json(path)."""
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        return cls.from_json(Path(path).read_bytes(), path)
 
 
 def make_band_layout(

@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from soundcompass import (
     MultichannelWaveform,
@@ -63,3 +66,48 @@ def scene_factory(tmp_path):
         )
 
     return build
+
+
+# Three of the five kinds of bad document that every JSON reader must refuse
+# with one ValueError naming the file. The other two, a wrong top-level type
+# and a missing key, depend on the reader, so each test adds its own.
+UNREADABLE_JSON = {
+    "nested_too_deep": b"[" * 10**5 + b"]" * 10**5,
+    "not_utf8": b'{"fs": "\xff"}',
+    "truncated": b'{"fs": 16000, "bands": [[0,',
+}
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([10**400, -(10**400)])
+    | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def replace_at(doc, path: list, value):
+    """doc with the value that path's indices lead to (each taken modulo the container size) replaced."""
+    if not path or not isinstance(doc, (dict, list)) or not doc:
+        return value
+    keys = list(doc) if isinstance(doc, dict) else list(range(len(doc)))
+    key = keys[path[0] % len(keys)]
+    doc[key] = replace_at(doc[key], path[1:], value)
+    return doc
+
+
+@st.composite
+def mutated_json(draw, doc) -> bytes:
+    """doc as JSON bytes, after one value is replaced, the text edited and bytes flipped."""
+    path = draw(st.lists(st.integers(0, 20), max_size=4))
+    text = json.dumps(replace_at(json.loads(json.dumps(doc)), path, draw(JSON_VALUES)))
+    for i, cut, new in draw(st.lists(st.tuples(st.integers(0, 10**4), st.integers(0, 3), st.text(max_size=3)), max_size=4)):
+        i %= len(text) + 1  # replace `cut` characters at i with new
+        text = text[:i] + new + text[i + cut :]
+    blob = bytearray(text.encode("utf-8"))
+    for i, byte in draw(st.lists(st.tuples(st.integers(0, 10**4), st.integers(0, 255)), max_size=2)) if blob else ():
+        blob[i % len(blob)] = byte
+    return bytes(blob)

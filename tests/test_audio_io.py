@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -6,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soundcompass import MultichannelWaveform, WavFormatError, read_wav, write_wav
+from soundcompass.audio_io import read_json, write_json
+
+from conftest import UNREADABLE_JSON
 
 
 def test_waveform_promotes_mono_vector():
@@ -191,3 +195,39 @@ def test_read_wav_fuzz_raises_only_wav_format_error(tmp_path_factory, encoding, 
     except WavFormatError:
         return
     assert np.isfinite(w.samples).all()
+
+
+def test_write_json_is_indented_utf8_with_final_newline(tmp_path):
+    obj = {"b": [1, 2.5, None], "a": "\u00e9"}
+    write_json(obj, tmp_path / "x.json")
+    assert (tmp_path / "x.json").read_bytes() == (json.dumps(obj, indent=2) + "\n").encode("utf-8")
+    assert read_json(tmp_path / "x.json", keys=("a", "b")) == obj
+
+
+@pytest.mark.parametrize(
+    "blob, keys, message",
+    [
+        (UNREADABLE_JSON["nested_too_deep"], (), "invalid JSON"),
+        (UNREADABLE_JSON["not_utf8"], (), "invalid JSON"),
+        (UNREADABLE_JSON["truncated"], (), "invalid JSON"),
+        (b"[1]", ("fs",), "expected a JSON object, got list"),
+        (b'{"fs": 1}', ("fs", "bands", "n"), "missing 'bands', 'n'"),
+    ],
+    ids=["nested_too_deep", "not_utf8", "truncated", "wrong_type", "missing_key"],
+)
+def test_read_json_names_file(tmp_path, blob, keys, message):
+    path = tmp_path / "doc.json"
+    path.write_bytes(blob)
+    with pytest.raises(ValueError, match=rf"^\S*doc\.json: {message}"):
+        read_json(path, keys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=st.binary(max_size=64) | st.text(max_size=32).map(str.encode), keys=st.lists(st.text(max_size=3), max_size=2))
+def test_read_json_fuzz_raises_only_value_error(tmp_path_factory, blob, keys):
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_bytes(blob)
+    try:
+        read_json(path, tuple(keys))
+    except ValueError as e:
+        assert str(e).startswith(f"{path}: ")

@@ -4,17 +4,20 @@ import math
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import soundcompass
-from soundcompass.cli import build_parser, main
+from soundcompass.cli import _load_scene_dir, build_parser, main
 
-from conftest import make_noise_wav
+from conftest import UNREADABLE_JSON, make_noise_wav, mutated_json
 
 FS = 16000
 
@@ -255,10 +258,11 @@ def test_featurize_band_bin_mismatch_exits_2(tmp_path):
     "payload, message",
     [
         ({"fs": FS}, "missing 'fft_size'"),
-        ([1, 2], "must be an object"),
+        ([1, 2], "expected a JSON object"),
         ({"fs": FS, "fft_size": 512, "bands": [1, 2]}, "malformed value"),
+        ({"fs": FS, "fft_size": 2**40, "bands": [[0, 1]]}, "leaves bin 2 uncovered"),
     ],
-    ids=["missing-key", "not-an-object", "band-not-a-pair"],
+    ids=["missing-key", "not-an-object", "band-not-a-pair", "fft-size-2**40"],
 )
 def test_featurize_malformed_band_file_exits_2(tmp_path, capsys, payload, message):
     wav = tmp_path / "x.wav"
@@ -454,6 +458,7 @@ MALFORMED_TRUTHS = {
     "no_sources": lambda t: {k: v for k, v in t.items() if k != "sources"},
     "sources_not_list": lambda t: {**t, "sources": 5},
     "source_without_azimuth": lambda t: {**t, "sources": [{k: v for k, v in t["sources"][0].items() if k != "azimuth"}]},
+    "azimuth_beyond_float": lambda t: {**t, "sources": [{**t["sources"][0], "azimuth": 10**400}]},
     "json_list": lambda t: [t],
     "no_array_offsets": lambda t: {k: v for k, v in t.items() if k != "array_offsets"},
 }
@@ -496,6 +501,82 @@ def test_non_finite_mixture_exits_2(rendered_scene, tmp_path, capsys, command, v
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "mixture.wav" in err and "non-finite" in err, err
     assert not out.exists()
+
+
+# per command: a document of the wrong top-level type, and one that lacks a key or value
+WRONG_JSON = {
+    "simulate": (b"[1]", b'{"rt60_s": 0.3}'),
+    "featurize": (b"[]", b'{"fs": 16000}'),
+    "clue": (b'{"a": 1}', b"[]"),
+    **dict.fromkeys(["extract", "evaluate", "contour"], (b"[]", b'{"sources": []}')),
+}
+
+
+@pytest.mark.parametrize("bad", [*sorted(UNREADABLE_JSON), "wrong_type", "missing_key"])
+@pytest.mark.parametrize("command", list(WRONG_JSON))
+def test_bad_json_input_exits_2_naming_file(request, tmp_path, capsys, command, bad):
+    if command == "simulate":  # the manifest's error names the line too
+        path = tmp_path / "m.jsonl"
+        argv = ["--manifest", str(path)]
+    elif command == "featurize":
+        make_noise_wav(tmp_path / "x.wav", seconds=0.2)
+        path = tmp_path / "bands.json"
+        argv = ["--wav", str(tmp_path / "x.wav"), "--bands", str(path)]
+    elif command == "clue":
+        path = tmp_path / "act.json"
+        argv = ["--az", "0", "--el", "0", "--activation", str(path), "--frames", "3"]
+    else:
+        scene = request.getfixturevalue("rendered_scene")
+        path = scene / "truth.json"
+        argv = ["--scene", str(scene)] + {
+            "extract": ["--az", "0", "--el", "0"],
+            "evaluate": ["--est", str(scene / "mixture.wav"), "--source", "0"],
+            "contour": ["--source", "0"],
+        }[command]
+    path.write_bytes({**UNREADABLE_JSON, "wrong_type": WRONG_JSON[command][0], "missing_key": WRONG_JSON[command][1]}[bad])
+    out = tmp_path / "out"
+    assert main([command, *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    where = f"{path}:1: " if command == "simulate" else f"{path}: "
+    assert err.startswith(f"error: {where}") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def scene_template(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("template")
+    assert main(["simulate", "--manifest", str(write_manifest(tmp, seconds=0.3)), "--out", str(tmp / "scenes")]) == 0
+    return tmp / "scenes" / "scene_0"
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_load_scene_dir_fuzz_raises_only_value_error(tmp_path_factory, scene_template, data):
+    """A mutated truth.json either loads or raises ValueError (CliError is one)."""
+    scene = tmp_path_factory.mktemp("fuzz")
+    shutil.copy(scene_template / "mixture.wav", scene)
+    truth = json.loads((scene_template / "truth.json").read_text())
+    (scene / "truth.json").write_bytes(data.draw(mutated_json(truth), label="truth"))
+    try:
+        _load_scene_dir(scene)
+    except ValueError:
+        return
+
+
+@settings(max_examples=150, deadline=None)
+@given(blob=mutated_json([0.0, 0.5, 1.0]))
+def test_clue_activation_fuzz_raises_only_value_error(tmp_path_factory, blob):
+    """A mutated --activation file either gives a clue or raises ValueError."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    (tmp / "act.json").write_bytes(blob)
+    args = build_parser().parse_args(
+        ["clue", "--az", "0", "--el", "0", "--order", "1", "--activation", str(tmp / "act.json"), "--frames", "3"]
+        + ["--out", str(tmp / "clue.json")]
+    )
+    try:
+        args.func(args)
+    except ValueError:
+        return
 
 
 def test_contour_grid(rendered_scene, tmp_path):

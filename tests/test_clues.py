@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from numpy.polynomial import polynomial as npoly
 
 from soundcompass import (
@@ -14,6 +15,8 @@ from soundcompass import (
     encode_sh,
 )
 from soundcompass.clues import assoc_legendre, sh_complex
+
+from conftest import UNREADABLE_JSON, mutated_json
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +295,28 @@ def test_embedding_json_round_trip():
     assert loaded.order == 3
     np.testing.assert_allclose(loaded.vector, emb.vector, atol=1e-12)
     assert set(json.loads(text)) == {"kind", "order", "vector"}
+
+
+BAD_EMBEDDINGS = {**UNREADABLE_JSON, "wrong_type": b"[]", "missing_key": b"{}"}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_EMBEDDINGS))
+def test_embedding_from_json_bad_document_named(bad):
+    with pytest.raises(ValueError, match="^clue embedding JSON: "):
+        ClueEmbedding.from_json(BAD_EMBEDDINGS[bad])
+    with pytest.raises(ValueError, match="^emb.json: "):
+        ClueEmbedding.from_json(BAD_EMBEDDINGS[bad], "emb.json")
+
+
+@settings(max_examples=200, deadline=None)
+@given(blob=mutated_json({"kind": "sh", "order": 1, "vector": [0.5] * 8}))
+def test_embedding_from_json_fuzz_raises_only_value_error(blob):
+    """Mutated embedding JSON either parses or raises ValueError."""
+    try:
+        emb = ClueEmbedding.from_json(blob)
+    except ValueError:
+        return
+    assert isinstance(emb, ClueEmbedding)
 
 
 # ---------------------------------------------------------------------------

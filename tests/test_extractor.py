@@ -166,7 +166,7 @@ def test_contour_grid_matches_per_point_loop(rng, offsets):
     mixture = MultichannelWaveform(rng.standard_normal((m, 4000)), FS)
     ref = MultichannelWaveform(rng.standard_normal((m, 4000)), FS)
     clue = DoAClue.from_degrees(30.0, 85.0)  # +10 deg elevation clamps at the pole
-    # 36 points: more than one block of the batched alignment
+    # 36 points, some with the elevation clamped at the pole
     grid = [(d_az, d_el) for d_az in np.arange(-20.0, 25.0, 5.0) for d_el in (-10.0, 0.0, 7.5, 10.0)]
     got = contour_grid(mixture, ref, offsets, clue, grid)
 
@@ -175,7 +175,7 @@ def test_contour_grid_matches_per_point_loop(rng, offsets):
     for d_az, d_el in grid:
         steered = DoAClue.from_degrees(az0 + d_az, min(max(el0 + d_el, -90.0), 90.0))
         expected.append(si_snr_i(delay_and_sum(mixture, steered, offsets), ref, mixture))
-    # the batched alignment sums in another order than the per-point convolutions
+    # the correlation sums add in another order than the per-point convolutions
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
 
 

@@ -26,6 +26,8 @@ from soundcompass import (
 from soundcompass import fusion
 from soundcompass.fusion import ADANORM_EPS, BAND_PARAMS, FusedFeature
 
+from conftest import UNREADABLE_JSON, mutated_json
+
 
 def make_encoder(rng, dim_in, dim_out, bias_free=False):
     return EncoderWeights(
@@ -703,3 +705,31 @@ def test_load_malformed_manifest_raises_value_error(tmp_path, edit, cut, match):
     man_path.write_text(json.dumps(edit(json.loads(man_path.read_text()))))
     with pytest.raises(ValueError, match=match):
         load_weights(bin_path, man_path)
+
+
+BAD_MANIFESTS = {**UNREADABLE_JSON, "wrong_type": b"[]", "missing_key": b'{"tensors": []}'}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_MANIFESTS))
+def test_load_bad_manifest_document_named(tmp_path, bad):
+    man_path = tmp_path / "w.json"
+    man_path.write_bytes(BAD_MANIFESTS[bad])
+    (tmp_path / "w.bin").write_bytes(b"")
+    with pytest.raises(ValueError, match=r"^\S*w\.json: "):
+        load_weights(tmp_path / "w.bin", man_path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_load_weights_fuzz_manifest_bytes_raises_only_value_error(tmp_path_factory, data):
+    """A manifest mutated down to its bytes either loads or raises ValueError."""
+    tmp = tmp_path_factory.mktemp("weights")
+    weights = init_fusion_weights(BandLayout(bands=[(0, 4), (3, 8)], num_bins=9), dim_clue=3, c_in=2, c_band=2, hidden=3)
+    save_weights(weights, tmp / "w.bin", tmp / "w.json")
+    blob = data.draw(mutated_json(json.loads((tmp / "w.json").read_text())), label="manifest")
+    (tmp / "w.json").write_bytes(blob)
+    try:
+        loaded = load_weights(tmp / "w.bin", tmp / "w.json")
+    except ValueError:
+        return
+    assert isinstance(loaded, FusionWeights)

@@ -9,8 +9,6 @@ from scipy.signal import correlate
 from soundcompass import (
     MetricsReport,
     MultichannelWaveform,
-    bce_loss,
-    combined_loss,
     evaluate_extraction,
     gcc_phat_itd,
     ild,
@@ -454,45 +452,6 @@ def test_snr_family_matches_channel_loop(rng):
     for fn in (snr, si_snr):
         with pytest.raises(ValueError, match="reference channel 2 is all zero"):
             fn(ref + 1.0, ref)
-
-
-# ---------------------------------------------------------------------------
-# Losses
-
-
-def test_bce_values():
-    assert bce_loss(np.array([0.5]), np.array([1.0])) == pytest.approx(math.log(2.0))
-    assert bce_loss(np.array([1.0]), np.array([1.0])) == pytest.approx(0.0, abs=2e-7)
-    # clamp keeps confident mistakes finite
-    assert bce_loss(np.array([0.0]), np.array([1.0])) == pytest.approx(-math.log(1e-7))
-    with pytest.raises(ValueError):
-        bce_loss(np.array([0.5, 0.5]), np.array([1.0]))
-
-
-def test_combined_loss_perfect_is_minus_300(rng):
-    d = rng.standard_normal((2, 1000))
-    r = rng.standard_normal((2, 1000))
-    assert combined_loss(d, r, d, r) == pytest.approx(-300.0)
-
-
-def test_combined_loss_nine_to_one_weighting(rng):
-    # est = 2 ref: plain SNR is 0 dB, scale-invariant SNR is perfect (100),
-    # so each stem term contributes 0.9*0 + 0.1*(-100) = -10
-    d = rng.standard_normal((1, 800))
-    r = rng.standard_normal((1, 800))
-    got = combined_loss(2.0 * d, 2.0 * r, d, r)
-    assert got == pytest.approx(-30.0, abs=1e-9)
-
-
-def test_combined_loss_with_sed(rng):
-    d = rng.standard_normal((1, 500))
-    r = rng.standard_normal((1, 500))
-    act = np.array([1.0, 0.0, 1.0])
-    base = combined_loss(d, r, d, r)
-    with_sed = combined_loss(d, r, d, r, sed_pred=act, sed_target=act)
-    assert with_sed == pytest.approx(base, abs=2e-7)
-    with pytest.raises(ValueError):
-        combined_loss(d, r, d, r, sed_pred=act)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ from soundcompass import (
 )
 from soundcompass.scenes import resolve_array, scene_to_dict
 
+from conftest import JSON_VALUES, UNREADABLE_JSON, mutated_json, replace_at
+
 
 def minimal_dict(**over):
     d = {
@@ -166,6 +168,21 @@ def test_manifest_unreadable_line_named(tmp_path, line):
         read_manifest(path)
 
 
+BAD_SCENES = {
+    **UNREADABLE_JSON,
+    "wrong_type": b"[]",
+    "missing_key": json.dumps({k: v for k, v in minimal_dict().items() if k != "room_dims"}).encode(),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_SCENES))
+def test_parse_scene_bad_document_named(tmp_path, bad):
+    path = tmp_path / "scene.json"
+    path.write_bytes(BAD_SCENES[bad])
+    with pytest.raises(SceneValidationError, match=r"^\S*scene\.json: "):
+        parse_scene(path)
+
+
 @pytest.mark.parametrize(
     "over, field",
     [
@@ -222,28 +239,6 @@ FUZZ_LINE = json.dumps(
     minimal_dict(noise={"wav": "n.wav", "gain_db": -3.0}, seed=4)
     | {"array": {"offsets": tetrahedral_offsets().tolist()}}
 )
-JSON_VALUES = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.sampled_from([10**400, -(10**400)])
-    | st.floats()
-    | st.text(max_size=8),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
-    max_leaves=8,
-)
-
-
-def _replace_at(doc, path: list, value):
-    """doc with the value that path's indices lead to (each taken modulo the container size) replaced."""
-    if not path or not isinstance(doc, (dict, list)) or not doc:
-        return value
-    keys = list(doc) if isinstance(doc, dict) else list(range(len(doc)))
-    key = keys[path[0] % len(keys)]
-    doc[key] = _replace_at(doc[key], path[1:], value)
-    return doc
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     path=st.lists(st.integers(0, 20), max_size=4),
@@ -254,7 +249,7 @@ def _replace_at(doc, path: list, value):
 )
 def test_read_manifest_fuzz_raises_only_scene_validation_error(tmp_path_factory, path, value, edits, flips, lines):
     """Mutated manifest lines either parse to scenes or raise SceneValidationError."""
-    line = json.dumps(_replace_at(json.loads(FUZZ_LINE), path, value))
+    line = json.dumps(replace_at(json.loads(FUZZ_LINE), path, value))
     for i, cut, text in edits:  # replace `cut` characters at i with text
         i %= len(line) + 1
         line = line[:i] + text + line[i + cut :]
@@ -268,3 +263,16 @@ def test_read_manifest_fuzz_raises_only_scene_validation_error(tmp_path_factory,
     except SceneValidationError:
         return
     assert all(isinstance(s, SceneSpec) for s in scenes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(blob=mutated_json(json.loads(FUZZ_LINE)))
+def test_parse_scene_fuzz_raises_only_scene_validation_error(tmp_path_factory, blob):
+    """A mutated scene file either parses or raises SceneValidationError."""
+    path = tmp_path_factory.mktemp("fuzz") / "scene.json"
+    path.write_bytes(blob)
+    try:
+        spec = parse_scene(path)
+    except SceneValidationError:
+        return
+    assert isinstance(spec, SceneSpec)

@@ -21,6 +21,8 @@ from soundcompass import (
 )
 from soundcompass.spectral import frame_count, merge_weights, synthesis_window_energy
 
+from conftest import UNREADABLE_JSON, mutated_json
+
 
 # ---------------------------------------------------------------------------
 # Gaussian window
@@ -337,6 +339,32 @@ def test_band_layout_json_text_round_trip():
     # the default layout's text is longer than a file name may be
     for layout in (make_band_layout(257, 16000), BandLayout(bands=[(0, 8)], num_bins=9)):
         assert BandLayout.from_json(layout.to_json()) == layout
+
+
+BAD_LAYOUTS = {**UNREADABLE_JSON, "wrong_type": b"[]", "missing_key": b'{"fs": 16000, "bands": [[0, 8]]}'}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_LAYOUTS))
+def test_band_layout_bad_document_named(tmp_path, bad):
+    path = tmp_path / "bands.json"
+    path.write_bytes(BAD_LAYOUTS[bad])
+    with pytest.raises(ValueError, match=r"^\S*bands\.json: "):
+        BandLayout.load(path)
+    with pytest.raises(ValueError, match="^band layout JSON: "):
+        BandLayout.from_json(BAD_LAYOUTS[bad])
+
+
+@settings(max_examples=200, deadline=None)
+@given(blob=mutated_json({"fs": 16000, "fft_size": 16, "bands": [[0, 4], [3, 8]]}))
+def test_band_layout_load_fuzz_raises_only_value_error(tmp_path_factory, blob):
+    """A mutated layout file either loads or raises ValueError."""
+    path = tmp_path_factory.mktemp("fuzz") / "bands.json"
+    path.write_bytes(blob)
+    try:
+        layout = BandLayout.load(path)
+    except ValueError:
+        return
+    assert isinstance(layout, BandLayout)
 
 
 @settings(max_examples=30, deadline=None)
