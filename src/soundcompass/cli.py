@@ -171,11 +171,12 @@ def cmd_clue(args) -> int:
         if args.frames is None:
             raise CliError("--activation requires --frames")
         activation = read_json(args.activation)
-        if not (isinstance(activation, list) and activation) or not all(
-            type(v) in (int, float) and 0 <= v <= 1 for v in activation
-        ):
-            raise CliError(f"{args.activation}: activation must be a non-empty JSON array of numbers in [0, 1]")
-        tv = build_time_varying_clue(emb, np.asarray(activation, dtype=np.float64), args.frames)
+        if not (isinstance(activation, list) and all(type(v) in (int, float) for v in activation)):
+            raise CliError(f"{args.activation}: activation must be a JSON array of numbers")
+        try:
+            tv = build_time_varying_clue(emb, np.asarray(activation, dtype=np.float64), args.frames)
+        except (ValueError, OverflowError) as e:  # e.g. an empty array, a value outside [0, 1], 10**400
+            raise CliError(f"{args.activation}: {e}") from None
         payload["matrix"] = [[round(v, 10) for v in row] for row in tv.matrix.tolist()]
     else:
         payload["vector"] = [round(v, 10) for v in emb.vector.tolist()]

@@ -150,13 +150,15 @@ class ClueEmbedding:
         )
 
     @classmethod
-    def from_json(cls, text: str | bytes, source="clue embedding JSON") -> "ClueEmbedding":
-        """Parse the JSON that to_json returns; every error is a ValueError naming source."""
-        d = parse_json(text, source, keys=("kind", "order", "vector"))
+    def from_json(cls, text: str | bytes) -> "ClueEmbedding":
+        """Parse the JSON that to_json returns; every error is a ValueError."""
+        d = parse_json(text, "clue embedding JSON", keys=("kind", "order", "vector"))
+        if type(d["order"]) is not int:  # refuses a string, a fraction and a bool
+            raise ValueError("clue embedding JSON: order must be an integer")
         try:
-            return cls(d["vector"], int(d["order"]), d["kind"])
-        except (TypeError, ValueError, OverflowError) as e:  # e.g. a string order, an order of Infinity
-            raise ValueError(f"{source}: malformed value: {e}") from None
+            return cls(d["vector"], d["order"], d["kind"])
+        except (TypeError, ValueError, OverflowError) as e:  # e.g. a string in the vector, Infinity
+            raise ValueError(f"clue embedding JSON: malformed value: {e}") from None
 
 
 def encode_sh(clue: DoAClue, order: int = 5) -> ClueEmbedding:

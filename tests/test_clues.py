@@ -297,15 +297,19 @@ def test_embedding_json_round_trip():
     assert set(json.loads(text)) == {"kind", "order", "vector"}
 
 
-BAD_EMBEDDINGS = {**UNREADABLE_JSON, "wrong_type": b"[]", "missing_key": b"{}"}
+BAD_EMBEDDINGS = {
+    **UNREADABLE_JSON,
+    "wrong_type": b"[]",
+    "missing_key": b"{}",
+    "string_order": b'{"kind": "sh", "order": "1", "vector": [0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5]}',
+    "fractional_order": b'{"kind": "sh", "order": 1.7, "vector": [0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5]}',
+}
 
 
 @pytest.mark.parametrize("bad", sorted(BAD_EMBEDDINGS))
 def test_embedding_from_json_bad_document_named(bad):
     with pytest.raises(ValueError, match="^clue embedding JSON: "):
         ClueEmbedding.from_json(BAD_EMBEDDINGS[bad])
-    with pytest.raises(ValueError, match="^emb.json: "):
-        ClueEmbedding.from_json(BAD_EMBEDDINGS[bad], "emb.json")
 
 
 @settings(max_examples=200, deadline=None)
