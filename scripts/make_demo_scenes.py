@@ -9,7 +9,6 @@ with the extract/evaluate/contour commands.
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -17,6 +16,7 @@ import numpy as np
 
 from soundcompass import DoAClue, MultichannelWaveform, write_wav
 from soundcompass.cli import main as cli_main
+from soundcompass.roomsim import read_scene_dir
 
 ROOM = [5.57, 5.20, 3.79]
 CENTER = np.array([2.8, 2.6, 1.5])
@@ -103,10 +103,8 @@ def main() -> int:
     )
     if rc != 0:
         return rc
-    truth = json.loads((out_dir / "rendered" / "scene_0" / "truth.json").read_text())
-    src = truth["sources"][0]
-    az = math.degrees(src["azimuth"])
-    el = 90.0 - math.degrees(src["polar"])
+    doas, _, _ = read_scene_dir(out_dir / "rendered" / "scene_0")
+    az, el = doas[0].to_degrees()
     print(f"scene_0 target bearing: az {az:.1f} deg, el {el:.1f} deg")
     print(f"try: soundcompass extract --scene {out_dir / 'rendered' / 'scene_0'} "
           f"--az {az:.1f} --el {el:.1f} --out est.wav")

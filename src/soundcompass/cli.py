@@ -19,13 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import MultichannelWaveform, read_json, read_wav, write_wav
+from .audio_io import read_json, read_wav, write_wav
 from .clues import DoAClue, build_time_varying_clue, encode_cyc_pos, encode_sh
 from .extractor import SPEED_OF_SOUND, contour_grid, delay_and_sum
 from .fusion import BAND_PARAMS, film_fuse, finite_difference_check, init_fusion_weights
 from .metrics import evaluate_extraction, write_reports_csv
 from .metrics import si_snr_i  # noqa: F401  (unused here; perfbench wraps cli.si_snr_i)
-from .roomsim import render_scene_to_dir
+from .roomsim import read_scene_dir, read_source_reference, render_scene_to_dir
 from .scenes import read_manifest
 from .spectral import FFT_SIZE, HOP, WINDOW, BandLayout, make_band_layout, stft
 from .spin import spin_forward
@@ -231,36 +231,13 @@ def cmd_fuse_check(args) -> int:
 # extract / evaluate / contour
 
 
-def _load_scene_dir(scene_dir):
-    scene_dir = Path(scene_dir)
-    truth_path = scene_dir / "truth.json"
-    if not truth_path.exists():
-        raise CliError(f"{scene_dir}: no truth.json (is this a simulate output dir?)")
-    truth = read_json(truth_path, keys=("sources", "array_offsets"))
-    sources = truth["sources"]
-    if not (isinstance(sources, list) and all(isinstance(s, dict) for s in sources)) or not all(
-        type(s.get(k)) in (int, float) and abs(s[k]) <= sys.float_info.max  # finite, even an int
-        for s in sources
-        for k in ("azimuth", "polar")
-    ):
-        raise CliError(f"{truth_path}: sources must be objects with finite numeric azimuth and polar")
-    try:
-        offsets = np.asarray(truth["array_offsets"], dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):  # e.g. an object, a ragged list, or 10**400
-        offsets = np.empty(0)
-    if offsets.ndim != 2 or offsets.shape[1:] != (3,) or not offsets.size or not np.isfinite(offsets).all():
-        raise CliError(f"{truth_path}: array_offsets must be a non-empty [M, 3] matrix of finite numbers")
-    mixture = read_wav(scene_dir / "mixture.wav")
-    return scene_dir, sources, offsets, mixture
-
-
 def _max_lag_s(offsets: np.ndarray) -> float:
     aperture = float(np.linalg.norm(offsets[:, None] - offsets[None, :], axis=-1).max())
     return 1.5 * aperture / SPEED_OF_SOUND if aperture > 0 else 16 / 16000
 
 
 def cmd_extract(args) -> int:
-    _, _, offsets, mixture = _load_scene_dir(args.scene)
+    _, offsets, mixture = read_scene_dir(args.scene)
     clue = DoAClue.from_degrees(args.az, args.el)
     est = delay_and_sum(mixture, clue, offsets)
     write_wav(est, args.out)
@@ -268,18 +245,10 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def _source_reference(scene_dir: Path, sources: list, j: int) -> MultichannelWaveform:
-    if not (0 <= j < len(sources)):
-        raise CliError(f"source {j} out of range; scene has {len(sources)}")
-    direct = read_wav(scene_dir / f"src{j}_direct.wav")
-    reverb = read_wav(scene_dir / f"src{j}_reverb.wav")
-    return MultichannelWaveform(direct.samples + reverb.samples, direct.sample_rate)
-
-
 def cmd_evaluate(args) -> int:
-    scene_dir, sources, offsets, mixture = _load_scene_dir(args.scene)
+    doas, offsets, mixture = read_scene_dir(args.scene)
     est = read_wav(args.est)
-    ref = _source_reference(scene_dir, sources, args.source)
+    ref = read_source_reference(args.scene, args.source, len(doas))
     if est.samples.shape != ref.samples.shape:
         raise CliError(
             f"estimate shape {est.samples.shape} != reference {ref.samples.shape}"
@@ -288,7 +257,7 @@ def cmd_evaluate(args) -> int:
         est,
         ref,
         mixture,
-        scene_id=scene_dir.name,
+        scene_id=Path(args.scene).name,
         source_id=str(args.source),
         max_lag_s=_max_lag_s(offsets),
     )
@@ -302,10 +271,9 @@ def cmd_contour(args) -> int:
         raise CliError(f"--step must be a finite number > 0, got {args.step}")
     if not (math.isfinite(args.span) and args.span >= 0):
         raise CliError(f"--span must be a finite number >= 0, got {args.span}")
-    scene_dir, sources, offsets, mixture = _load_scene_dir(args.scene)
-    ref = _source_reference(scene_dir, sources, args.source)
-    src = sources[args.source]
-    clue = DoAClue(src["azimuth"], src["polar"])
+    doas, offsets, mixture = read_scene_dir(args.scene)
+    ref = read_source_reference(args.scene, args.source, len(doas))
+    clue = doas[args.source]
 
     steps = int(round(args.span / args.step))
     offsets_deg = [i * args.step for i in range(-steps, steps + 1)]

@@ -29,6 +29,7 @@ from .spectral import BandLayout, split_bands
 from .spin import SpinFeature
 
 ADANORM_EPS = 1e-5
+FD_STEP = 1e-5  # central-difference step of finite_difference_check
 
 
 def _finite(name, *arrays):
@@ -343,7 +344,6 @@ def finite_difference_check(
     clue,
     upstream: np.ndarray,
     num_coords: int = 10,
-    step: float = 1e-5,
     rng: np.random.Generator | None = None,
 ):
     """Compare analytic gradients to central differences at random coordinates.
@@ -376,7 +376,7 @@ def finite_difference_check(
         shape = np.shape(getattr(obj, attr))
         for _ in range(max(1, num_coords // 6) if shape else 1):
             idx = tuple(rng.integers(0, d) for d in shape)
-            numeric = (loss_at(obj, attr, idx, step) - loss_at(obj, attr, idx, -step)) / (2.0 * step)
+            numeric = (loss_at(obj, attr, idx, FD_STEP) - loss_at(obj, attr, idx, -FD_STEP)) / (2.0 * FD_STEP)
             analytic = np.asarray(grads[key])[idx]
             checked += 1
             denom = max(abs(analytic), abs(numeric))

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import MultichannelWaveform, read_wav, write_json, write_wav
+from .audio_io import MultichannelWaveform, read_json, read_wav, write_json, write_wav
 from .clues import DoAClue
 from .delays import KERNEL_HALF, KERNEL_TAPS, SPEED_OF_SOUND, fractional_delay_kernel
 from .scenes import SceneSpec
@@ -172,9 +172,7 @@ def _scatter(out: np.ndarray, d_int: np.ndarray, q: np.ndarray, amps: np.ndarray
                 out[lo + skip : lo + n] += block[k, skip:]
 
 
-def simulate_rir(
-    spec: SceneSpec, source_index: int, max_order: int | None = None, sample_rate: int = 16000
-) -> RoomImpulseResponse:
+def simulate_rir(spec: SceneSpec, source_index: int, sample_rate: int = 16000) -> RoomImpulseResponse:
     """Image-source RIR from one source to every array mic."""
     spec.validate()
     if not (0 <= source_index < len(spec.sources)):
@@ -185,9 +183,8 @@ def simulate_rir(
 
     absorptions = _wall_absorptions(spec)
     betas = np.sqrt(np.clip(1.0 - absorptions, 0.0, 1.0))  # pairs per axis
-    order, capped = _image_order(spec, absorptions) if max_order is None else (int(max_order), False)
-    if np.all(betas == 0.0):  # anechoic
-        order, capped = 0, False
+    # an anechoic room has only the direct image
+    order, capped = (0, False) if np.all(betas == 0.0) else _image_order(spec, absorptions)
 
     positions, gains = _image_sources(src, room, betas, order)
     if positions.shape[0] == 0:
@@ -247,9 +244,9 @@ def _frame_rms(x: np.ndarray, fft_size: int, hop: int) -> np.ndarray:
     return np.sqrt(np.square(frames, order="C").reshape(frames.shape[0], -1).mean(axis=1))
 
 
-def frame_activation(direct: MultichannelWaveform, fft_size: int = FFT_SIZE, hop: int = HOP) -> np.ndarray:
-    """Binary per-frame activity of a stem: frame RMS gated at -40 dB of peak."""
-    rms = _frame_rms(direct.samples, fft_size, hop)
+def frame_activation(direct: MultichannelWaveform) -> np.ndarray:
+    """Binary per-frame activity of a stem on the FFT_SIZE/HOP grid: frame RMS gated at -40 dB of peak."""
+    rms = _frame_rms(direct.samples, FFT_SIZE, HOP)
     peak = rms.max()
     if peak == 0.0:
         return np.zeros(rms.shape[0])
@@ -458,3 +455,38 @@ def render_scene_to_dir(spec: SceneSpec, out_dir, base_dir=None) -> Path:
         write_wav(st.reverb, out_dir / f"src{j}_reverb.wav")
     write_json(truth_to_dict(spec, truth, mixture.num_samples), out_dir / "truth.json")
     return out_dir
+
+
+def read_scene_dir(scene_dir) -> tuple[list[DoAClue], np.ndarray, MultichannelWaveform]:
+    """Source bearings, [M, 3] array offsets and mixture of a render_scene_to_dir output.
+
+    Every fault in truth.json raises one ValueError that names the file.
+    """
+    truth_path = Path(scene_dir, "truth.json")
+    if not truth_path.exists():
+        raise ValueError(f"{truth_path.parent}: no truth.json (is this a simulate output dir?)")
+    truth = read_json(truth_path, keys=("sources", "array_offsets"))
+    sources = truth["sources"]
+    try:  # DoAClue refuses a string, NaN, Infinity, 10**400 and a polar outside [0, pi], but not a bool
+        if not isinstance(sources, list) or bool in {type(s[k]) for s in sources for k in ("azimuth", "polar")}:
+            raise TypeError
+        doas = [DoAClue(s["azimuth"], s["polar"]) for s in sources]
+    except (TypeError, KeyError, ValueError, OverflowError):
+        raise ValueError(f"{truth_path}: sources must be objects with a numeric azimuth and a polar in [0, pi]") from None
+    try:
+        offsets = np.asarray(truth["array_offsets"], dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):  # e.g. an object, a ragged list, or 10**400
+        offsets = np.empty(0)
+    mixture = read_wav(Path(scene_dir, "mixture.wav"))
+    if offsets.shape != (mixture.num_channels, 3) or not np.isfinite(offsets).all():
+        raise ValueError(f"{truth_path}: array_offsets must be a finite [{mixture.num_channels}, 3] matrix")
+    return doas, offsets, mixture
+
+
+def read_source_reference(scene_dir, j: int, num_sources: int) -> MultichannelWaveform:
+    """Source j's reference as render_scene_to_dir wrote it: its direct plus its reverberant stem."""
+    if not (0 <= j < num_sources):
+        raise ValueError(f"source {j} out of range; scene has {num_sources}")
+    direct = read_wav(Path(scene_dir, f"src{j}_direct.wav"))
+    reverb = read_wav(Path(scene_dir, f"src{j}_reverb.wav"))
+    return MultichannelWaveform(direct.samples + reverb.samples, direct.sample_rate)

@@ -41,16 +41,15 @@ class SpinFeature:
             raise ValueError("log_mag must be [2M, T, F] matching pairwise [.., T, F]")
 
 
-def normalize_planes(planes: np.ndarray, eps: float = EPS_NORM) -> np.ndarray:
+def normalize_planes(planes: np.ndarray) -> np.ndarray:
     """Scale [2M, T, F] planes to unit norm across the plane axis per (t, f).
 
-    Cells where the norm over all planes is below eps are zeroed rather than
-    amplified; their products contribute nothing.
+    Cells where the norm over all planes is below EPS_NORM are zeroed rather
+    than amplified; their products contribute nothing.
     """
     planes = np.asarray(planes, dtype=np.float64)
     norm = np.sqrt((planes**2).sum(axis=0, keepdims=True))
-    scaled = np.where(norm > eps, planes / np.maximum(norm, eps), 0.0)
-    return scaled
+    return np.where(norm > EPS_NORM, planes / np.maximum(norm, EPS_NORM), 0.0)
 
 
 def spin_forward(spec: ComplexSpectrogram) -> SpinFeature:
@@ -87,7 +86,6 @@ def recover_ipd(feat: SpinFeature, i: int, j: int) -> np.ndarray:
     re_i, im_i = i, m + i
     re_j, im_j = j, m + j
     p = feat.pairwise
-    mc = m * 2
-    sin_term = p[im_j * mc + re_i] - p[re_j * mc + im_i]
-    cos_term = p[re_j * mc + re_i] + p[im_j * mc + im_i]
+    sin_term = p[pair_index(im_j, re_i, m)] - p[pair_index(re_j, im_i, m)]
+    cos_term = p[pair_index(re_j, re_i, m)] + p[pair_index(im_j, im_i, m)]
     return np.arctan2(sin_term, cos_term)

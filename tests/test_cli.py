@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soundcompass
-from soundcompass.cli import _load_scene_dir, build_parser, main
+from soundcompass.cli import build_parser, main
+from soundcompass.roomsim import read_scene_dir
 
 from conftest import UNREADABLE_JSON, make_noise_wav, mutated_json
 
@@ -66,13 +67,14 @@ def test_bad_wav_exits_2(tmp_path):
     assert rc == 2
 
 
-def test_evaluate_non_scene_dir_exits_2(tmp_path):
+def test_evaluate_non_scene_dir_exits_2(tmp_path, capsys):
     est = tmp_path / "est.wav"
     make_noise_wav(est, seconds=0.1)
     rc = main(
-        ["evaluate", "--est", str(est), "--scene", str(tmp_path), "--source", "0", "--out", str(tmp_path / "r.csv")]
+        ["evaluate", "--est", str(est), "--scene", f"{tmp_path}/", "--source", "0", "--out", str(tmp_path / "r.csv")]
     )
     assert rc == 2
+    assert capsys.readouterr().err == f"error: {tmp_path}: no truth.json (is this a simulate output dir?)\n"
 
 
 def test_malformed_manifest_line_exits_2(tmp_path, capsys):
@@ -461,6 +463,9 @@ MALFORMED_TRUTHS = {
     "azimuth_beyond_float": lambda t: {**t, "sources": [{**t["sources"][0], "azimuth": 10**400}]},
     "json_list": lambda t: [t],
     "no_array_offsets": lambda t: {k: v for k, v in t.items() if k != "array_offsets"},
+    "two_of_four_offsets": lambda t: {**t, "array_offsets": t["array_offsets"][:2]},
+    "polar_7": lambda t: {**t, "sources": [{**t["sources"][0], "polar": 7.0}]},
+    "azimuth_true": lambda t: {**t, "sources": [{**t["sources"][0], "azimuth": True}]},
 }
 
 
@@ -477,7 +482,7 @@ def test_malformed_truth_exits_2(rendered_scene, tmp_path, capsys, command, payl
     }[command]
     assert main([command, "--scene", str(rendered_scene), "--out", str(out), *argv]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert err.startswith(f"error: {truth_path}: ") and err.count("\n") == 1, err
     assert not out.exists()
 
 
@@ -552,13 +557,13 @@ def scene_template(tmp_path_factory):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_load_scene_dir_fuzz_raises_only_value_error(tmp_path_factory, scene_template, data):
-    """A mutated truth.json either loads or raises ValueError (CliError is one)."""
+    """A mutated truth.json either loads or raises ValueError."""
     scene = tmp_path_factory.mktemp("fuzz")
     shutil.copy(scene_template / "mixture.wav", scene)
     truth = json.loads((scene_template / "truth.json").read_text())
     (scene / "truth.json").write_bytes(data.draw(mutated_json(truth), label="truth"))
     try:
-        _load_scene_dir(scene)
+        read_scene_dir(scene)
     except ValueError:
         return
 

@@ -145,16 +145,16 @@ def test_reciprocity():
     # swapping source and a single receiver preserves the arrival structure
     a = geometry_scene([(1.2, 3.8, 1.7)], [[0, 0, 0]], center=(3.5, 1.9, 2.2), absorption=[0.6] * 6)
     b = geometry_scene([(3.5, 1.9, 2.2)], [[0, 0, 0]], center=(1.2, 3.8, 1.7), absorption=[0.6] * 6)
-    ra = simulate_rir(a, 0, max_order=3, sample_rate=FS)
-    rb = simulate_rir(b, 0, max_order=3, sample_rate=FS)
+    ra = simulate_rir(a, 0, sample_rate=FS)
+    rb = simulate_rir(b, 0, sample_rate=FS)
     n = min(ra.taps.shape[1], rb.taps.shape[1])
     np.testing.assert_allclose(ra.taps[0, :n], rb.taps[0, :n], atol=1e-12)
 
 
 def test_rir_determinism():
     spec = geometry_scene([(1.2, 3.8, 1.7)], tetrahedral_offsets(), absorption=[0.5] * 6)
-    a = simulate_rir(spec, 0, max_order=2, sample_rate=FS)
-    b = simulate_rir(spec, 0, max_order=2, sample_rate=FS)
+    a = simulate_rir(spec, 0, sample_rate=FS)
+    b = simulate_rir(spec, 0, sample_rate=FS)
     np.testing.assert_array_equal(a.taps, b.taps)
     np.testing.assert_array_equal(a.direct_taps, b.direct_taps)
 
@@ -357,9 +357,11 @@ def test_frame_rms_equals_per_frame_loop_bitwise(channels, samples, fft_size, ho
     got = roomsim._frame_rms(x, fft_size, hop)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
-    gate = want.max() * 10.0 ** (roomsim.ACTIVATION_GATE_DB / 20.0)
-    act = frame_activation(MultichannelWaveform(x, FS), fft_size, hop)
-    assert np.array_equal(act, (want >= gate).astype(np.float64))
+    # frame_activation gates the RMS on the frame grid truth.json records
+    rms = loop_frame_rms(x, roomsim.FFT_SIZE, roomsim.HOP)
+    gate = rms.max() * 10.0 ** (roomsim.ACTIVATION_GATE_DB / 20.0)
+    act = frame_activation(MultichannelWaveform(x, FS))
+    assert np.array_equal(act, (rms >= gate).astype(np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +493,22 @@ def test_render_scene_to_dir_layout(scene_factory, tmp_path):
     assert mix.num_channels == 4
     t = frame_count(mix.num_samples, 512, 256)
     assert len(src["activation"]) == t
+
+
+def test_read_scene_dir_round_trip(scene_factory, tmp_path):
+    spec = scene_factory(positions=((1.2, 3.8, 1.7), (4.1, 1.4, 2.2)), rt60=0.32, seconds=0.2)
+    mixture, truth = render_scene(spec)
+    out = render_scene_to_dir(spec, tmp_path / "scene")
+    doas, offsets, read_mixture = roomsim.read_scene_dir(out)
+    assert doas == [ground_truth_doa(spec, j) for j in range(2)]
+    assert np.array_equal(offsets, spec.array_offsets)
+    assert np.array_equal(read_mixture.samples, mixture.samples.astype(np.float32))
+    for j, st in enumerate(truth.sources):
+        ref = roomsim.read_source_reference(out, j, len(doas))
+        want = np.add(st.direct.samples.astype(np.float32), st.reverb.samples.astype(np.float32), dtype=np.float64)
+        assert np.array_equal(ref.samples, want)
+    with pytest.raises(ValueError, match="source 2 out of range; scene has 2"):
+        roomsim.read_source_reference(out, 2, len(doas))
 
 
 def test_truth_render_block_reverberant(scene_factory, tmp_path):
