@@ -1,6 +1,6 @@
 """Reused memory for the front end's largest per-call arrays.
 
-spin_forward and merge_bands each return a [P, T, F] float64 array of tens
+spin_forward and merge_bands each fill a bin-major float64 array of tens
 of MiB per call. From malloc, glibc keeps such arrays in its heap once one
 has been freed, and whether a later one reuses a gap or grows the heap
 depends on the small allocations that land between them: a long-running

@@ -22,6 +22,8 @@ from .audio_io import MultichannelWaveform
 from .clues import DoAClue
 from .delays import KERNEL_HALF, KERNEL_TAPS, SPEED_OF_SOUND, delay_signal, fractional_delay_kernel
 
+CONTOUR_CHUNK = 256  # grid points contour_grid scores at once; a default 13x13 grid is one chunk
+
 
 def steering_delays(offsets: np.ndarray, clue: DoAClue) -> np.ndarray:
     """tau_m = -(u . r_m)/c in seconds, [M]."""
@@ -167,25 +169,27 @@ def contour_grid(
     n = 1 << (2 * lags).bit_length()  # holds lags -lags..lags apart, and an edge strip's 7 * half samples
 
     delays = np.array([steering_delays(offsets, c) for c in clues]).reshape(-1, m) * fs
-    align = _kernel_spectra(-delays, n)  # [P, M, n // 2 + 1]
-    project = _kernel_spectra(delays, n)
     corr = _lag_spectra(x, np.concatenate([x, r]), lags, n)  # [M, 2M, n // 2 + 1]
     xx, xr = corr[:, :m], corr[:, m:]
 
     # Parseval on the circle: sum over a real spectrum's half, interior bins twice
     weights = np.full(n // 2 + 1, 2.0 / n)
     weights[[0, -1]] = 1.0 / n
-    steered = sum(xx[:, j] * align[:, j, None] for j in range(m))  # [P, M, n // 2 + 1]
-    power = (np.conj(align) * steered).real.sum(axis=1) / (m * m)  # steered response power, [P, n // 2 + 1]
-    energy = (project.real**2 + project.imag**2) * power[:, None] @ weights
-    cross = sum(np.conj(align[:, i, None]) * xr[i] for i in range(m)) / m  # [P, M, n // 2 + 1]
-    dot = (np.conj(project) * cross).real @ weights
-
     strip = min(half, s // 2)  # the zero-filled ends differ within half samples of each end
-    for lo, hi in ((-2 * half, strip), (max(s - half, strip), s + 2 * half)):
-        d_energy, d_dot = _edge_sums(x, r, align, project, lo, hi, half)
-        energy += d_energy
-        dot += d_dot
+    energy, dot = np.empty((2, len(delays), m))
+    for start in range(0, len(delays), CONTOUR_CHUNK):
+        chunk = slice(start, start + CONTOUR_CHUNK)
+        align = _kernel_spectra(-delays[chunk], n)  # [P, M, n // 2 + 1]
+        project = _kernel_spectra(delays[chunk], n)
+        steered = sum(xx[:, j] * align[:, j, None] for j in range(m))  # [P, M, n // 2 + 1]
+        power = (np.conj(align) * steered).real.sum(axis=1) / (m * m)  # steered response power, [P, n // 2 + 1]
+        energy[chunk] = (project.real**2 + project.imag**2) * power[:, None] @ weights
+        cross = sum(np.conj(align[:, i, None]) * xr[i] for i in range(m)) / m  # [P, M, n // 2 + 1]
+        dot[chunk] = (np.conj(project) * cross).real @ weights
+        for lo, hi in ((-2 * half, strip), (max(s - half, strip), s + 2 * half)):
+            d_energy, d_dot = _edge_sums(x, r, align, project, lo, hi, half)
+            energy[chunk] += d_energy
+            dot[chunk] += d_dot
 
     rr = metrics._energies(r)
     scale = dot / rr

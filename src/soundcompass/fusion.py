@@ -168,21 +168,21 @@ class FusedFeature:
 
 
 def _encode_columns(cols: np.ndarray, w: EncoderWeights):
-    """PReLU(AdaNorm(W c + b)) for each column c of a [dim_in, N] array.
+    """PReLU(AdaNorm(W c + b)) for each column c of a [..., dim_in, N] array.
 
-    One matrix product for all columns, then the norm over the channel
-    (leading) axis and the PReLU in place. Returns the output [dim_out, N]
-    with the standardized pre-activation y [dim_out, N] and its scale s [N],
-    which the backward pass reuses.
+    One (batched) matrix product for all columns, then the norm over the
+    channel axis (-2) and the PReLU in place. Returns the output
+    [..., dim_out, N] with the standardized pre-activation y [..., dim_out, N]
+    and its scale s [..., N], which the backward pass reuses.
     """
     a = w.w @ cols
     a += w.b[:, None]
-    a -= a.mean(axis=0)
-    s = np.einsum("ij,ij->j", a, a)
-    s /= a.shape[0]
+    a -= a.mean(axis=-2, keepdims=True)
+    s = np.einsum("...ij,...ij->...j", a, a)
+    s /= a.shape[-2]
     s += ADANORM_EPS
     np.sqrt(s, out=s)
-    a /= s  # a is now y, standardized over the channel axis
+    a /= s[..., None, :]  # a is now y, standardized over the channel axis
     z = a * -w.k_ada
     z += 1.0
     z *= a
@@ -242,19 +242,20 @@ def film_fuse(feat_k: np.ndarray, clue, bw: BandFusionWeights) -> np.ndarray:
 
 
 def encode_band_feature(band: np.ndarray, w: EncoderWeights) -> np.ndarray:
-    """Mix input planes down to the band's channel count at every (t, f).
+    """Mix [P, T, F_k] input planes down to the band's C_k channels at every (t, f).
 
-    The same linear -> AdaNorm -> PReLU block as the clue encoder, over the
-    leading (channel) axis.
+    The clue encoder's block, run bin-major as one batched product over
+    [F_k, P, T]: free for a split_bands view of spin_forward output, one copy
+    for any other layout. Returns a [C_k, T, F_k] view of [F_k, C_k, T] storage.
     """
-    # one contiguous copy of a strided band view, so the checks and the
-    # product below run over whole rows
-    band = np.ascontiguousarray(band, dtype=np.float64)
-    _finite("encoding_block input", band)
-    if band.shape[0] != w.dim_in:
-        raise ValueError(f"input width {band.shape[0]} != weight input {w.dim_in}")
-    out, _, _ = _encode_columns(band.reshape(band.shape[0], -1), w)  # [C_k, T*F]
-    return out.reshape((w.dim_out,) + band.shape[1:])  # [C_k, T, F]
+    band = np.asarray(band)
+    x = band.reshape(band.shape[0], -1, band.shape[-1] if band.ndim > 1 else 1)  # [P, T, F_k]
+    cols = np.ascontiguousarray(np.moveaxis(x, -1, 0), dtype=np.float64)  # [F_k, P, T]
+    _finite("encoding_block input", cols)
+    if cols.shape[1] != w.dim_in:
+        raise ValueError(f"input width {cols.shape[1]} != weight input {w.dim_in}")
+    out, _, _ = _encode_columns(cols, w)
+    return np.moveaxis(out, 0, -1).reshape((w.dim_out,) + band.shape[1:])
 
 
 def fuse_all_bands(spin: SpinFeature, layout: BandLayout, clue, weights: FusionWeights) -> FusedFeature:

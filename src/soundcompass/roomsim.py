@@ -473,7 +473,9 @@ def read_scene_dir(scene_dir) -> tuple[list[DoAClue], np.ndarray, MultichannelWa
         doas = [DoAClue(s["azimuth"], s["polar"]) for s in sources]
     except (TypeError, KeyError, ValueError, OverflowError):
         raise ValueError(f"{truth_path}: sources must be objects with a numeric azimuth and a polar in [0, pi]") from None
-    try:
+    try:  # JSON numbers only, as for the bearings: np.asarray would also take "0.04" and true
+        if any(type(v) not in (int, float) for row in truth["array_offsets"] for v in row):
+            raise TypeError
         offsets = np.asarray(truth["array_offsets"], dtype=np.float64)
     except (TypeError, ValueError, OverflowError):  # e.g. an object, a ragged list, or 10**400
         offsets = np.empty(0)

@@ -332,7 +332,8 @@ def split_bands(x: np.ndarray, layout: BandLayout) -> list[np.ndarray]:
     """Slice [C, T, F] into K views [C, T, F_k] of x; overlapping bins repeat.
 
     The views share x's memory: writing to a band writes to x and to the
-    bands that overlap it.
+    bands that overlap it. On bin-major storage (spin_forward's pairwise,
+    merge_bands' output) each band is one contiguous [F_k, C, T] block.
     """
     x = np.asarray(x)
     if x.shape[-1] != layout.num_bins:
@@ -382,16 +383,18 @@ def merge_weights(layout: BandLayout) -> list[np.ndarray]:
 
 
 def merge_bands(bands: list[np.ndarray], layout: BandLayout) -> np.ndarray:
-    """Cross-fade K band tensors back to [C, T, F]; inverse of split_bands."""
+    """Cross-fade K band tensors back to [C, T, F], a view of bin-major [F, C, T] storage; inverse of split_bands."""
     if len(bands) != layout.num_bands:
         raise ValueError(f"got {len(bands)} bands for a {layout.num_bands}-band layout")
-    for k, ((lo, hi), b) in enumerate(zip(layout.bands, bands)):
+    out = recycled_empty((layout.num_bins,) + bands[0].shape[:-1])
+    reach = 0  # bins below reach hold a sum; a bin's first band writes its w * b in place, so no zero fill
+    for k, ((lo, hi), w, b) in enumerate(zip(layout.bands, merge_weights(layout), bands)):
         if b.shape[-1] != hi - lo + 1:
             raise ValueError(f"band {k} has {b.shape[-1]} bins, layout wants {hi - lo + 1}")
-    weights = merge_weights(layout)
-    lead_shape = bands[0].shape[:-1]
-    out = recycled_empty(lead_shape + (layout.num_bins,))
-    out.fill(0.0)
-    for (lo, hi), w, b in zip(layout.bands, weights, bands):
-        out[..., lo : hi + 1] += w * b
-    return out
+        b, w = np.moveaxis(b, -1, 0), w.reshape((-1,) + (1,) * (b.ndim - 1))  # one block for a bin-major band
+        n = min(max(reach, lo), hi + 1) - lo  # its bins an earlier band wrote
+        out[lo : lo + n] += w[:n] * b[:n]
+        fresh = np.multiply(w[n:], b[n:], out=out[lo + n : hi + 1])
+        fresh += 0.0  # as 0.0 + w * b would: -0.0 becomes +0.0
+        reach = max(reach, hi + 1)
+    return np.moveaxis(out, 0, -1)

@@ -22,7 +22,7 @@ LOG_FLOOR = 1e-7
 
 @dataclass
 class SpinFeature:
-    """pairwise [P=(2M)^2, T, F] product tensor plus log-magnitude side input."""
+    """pairwise [P=(2M)^2, T, F] products (from spin_forward, a bin-major view) plus log-magnitude side input."""
 
     pairwise: np.ndarray
     log_mag: np.ndarray
@@ -53,11 +53,12 @@ def normalize_planes(planes: np.ndarray) -> np.ndarray:
 
 
 def spin_forward(spec: ComplexSpectrogram) -> SpinFeature:
-    """All ordered pairwise products of the normalized planes, [(2M)^2, T, F]."""
+    """All ordered pairwise products of the normalized planes, a [(2M)^2, T, F] view of [F, (2M)^2, T]."""
     unit = normalize_planes(spec.planes)
-    m2 = unit.shape[0]
-    pairwise = np.multiply(unit[:, None], unit[None, :], out=recycled_empty((m2, m2) + unit.shape[1:]))
-    pairwise = pairwise.reshape(m2 * m2, *unit.shape[1:])
+    m2, t, f = unit.shape
+    u = np.ascontiguousarray(unit.transpose(2, 0, 1))  # [F, 2M, T]
+    store = np.multiply(u[:, :, None], u[:, None, :], out=recycled_empty((f, m2, m2, t)))
+    pairwise = store.reshape(f, m2 * m2, t).transpose(1, 2, 0)
     mag = np.abs(spec.as_complex())
     log_mag_half = np.log(np.maximum(mag, LOG_FLOOR))
     log_mag = np.concatenate([log_mag_half, log_mag_half], axis=0)

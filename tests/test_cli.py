@@ -466,6 +466,8 @@ MALFORMED_TRUTHS = {
     "two_of_four_offsets": lambda t: {**t, "array_offsets": t["array_offsets"][:2]},
     "polar_7": lambda t: {**t, "sources": [{**t["sources"][0], "polar": 7.0}]},
     "azimuth_true": lambda t: {**t, "sources": [{**t["sources"][0], "azimuth": True}]},
+    "offsets_as_strings": lambda t: {**t, "array_offsets": [[str(v) for v in row] for row in t["array_offsets"]]},
+    "one_offset_true": lambda t: {**t, "array_offsets": [[True, *t["array_offsets"][0][1:]], *t["array_offsets"][1:]]},
 }
 
 

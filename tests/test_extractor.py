@@ -15,6 +15,7 @@ from soundcompass import (
     steering_delays,
     tetrahedral_offsets,
 )
+from soundcompass import extractor
 from soundcompass.delays import delay_signal
 from soundcompass.extractor import SPEED_OF_SOUND
 
@@ -234,3 +235,17 @@ def test_contour_grid_chunks_concatenate_to_full_grid(rng, chunk):
     full = contour_grid(mixture, ref, offsets, clue, GRID_5X5)
     parts = [contour_grid(mixture, ref, offsets, clue, GRID_5X5[i : i + chunk]) for i in range(0, 25, chunk)]
     np.testing.assert_array_equal(np.concatenate(parts), full)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 24])
+def test_contour_grid_scores_in_fixed_chunks_bitwise(rng, monkeypatch, chunk):
+    # contour_grid bounds its memory by scoring CONTOUR_CHUNK points at a time;
+    # a default 13x13 grid is one chunk, so contour does the arithmetic it did unchunked
+    assert extractor.CONTOUR_CHUNK >= 13 * 13
+    offsets = tetrahedral_offsets()
+    mixture = MultichannelWaveform(rng.standard_normal((4, 3000)), FS)
+    ref = MultichannelWaveform(rng.standard_normal((4, 3000)), FS)
+    clue = DoAClue.from_degrees(200.0, -5.0)
+    whole = contour_grid(mixture, ref, offsets, clue, GRID_5X5)
+    monkeypatch.setattr(extractor, "CONTOUR_CHUNK", chunk)
+    np.testing.assert_array_equal(contour_grid(mixture, ref, offsets, clue, GRID_5X5), whole)
