@@ -14,12 +14,11 @@ import math
 import os
 import sys
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .audio_io import read_json, read_wav, write_wav
+from .audio_io import json_array, read_json, read_wav, write_wav
 from .clues import DoAClue, build_time_varying_clue, encode_cyc_pos, encode_sh
 from .extractor import SPEED_OF_SOUND, contour_grid, delay_and_sum
 from .fusion import BAND_PARAMS, film_fuse, finite_difference_check, init_fusion_weights
@@ -68,6 +67,8 @@ def _render_one(args):
 
 
 def cmd_simulate(args) -> int:
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be an integer >= 1, got {args.jobs}")
     manifest = Path(args.manifest)
     scenes = read_manifest(manifest)
     if not scenes:
@@ -77,11 +78,12 @@ def cmd_simulate(args) -> int:
     jobs = [(i, scene, manifest.parent, out_root) for i, scene in enumerate(scenes)]
 
     failures = []
-    if args.jobs > 1:
+    workers = min(args.jobs, len(jobs))  # the pool starts every worker up front
+    if workers > 1:
         # imported here so that a serial run does not pay for loading process pools
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_render_one, j) for j in jobs]
             for i, fut in enumerate(futures):
                 try:
@@ -170,12 +172,12 @@ def cmd_clue(args) -> int:
     if args.activation is not None:
         if args.frames is None:
             raise CliError("--activation requires --frames")
-        activation = read_json(args.activation)
-        if not (isinstance(activation, list) and all(type(v) in (int, float) for v in activation)):
+        activation = json_array(read_json(args.activation), args.activation)
+        if activation.ndim != 1:
             raise CliError(f"{args.activation}: activation must be a JSON array of numbers")
         try:
-            tv = build_time_varying_clue(emb, np.asarray(activation, dtype=np.float64), args.frames)
-        except (ValueError, OverflowError) as e:  # e.g. an empty array, a value outside [0, 1], 10**400
+            tv = build_time_varying_clue(emb, activation, args.frames)
+        except ValueError as e:  # e.g. an empty array or a value outside [0, 1]
             raise CliError(f"{args.activation}: {e}") from None
         payload["matrix"] = [[round(v, 10) for v in row] for row in tv.matrix.tolist()]
     else:
@@ -267,6 +269,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_contour(args) -> int:
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be an integer >= 1, got {args.jobs}")
     if not (math.isfinite(args.step) and args.step > 0):
         raise CliError(f"--step must be a finite number > 0, got {args.step}")
     if not (math.isfinite(args.span) and args.span >= 0):
@@ -278,19 +282,7 @@ def cmd_contour(args) -> int:
     steps = int(round(args.span / args.step))
     offsets_deg = [i * args.step for i in range(-steps, steps + 1)]
     grid = [(d_az, d_el) for d_az in offsets_deg for d_el in offsets_deg]
-
-    jobs = min(args.jobs, len(grid))
-    if jobs > 1:
-        chunks = [grid[len(grid) * k // jobs : len(grid) * (k + 1) // jobs] for k in range(jobs)]
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
-            parts = pool.map(partial(contour_grid, mixture, ref, offsets, clue), chunks)
-            values = np.concatenate(list(parts))
-    else:
-        values = contour_grid(mixture, ref, offsets, clue, grid)
+    values = contour_grid(mixture, ref, offsets, clue, grid, jobs=args.jobs)
 
     with open(args.out, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)

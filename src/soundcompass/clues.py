@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio_io import parse_json
+from .audio_io import json_array, parse_json
 
 TWO_PI = 2.0 * math.pi
 
@@ -156,8 +156,8 @@ class ClueEmbedding:
         if type(d["order"]) is not int:  # refuses a string, a fraction and a bool
             raise ValueError("clue embedding JSON: order must be an integer")
         try:
-            return cls(d["vector"], d["order"], d["kind"])
-        except (TypeError, ValueError, OverflowError) as e:  # e.g. a string in the vector, Infinity
+            return cls(json_array(d["vector"], "vector"), d["order"], d["kind"])
+        except ValueError as e:  # e.g. a string or a bool in the vector, Infinity
             raise ValueError(f"clue embedding JSON: malformed value: {e}") from None
 
 

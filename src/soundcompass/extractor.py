@@ -128,6 +128,7 @@ def contour_grid(
     offsets: np.ndarray,
     clue: DoAClue,
     grid,
+    jobs: int = 1,
 ) -> np.ndarray:
     """SI-SNR improvement of delay_and_sum steered at each offset from clue, [len(grid)].
 
@@ -146,6 +147,7 @@ def contour_grid(
     _edge_sums swaps in the zero-filled one on a strip at each end. The strip
     and the lag window follow from the largest steering delay the array
     allows, so a point's value does not depend on the rest of the grid.
+    Chunks of CONTOUR_CHUNK points run on up to jobs threads; no sum crosses chunks.
 
     Where an output channel is exactly silent (a signal shorter than its
     steering delays), rounding in the sums decides its capped ratio.
@@ -177,19 +179,29 @@ def contour_grid(
     weights[[0, -1]] = 1.0 / n
     strip = min(half, s // 2)  # the zero-filled ends differ within half samples of each end
     energy, dot = np.empty((2, len(delays), m))
-    for start in range(0, len(delays), CONTOUR_CHUNK):
-        chunk = slice(start, start + CONTOUR_CHUNK)
-        align = _kernel_spectra(-delays[chunk], n)  # [P, M, n // 2 + 1]
-        project = _kernel_spectra(delays[chunk], n)
-        steered = sum(xx[:, j] * align[:, j, None] for j in range(m))  # [P, M, n // 2 + 1]
-        power = (np.conj(align) * steered).real.sum(axis=1) / (m * m)  # steered response power, [P, n // 2 + 1]
-        energy[chunk] = (project.real**2 + project.imag**2) * power[:, None] @ weights
-        cross = sum(np.conj(align[:, i, None]) * xr[i] for i in range(m)) / m  # [P, M, n // 2 + 1]
-        dot[chunk] = (np.conj(project) * cross).real @ weights
-        for lo, hi in ((-2 * half, strip), (max(s - half, strip), s + 2 * half)):
-            d_energy, d_dot = _edge_sums(x, r, align, project, lo, hi, half)
-            energy[chunk] += d_energy
-            dot[chunk] += d_dot
+
+    def score(chunks):  # writes only these chunks of energy and dot
+        for chunk in chunks:
+            align = _kernel_spectra(-delays[chunk], n)  # [P, M, n // 2 + 1]
+            project = _kernel_spectra(delays[chunk], n)
+            steered = sum(xx[:, j] * align[:, j, None] for j in range(m))  # [P, M, n // 2 + 1]
+            power = (np.conj(align) * steered).real.sum(axis=1) / (m * m)  # steered response power, [P, n // 2 + 1]
+            energy[chunk] = (project.real**2 + project.imag**2) * power[:, None] @ weights
+            cross = sum(np.conj(align[:, i, None]) * xr[i] for i in range(m)) / m  # [P, M, n // 2 + 1]
+            dot[chunk] = (np.conj(project) * cross).real @ weights
+            for lo, hi in ((-2 * half, strip), (max(s - half, strip), s + 2 * half)):
+                d_energy, d_dot = _edge_sums(x, r, align, project, lo, hi, half)
+                energy[chunk] += d_energy
+                dot[chunk] += d_dot
+
+    chunks = [slice(i, i + CONTOUR_CHUNK) for i in range(0, len(delays), CONTOUR_CHUNK)]
+    jobs = min(jobs, len(chunks))  # no idle threads
+    if jobs > 1:  # each thread takes every jobs-th chunk
+        from concurrent.futures import ThreadPoolExecutor  # imported here: a serial run loads no pool
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            list(pool.map(score, [chunks[k::jobs] for k in range(jobs)]))  # reads every result, so errors propagate
+    else:
+        score(chunks)
 
     rr = metrics._energies(r)
     scale = dot / rr

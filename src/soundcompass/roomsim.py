@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import MultichannelWaveform, read_json, read_wav, write_json, write_wav
+from .audio_io import MultichannelWaveform, json_array, read_json, read_wav, write_json, write_wav
 from .clues import DoAClue
 from .delays import KERNEL_HALF, KERNEL_TAPS, SPEED_OF_SOUND, fractional_delay_kernel
 from .scenes import SceneSpec
@@ -467,17 +467,15 @@ def read_scene_dir(scene_dir) -> tuple[list[DoAClue], np.ndarray, MultichannelWa
         raise ValueError(f"{truth_path.parent}: no truth.json (is this a simulate output dir?)")
     truth = read_json(truth_path, keys=("sources", "array_offsets"))
     sources = truth["sources"]
-    try:  # DoAClue refuses a string, NaN, Infinity, 10**400 and a polar outside [0, pi], but not a bool
-        if not isinstance(sources, list) or bool in {type(s[k]) for s in sources for k in ("azimuth", "polar")}:
+    try:  # json_array refuses strings, bools and 10**400; DoAClue NaN, Infinity and a polar outside [0, pi]
+        if not isinstance(sources, list):
             raise TypeError
-        doas = [DoAClue(s["azimuth"], s["polar"]) for s in sources]
-    except (TypeError, KeyError, ValueError, OverflowError):
+        doas = [DoAClue(*json_array([s["azimuth"], s["polar"]], truth_path).tolist()) for s in sources]
+    except (TypeError, KeyError, ValueError):
         raise ValueError(f"{truth_path}: sources must be objects with a numeric azimuth and a polar in [0, pi]") from None
-    try:  # JSON numbers only, as for the bearings: np.asarray would also take "0.04" and true
-        if any(type(v) not in (int, float) for row in truth["array_offsets"] for v in row):
-            raise TypeError
-        offsets = np.asarray(truth["array_offsets"], dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):  # e.g. an object, a ragged list, or 10**400
+    try:
+        offsets = json_array(truth["array_offsets"], truth_path)
+    except ValueError:  # e.g. "0.04", true, an object, a ragged list, or 10**400
         offsets = np.empty(0)
     mixture = read_wav(Path(scene_dir, "mixture.wav"))
     if offsets.shape != (mixture.num_channels, 3) or not np.isfinite(offsets).all():

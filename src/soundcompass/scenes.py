@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import parse_json, write_json
+from .audio_io import json_array, parse_json, write_json
 
 TETRAHEDRAL_PRESET = "tetrahedral_4ch_r0.042"
 _PRESET_RE = re.compile(r"^tetrahedral_4ch_r([0-9]*\.?[0-9]+)$")
@@ -155,8 +155,7 @@ def resolve_array(value) -> tuple[np.ndarray, str | None]:
     if isinstance(value, dict):
         if "offsets" not in value:
             raise SceneValidationError("array object must carry 'offsets'")
-        offsets = np.asarray(value["offsets"], dtype=np.float64)
-        return offsets, None
+        return json_array(value["offsets"], "array offsets"), None
     raise SceneValidationError("array must be a preset string or an object with offsets")
 
 
@@ -198,7 +197,7 @@ def _scene_from_dict(d: dict) -> SceneSpec:
         _check_keys(_object(s, ctx), {"position", "class", "gain_db", "wav"}, ctx)
         sources.append(
             SourceSpec(
-                position=_require(s, "position", ctx),
+                position=json_array(_require(s, "position", ctx), f"{ctx} position"),
                 class_label=_typed(_require(s, "class", ctx), (str,), "a string", "class", ctx),
                 gain_db=_number(s, "gain_db", ctx),
                 wav=_typed(_require(s, "wav", ctx), (str,), "a string", "wav", ctx),
@@ -210,12 +209,12 @@ def _scene_from_dict(d: dict) -> SceneSpec:
         wav = _typed(_require(d["noise"], "wav", "noise"), (str,), "a string", "wav", "noise")
         noise = NoiseSpec(wav=wav, gain_db=_number(d["noise"], "gain_db", "noise"))
     return SceneSpec(
-        room_dims=_require(d, "room_dims", "scene"),
-        array_center=_require(d, "array_center", "scene"),
+        room_dims=json_array(_require(d, "room_dims", "scene"), "room_dims"),
+        array_center=json_array(_require(d, "array_center", "scene"), "array_center"),
         array_offsets=offsets,
         sources=sources,
         rt60_s=None if d.get("rt60_s") is None else _number(d, "rt60_s", "scene"),
-        absorption=d.get("absorption"),
+        absorption=None if d.get("absorption") is None else json_array(d["absorption"], "absorption"),
         noise=noise,
         seed=_typed(d.get("seed", 0), (int,), "an integer", "seed", "scene"),
         array_preset=preset,

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio_io import MultichannelWaveform, parse_json, write_json
+from .audio_io import MultichannelWaveform, json_array, parse_json, write_json
 from .buffers import recycled_empty
 
 ENERGY_FLOOR = 1e-8  # min per-sample synthesis window energy
@@ -246,9 +246,12 @@ class BandLayout:
         """Parse the JSON that to_json returns; every error is a ValueError naming source."""
         d = parse_json(text, source, keys=("fs", "fft_size", "bands"))
         try:
-            fft = d["fft_size"]
-            return cls([tuple(b) for b in d["bands"]], num_bins=fft // 2 + 1, sample_rate=d["fs"], fft_size=fft)
-        except (TypeError, ValueError, OverflowError) as e:  # e.g. a string fft_size, a band [Infinity, 3]
+            fft = json_array(d["fft_size"], "fft_size", np.int64)
+            if fft.ndim:
+                raise ValueError("fft_size must be one integer")
+            bands = json_array(d["bands"], "bands", np.int64).tolist()
+            return cls(bands, num_bins=int(fft) // 2 + 1, sample_rate=d["fs"], fft_size=int(fft))
+        except (TypeError, ValueError) as e:  # e.g. a string fft_size, a band that is not a pair
             raise ValueError(f"{source}: malformed value: {e}") from None
 
     @classmethod

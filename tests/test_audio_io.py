@@ -1,4 +1,6 @@
 import json
+import math
+import re
 import struct
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soundcompass import MultichannelWaveform, WavFormatError, read_wav, write_wav
-from soundcompass.audio_io import read_json, write_json
+from soundcompass.audio_io import json_array, read_json, write_json
 
 from conftest import UNREADABLE_JSON
 
@@ -220,6 +222,45 @@ def test_read_json_names_file(tmp_path, blob, keys, message):
     path.write_bytes(blob)
     with pytest.raises(ValueError, match=rf"^\S*doc\.json: {message}"):
         read_json(path, keys)
+
+
+def test_json_array_takes_numbers_nested_to_a_rectangle():
+    got = json_array([[1, 2.5], [-3, 1e300]], "doc")
+    assert got.dtype == np.float64 and got.tolist() == [[1.0, 2.5], [-3.0, 1e300]]
+    assert json_array(7, "doc").shape == () and json_array([], "doc").shape == (0,)
+    assert json_array([[]], "doc").shape == (1, 0)
+    got = json_array([[0, 2**63 - 1]], "doc", np.int64)
+    assert got.dtype == np.int64 and got.tolist() == [[0, 2**63 - 1]]
+    assert np.isnan(json_array([math.nan], "doc")).all()  # finiteness is each caller's rule
+
+
+DEEP = [1]
+for _ in range(900):  # parse_json accepts this depth
+    DEEP = [DEEP]
+
+
+@pytest.mark.parametrize(
+    "value, dtype, message",
+    [
+        (["0.5", 1.0], np.float64, "expected JSON numbers, got '0.5'"),
+        ([1.0, True], np.float64, "expected JSON numbers, got True"),
+        ([None], np.float64, "expected JSON numbers, got None"),
+        ([{"a": 1}], np.float64, "expected JSON numbers, got an object"),
+        ([[1, 2], [3]], np.float64, "ragged list"),
+        ([[1, 2], 3], np.float64, "expected JSON numbers, got a ragged list"),
+        ([DEEP, "x"], np.float64, "expected JSON numbers, got a ragged list"),
+        (DEEP, np.float64, "maximum supported dimension"),
+        ([10**400], np.float64, "too large"),
+        ([512.0], np.int64, "expected JSON integers, got 512.0"),
+        ([100.9], np.int64, "expected JSON integers, got 100.9"),
+        ([2**63], np.int64, "too large"),
+    ],
+    ids=["string", "bool", "null", "object", "ragged", "uneven-depth", "deep-uneven", "deep", "beyond-float",
+         "integral-float", "fraction", "beyond-int64"],
+)
+def test_json_array_refuses_non_numbers_naming_source(value, dtype, message):
+    with pytest.raises(ValueError, match=rf"^doc\.json: .*{re.escape(message)}"):
+        json_array(value, "doc.json", dtype)
 
 
 @settings(max_examples=300, deadline=None)

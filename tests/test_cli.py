@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import math
@@ -192,6 +193,51 @@ def test_simulate_parallel_stops_after_first_failure(tmp_path):
     assert rendered < 11
 
 
+@pytest.mark.parametrize("command", ["simulate", "contour"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_2(request, tmp_path, capsys, command, jobs):
+    if command == "simulate":
+        argv = ["--manifest", str(write_manifest(tmp_path))]
+    else:
+        argv = ["--scene", str(request.getfixturevalue("rendered_scene")), "--source", "0"]
+    out = tmp_path / "out"
+    assert main([command, *argv, "--jobs", jobs, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --jobs must be an integer >= 1, got {jobs}\n"
+    assert not out.exists()
+
+
+def test_simulate_caps_workers_at_scene_count(tmp_path, monkeypatch):
+    # ProcessPoolExecutor starts all max_workers processes at once; this stand-in runs each task inline
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as e:
+                future.set_exception(e)
+            return future
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    manifest = write_manifest(tmp_path, n_scenes=2)
+    assert main(["simulate", "--manifest", str(manifest), "--out", str(tmp_path / "o"), "--jobs", "1000"]) == 0
+    assert started == [2]
+    assert all((tmp_path / "o" / f"scene_{i}" / "mixture.wav").exists() for i in range(2))
+
+
 def test_import_loads_no_scipy(tmp_path):
     # no command needs scipy, rendering included
     code = (
@@ -207,7 +253,7 @@ def test_import_loads_no_scipy(tmp_path):
 
 
 def test_import_loads_no_process_pool():
-    # process pools are needed only for --jobs > 1
+    # process pools are needed only for simulate --jobs > 1
     code = "import sys, soundcompass.cli; print('concurrent.futures.process' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(soundcompass.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
@@ -276,6 +322,31 @@ def test_featurize_malformed_band_file_exits_2(tmp_path, capsys, payload, messag
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "over, message",
+    [
+        ({"fft_size": 512.0}, "fft_size: expected JSON integers, got 512.0"),
+        ({"fft_size": "512"}, "fft_size: expected JSON integers, got '512'"),
+        ({"fft_size": True}, "fft_size: expected JSON integers, got True"),
+        ({"bands": [[0, 100.9], [90, 256]]}, "bands: expected JSON integers, got 100.9"),
+        ({"bands": [[0, 100], ["90", 256]]}, "bands: expected JSON integers, got '90'"),
+        ({"bands": [[0, 100], [True, 256]]}, "bands: expected JSON integers, got True"),
+        ({"fft_size": [512]}, "fft_size must be one integer"),
+    ],
+    ids=["integral-float-fft", "string-fft", "bool-fft", "fractional-bound", "string-bound", "bool-bound", "list-fft"],
+)
+def test_featurize_band_file_non_integer_exits_2(tmp_path, capsys, over, message):
+    wav = tmp_path / "x.wav"
+    make_noise_wav(wav, seconds=0.2)
+    bands = tmp_path / "bands.json"
+    bands.write_text(json.dumps({"fs": FS, "fft_size": 512, "bands": [[0, 100], [90, 256]], **over}))
+    out = tmp_path / "o"
+    assert main(["featurize", "--wav", str(wav), "--bands", str(bands), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bands}: malformed value: {message}\n"
+    assert not (out / "bands.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -613,8 +684,24 @@ def test_contour_bad_grid_exits_2(rendered_scene, tmp_path, capsys, option, valu
 
 
 def test_contour_parallel_matches_serial(rendered_scene, tmp_path):
-    outs = [tmp_path / "serial.csv", tmp_path / "parallel.csv"]
-    for jobs, out in zip(("1", "2"), outs):
-        argv = ["contour", "--scene", str(rendered_scene), "--source", "0", "--span", "5", "--step", "2.5"]
-        assert main(argv + ["--jobs", jobs, "--out", str(out)]) == 0
-    assert outs[1].read_bytes() == outs[0].read_bytes()
+    # 5x5 is one chunk and runs inline; 41x41 is 7 chunks, which --jobs 2 scores on two threads
+    for span, step, rows in (("5", "2.5", 25), ("10", "0.5", 41 * 41)):
+        outs = [tmp_path / f"serial_{span}.csv", tmp_path / f"parallel_{span}.csv"]
+        for jobs, out in zip(("1", "2"), outs):
+            argv = ["contour", "--scene", str(rendered_scene), "--source", "0", "--span", span, "--step", step]
+            assert main(argv + ["--jobs", jobs, "--out", str(out)]) == 0
+        assert outs[1].read_bytes() == outs[0].read_bytes()
+        assert outs[0].read_text().count("\n") == 1 + rows
+
+
+def test_contour_jobs_runs_threads_not_processes(rendered_scene, tmp_path):
+    code = (
+        "import sys, soundcompass.cli; rc = soundcompass.cli.main(sys.argv[1:]); "
+        "print(rc, *(m in sys.modules for m in ('concurrent.futures.thread', 'concurrent.futures.process', 'multiprocessing')))"
+    )
+    argv = ["contour", "--scene", str(rendered_scene), "--source", "0", "--span", "10", "--step", "0.5", "--jobs", "2"]
+    env = {**os.environ, "PYTHONPATH": str(Path(soundcompass.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv, "--out", str(tmp_path / "c.csv")], capture_output=True, text=True, check=True, env=env
+    )
+    assert proc.stdout.splitlines()[-1] == "0 True False False"

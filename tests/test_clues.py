@@ -312,6 +312,13 @@ def test_embedding_from_json_bad_document_named(bad):
         ClueEmbedding.from_json(BAD_EMBEDDINGS[bad])
 
 
+@pytest.mark.parametrize("value", ['"0.5"', "true", "null"], ids=["string", "bool", "null"])
+def test_embedding_from_json_refuses_non_number_in_vector(value):
+    blob = '{"kind": "sh", "order": 1, "vector": [0.5, 0.5, 0.5, %s, 0.5, 0.5, 0.5, 0.5]}' % value
+    with pytest.raises(ValueError, match="^clue embedding JSON: malformed value: vector: expected JSON numbers"):
+        ClueEmbedding.from_json(blob)
+
+
 @settings(max_examples=200, deadline=None)
 @given(blob=mutated_json({"kind": "sh", "order": 1, "vector": [0.5] * 8}))
 def test_embedding_from_json_fuzz_raises_only_value_error(blob):

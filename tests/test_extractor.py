@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -227,7 +229,7 @@ def test_contour_grid_all_zero_mixture(rng):
 
 @pytest.mark.parametrize("chunk", [1, 2, 7, 24])
 def test_contour_grid_chunks_concatenate_to_full_grid(rng, chunk):
-    # contour --jobs splits the grid this way, so each point must not depend on its neighbours
+    # a point must not depend on its neighbours, so no grid split or thread count changes it
     offsets = tetrahedral_offsets()
     mixture = MultichannelWaveform(rng.standard_normal((4, 3000)), FS)
     ref = MultichannelWaveform(rng.standard_normal((4, 3000)), FS)
@@ -249,3 +251,31 @@ def test_contour_grid_scores_in_fixed_chunks_bitwise(rng, monkeypatch, chunk):
     whole = contour_grid(mixture, ref, offsets, clue, GRID_5X5)
     monkeypatch.setattr(extractor, "CONTOUR_CHUNK", chunk)
     np.testing.assert_array_equal(contour_grid(mixture, ref, offsets, clue, GRID_5X5), whole)
+
+
+@pytest.mark.parametrize("chunk, jobs, threads", [(1, 8, 8), (7, 2, 2), (7, 1000, 4)])
+def test_contour_grid_threads_match_inline_bitwise(rng, monkeypatch, chunk, jobs, threads):
+    # threads write disjoint chunks of shared arrays; more threads than cores and a short
+    # switch interval make an overlapping write or a lost update likely to show
+    offsets = tetrahedral_offsets()
+    mixture = MultichannelWaveform(rng.standard_normal((4, 3000)), FS)
+    ref = MultichannelWaveform(rng.standard_normal((4, 3000)), FS)
+    clue = DoAClue.from_degrees(200.0, -5.0)
+    monkeypatch.setattr(extractor, "CONTOUR_CHUNK", chunk)
+    started = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    inline = contour_grid(mixture, ref, offsets, clue, GRID_5X5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = contour_grid(mixture, ref, offsets, clue, GRID_5X5, jobs=jobs)
+    finally:
+        sys.setswitchinterval(interval)
+    np.testing.assert_array_equal(threaded, inline)
+    assert started == [threads]  # at most one thread per chunk

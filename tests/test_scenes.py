@@ -202,6 +202,30 @@ def test_manifest_rejects_non_finite_numbers(tmp_path, over, field):
         read_manifest(path)
 
 
+@pytest.mark.parametrize("kind", ["string", "bool"])
+@pytest.mark.parametrize(
+    "field", ["room_dims", "array_center", "absorption", "array offsets", "sources[0] position"]
+)
+def test_manifest_rejects_strings_and_bools_for_numbers(tmp_path, field, kind):
+    # np.asarray(..., float64) would read "6.0" as 6.0 and true as 1.0
+    d = minimal_dict(array={"offsets": [[0.05, 0, 0], [-0.05, 0, 0]]})
+    if field == "absorption":
+        del d["rt60_s"]
+        d["absorption"] = [1.0] * 6
+    target = {
+        "room_dims": d["room_dims"],
+        "array_center": d["array_center"],
+        "absorption": d.get("absorption"),
+        "array offsets": d["array"]["offsets"][0],
+        "sources[0] position": d["sources"][0]["position"],
+    }[field]
+    target[-1] = str(target[-1]) if kind == "string" else True
+    path = tmp_path / "m.jsonl"
+    path.write_text(json.dumps(minimal_dict()) + "\n" + json.dumps(d) + "\n", encoding="utf-8")
+    with pytest.raises(SceneValidationError, match=rf":2: scene has a malformed value: {re.escape(field)}: expected JSON numbers"):
+        read_manifest(path)
+
+
 def test_validate_positive_dims():
     with pytest.raises(SceneValidationError):
         SceneSpec(
