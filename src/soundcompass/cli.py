@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -59,13 +60,6 @@ def _default_seed() -> int:
 # simulate
 
 
-def _render_one(args):
-    index, scene, manifest_dir, out_root = args
-    out = Path(out_root) / f"scene_{index}"
-    render_scene_to_dir(scene, out, base_dir=manifest_dir)
-    return index
-
-
 def cmd_simulate(args) -> int:
     if args.jobs < 1:
         raise CliError(f"--jobs must be an integer >= 1, got {args.jobs}")
@@ -75,32 +69,26 @@ def cmd_simulate(args) -> int:
         raise CliError(f"{manifest}: manifest is empty")
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
-    jobs = [(i, scene, manifest.parent, out_root) for i, scene in enumerate(scenes)]
+    stop = threading.Event()  # set by a failure without --keep-going; scenes not yet started are skipped
 
-    failures = []
-    workers = min(args.jobs, len(jobs))  # the pool starts every worker up front
+    def render(i):  # the scene's error, or None
+        if stop.is_set():
+            return None
+        try:
+            render_scene_to_dir(scenes[i], out_root / f"scene_{i}", base_dir=manifest.parent)
+        except Exception as e:
+            if not args.keep_going:
+                stop.set()
+            return e
+
+    workers = min(args.jobs, len(scenes))
     if workers > 1:
-        # imported here so that a serial run does not pay for loading process pools
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_render_one, j) for j in jobs]
-            for i, fut in enumerate(futures):
-                try:
-                    fut.result()
-                except Exception as e:
-                    failures.append((i, e))
-                    if not args.keep_going:
-                        pool.shutdown(cancel_futures=True)
-                        break
-    else:
-        for j in jobs:
-            try:
-                _render_one(j)
-            except Exception as e:
-                failures.append((j[0], e))
-                if not args.keep_going:
-                    break
+        from concurrent.futures import ThreadPoolExecutor  # imported here: a serial run loads no pool
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            errors = list(pool.map(render, range(len(scenes))))
+    else:  # on the calling thread
+        errors = list(map(render, range(len(scenes))))
+    failures = [(i, e) for i, e in enumerate(errors) if e is not None]
 
     for i, e in failures:
         print(f"scene_{i}: {e}", file=sys.stderr)
@@ -275,6 +263,8 @@ def cmd_contour(args) -> int:
         raise CliError(f"--step must be a finite number > 0, got {args.step}")
     if not (math.isfinite(args.span) and args.span >= 0):
         raise CliError(f"--span must be a finite number >= 0, got {args.span}")
+    if not math.isfinite(args.span / args.step):
+        raise CliError(f"--step must be large enough that --span / --step is finite, got {args.step}")
     doas, offsets, mixture = read_scene_dir(args.scene)
     ref = read_source_reference(args.scene, args.source, len(doas))
     clue = doas[args.source]

@@ -278,8 +278,6 @@ def _load_source_signal(path, expect_rate: int | None) -> tuple[np.ndarray, int]
         raise SimulationError(
             f"{path}: sample rate {w.sample_rate} != scene rate {expect_rate}"
         )
-    if not np.isfinite(w.samples).all():
-        raise SimulationError(f"{path}: source audio contains non-finite samples")
     if w.num_channels != 1:
         raise SimulationError(f"{path}: source signals must be mono, got {w.num_channels} channels")
     return w.samples[0], w.sample_rate

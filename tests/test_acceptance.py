@@ -478,6 +478,6 @@ def test_criterion_9_cli_determinism(tmp_path, monkeypatch):
 
     names = ("mixture.wav", "spin.npz", "clue.json", "est.wav", "report.csv")
     mismatched = [n for n, a, b in zip(names, outputs[0], outputs[1]) if a != b]
-    rows = list(csv.reader((tmp_path / "r1" / "report.csv").open()))
+    rows = list(csv.reader((tmp_path / "r1" / "report.csv").read_text().splitlines()))
     ok = not mismatched and rows[0][0] == "scene_id" and len(rows) == 3
     report(9, "pipeline determinism", ok, f"mismatched: {mismatched or 'none'}")

@@ -1,4 +1,3 @@
-import concurrent.futures
 import csv
 import json
 import math
@@ -8,6 +7,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soundcompass
+from soundcompass import cli
 from soundcompass.cli import build_parser, main
 from soundcompass.roomsim import read_scene_dir
 
@@ -207,35 +208,48 @@ def test_jobs_below_one_exits_2(request, tmp_path, capsys, command, jobs):
 
 
 def test_simulate_caps_workers_at_scene_count(tmp_path, monkeypatch):
-    # ProcessPoolExecutor starts all max_workers processes at once; this stand-in runs each task inline
-    started = []
+    # --jobs 1 renders on the calling thread; --jobs 8 on 2 scenes on at most 2 worker threads
+    real = cli.render_scene_to_dir
+    threads = []
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
+    def recording_render(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return real(*args, **kwargs)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            try:
-                future.set_result(fn(*args))
-            except Exception as e:
-                future.set_exception(e)
-            return future
-
-        def shutdown(self, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "render_scene_to_dir", recording_render)
     manifest = write_manifest(tmp_path, n_scenes=2)
-    assert main(["simulate", "--manifest", str(manifest), "--out", str(tmp_path / "o"), "--jobs", "1000"]) == 0
-    assert started == [2]
-    assert all((tmp_path / "o" / f"scene_{i}" / "mixture.wav").exists() for i in range(2))
+    for jobs in ("1", "8"):
+        threads.clear()
+        out = tmp_path / f"o{jobs}"
+        assert main(["simulate", "--manifest", str(manifest), "--out", str(out), "--jobs", jobs]) == 0
+        assert len(threads) == 2
+        assert all((out / f"scene_{i}" / "mixture.wav").exists() for i in range(2))
+        if jobs == "1":
+            assert set(threads) == {threading.get_ident()}
+        else:
+            assert len(set(threads)) <= 2 and threading.get_ident() not in threads
+
+
+def test_simulate_serial_stops_after_first_failure(tmp_path, capsys):
+    manifest = write_manifest(tmp_path, n_scenes=2)
+    lines = manifest.read_text().splitlines()
+    bad = json.loads(lines[0])
+    bad["sources"][0]["wav"] = "does_not_exist.wav"
+    manifest.write_text("\n".join([json.dumps(bad), lines[1]]) + "\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["simulate", "--manifest", str(manifest), "--out", str(out), "--jobs", "1"]) == 2
+    assert capsys.readouterr().err.startswith("scene_0: ")
+    assert not (out / "scene_1").exists()
+
+
+def test_simulate_non_finite_source_exits_2(tmp_path, capsys):
+    manifest = write_manifest(tmp_path)
+    wav = tmp_path / "m0.wav"  # float32, 4000 frames
+    blob = bytearray(wav.read_bytes())
+    blob[-4:] = np.float32(np.nan).tobytes()
+    wav.write_bytes(bytes(blob))
+    assert main(["simulate", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"scene_0: {wav}: frame 3999 holds a non-finite sample\n"
 
 
 def test_import_loads_no_scipy(tmp_path):
@@ -253,7 +267,7 @@ def test_import_loads_no_scipy(tmp_path):
 
 
 def test_import_loads_no_process_pool():
-    # process pools are needed only for simulate --jobs > 1
+    # no command needs a process pool
     code = "import sys, soundcompass.cli; print('concurrent.futures.process' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(soundcompass.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
@@ -510,7 +524,7 @@ def test_extract_and_evaluate(rendered_scene, tmp_path):
         ["evaluate", "--est", str(est), "--scene", str(rendered_scene), "--source", "0", "--out", str(report)]
     )
     assert rc == 0
-    rows = list(csv.reader(report.open()))
+    rows = list(csv.reader(report.read_text().splitlines()))
     assert rows[0][0] == "scene_id"
     assert rows[1][0] == "scene_0"
     assert rows[2][0] == "mean"
@@ -663,7 +677,7 @@ def test_contour_grid(rendered_scene, tmp_path):
         ["contour", "--scene", str(rendered_scene), "--source", "0", "--span", "5", "--step", "2.5", "--out", str(out)]
     )
     assert rc == 0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["d_az", "d_el", "si_snri_db"]
     assert len(rows) == 1 + 5 * 5
     table = {(float(r[0]), float(r[1])): float(r[2]) for r in rows[1:]}
@@ -673,7 +687,7 @@ def test_contour_grid(rendered_scene, tmp_path):
 
 @pytest.mark.parametrize(
     "option, value",
-    [("--step", "0"), ("--step", "-1"), ("--step", "nan"), ("--step", "inf"), ("--span", "-5"), ("--span", "inf")],
+    [("--step", "0"), ("--step", "-1"), ("--step", "nan"), ("--step", "inf"), ("--step", "1e-320"), ("--span", "-5"), ("--span", "inf")],
 )
 def test_contour_bad_grid_exits_2(rendered_scene, tmp_path, capsys, option, value):
     out = tmp_path / "contour.csv"

@@ -482,7 +482,7 @@ def test_write_reports_csv(tmp_path):
     ]
     path = tmp_path / "r.csv"
     write_reports_csv(reports, path)
-    rows = list(csv.reader(path.open()))
+    rows = list(csv.reader(path.read_text().splitlines()))
     assert rows[0] == CSV_HEADER
     assert rows[1][0] == "a" and rows[2][0] == "b"
     mean = rows[3]

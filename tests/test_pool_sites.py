@@ -1,4 +1,4 @@
-"""Only cli.cmd_simulate starts a process pool; contour --jobs scores on threads.
+"""No module starts a process pool; simulate --jobs and contour --jobs run on threads.
 
 The package's modules are parsed with ast, never imported.
 """
@@ -23,21 +23,24 @@ def names(node: ast.AST) -> set[str]:
     return set()
 
 
-def pool_sites(path: Path) -> list[str]:
-    """module.function (or module.<module>) for each node in path that names a process pool."""
+def pool_sites(source: str, module: str) -> list[str]:
+    """module.function (or module.<module>) for each node in source that names a process pool."""
     found = []
-    stack = [(ast.parse(path.read_text(encoding="utf-8")), "<module>")]
+    stack = [(ast.parse(source), "<module>")]
     while stack:
         node, func = stack.pop()
         if names(node) & POOL_NAMES:
-            found.append(f"{path.stem}.{func}")
+            found.append(f"{module}.{func}")
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name if func == "<module>" else f"{func}.{node.name}"
         stack.extend((child, func) for child in ast.iter_child_nodes(node))
     return found
 
 
-def test_only_simulate_names_a_process_pool():
-    sites = [site for p in sorted(SRC.rglob("*.py")) for site in pool_sites(p)]
-    assert "cli.cmd_simulate" in sites  # the scan finds the real site
-    assert set(sites) == {"cli.cmd_simulate"}
+def test_scan_finds_a_process_pool():
+    source = "def run(jobs):\n    from concurrent.futures import ProcessPoolExecutor\n"
+    assert pool_sites(source, "cli") == ["cli.run"]
+
+
+def test_no_module_names_a_process_pool():
+    assert [site for p in sorted(SRC.rglob("*.py")) for site in pool_sites(p.read_text(encoding="utf-8"), p.stem)] == []

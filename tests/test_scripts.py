@@ -32,7 +32,7 @@ def test_steering_contour_writes_finite_grid(tmp_path):
     args = ("--scenes", "1", "--seconds", "0.2", "--span", "5", "--step", "5", "--out", "contour.csv")
     proc = run_script("steering_contour.py", *args, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    rows = list(csv.reader((tmp_path / "contour.csv").open()))
+    rows = list(csv.reader((tmp_path / "contour.csv").read_text().splitlines()))
     assert rows[0] == ["offset_az_deg", "offset_el_deg", "mean_si_snri_db"]
     assert len(rows) == 1 + 9
     assert all(math.isfinite(float(v)) for row in rows[1:] for v in row)
