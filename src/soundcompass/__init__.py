@@ -37,8 +37,6 @@ from .metrics import (
     MetricsReport,
     evaluate_extraction,
     gcc_phat_itd,
-    ild,
-    ipd,
     si_snr,
     si_snr_i,
     snr,

@@ -1,15 +1,16 @@
 """Reading and writing the package's files: multichannel WAV and JSON.
 
-Only uncompressed RIFF/WAVE is handled: 16-bit integer PCM and 32-bit IEEE
-float, little-endian, any channel count. Samples are exchanged as float
-matrices of shape [channels, samples] scaled to [-1, 1].
+Only uncompressed little-endian RIFF/WAVE is handled, any channel count:
+16-bit integer PCM and 32-bit IEEE float are read, 32-bit float is written.
+Samples are exchanged as float matrices of shape [channels, samples] scaled
+to [-1, 1].
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -132,43 +133,23 @@ def read_wav(path) -> MultichannelWaveform:
     return MultichannelWaveform(samples, rate)
 
 
-def write_wav(w: MultichannelWaveform, path, encoding: str = "float32") -> None:
-    """Write a waveform as PCM16 or float32 WAV.
-
-    PCM16 requires samples in [-1, 1]; out-of-range input is an error rather
-    than a silent clamp. Non-finite samples are always rejected.
-    """
-    if encoding not in ("pcm16", "float32"):
-        raise ValueError(f"encoding must be 'pcm16' or 'float32', got {encoding!r}")
+def write_wav(w: MultichannelWaveform, path) -> None:
+    """Write a waveform as float32 WAV; non-finite samples are rejected."""
     x = w.samples
     if not np.all(np.isfinite(x)):
         raise WavFormatError("refusing to write non-finite samples")
-
-    if encoding == "pcm16":
-        peak = np.max(np.abs(x)) if x.size else 0.0
-        if peak > 1.0:
-            raise WavFormatError(f"pcm16 peak {peak:.6g} exceeds full scale 1.0")
-        scaled = np.round(x * PCM16_SCALE)
-        np.clip(scaled, -PCM16_SCALE, PCM16_SCALE - 1, out=scaled)  # +1.0 -> 32767
-        payload = scaled.astype("<i2").T.tobytes()
-        audio_format, bits = _FMT_PCM, 16
-    else:
-        payload = x.astype("<f4").T.tobytes()
-        audio_format, bits = _FMT_IEEE_FLOAT, 32
-
-    channels = w.num_channels
-    block_align = channels * bits // 8
-    byte_rate = w.sample_rate * block_align
-    fmt = struct.pack("<HHIIHH", audio_format, channels, w.sample_rate, byte_rate, block_align, bits)
-    pad = b"\x00" if len(payload) % 2 else b""
+    payload = x.astype("<f4").T.tobytes()  # a whole number of 4-byte words: no pad byte
+    block_align = w.num_channels * 4
+    fmt = struct.pack(
+        "<HHIIHH", _FMT_IEEE_FLOAT, w.num_channels, w.sample_rate, w.sample_rate * block_align, block_align, 32
+    )
 
     with Path(path).open("wb") as fh:
-        fh.write(struct.pack("<4sI4s", b"RIFF", 4 + 8 + len(fmt) + 8 + len(payload) + len(pad), b"WAVE"))
+        fh.write(struct.pack("<4sI4s", b"RIFF", 4 + 8 + len(fmt) + 8 + len(payload), b"WAVE"))
         fh.write(struct.pack("<4sI", b"fmt ", len(fmt)))
         fh.write(fmt)
         fh.write(struct.pack("<4sI", b"data", len(payload)))
         fh.write(payload)
-        fh.write(pad)
 
 
 def parse_json(data: bytes | str, source, keys=()):

@@ -34,6 +34,8 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INVALID = 2
 
+CONTOUR_MAX_POINTS = 10**6  # a 999x999 grid fits; about 4 min at the README's 61x61 rate
+
 # CliError, SceneValidationError, WavFormatError, SimulationError and read_json's errors are ValueErrors
 INVALID_INPUT_ERRORS = (
     FileNotFoundError,
@@ -157,9 +159,9 @@ def cmd_clue(args) -> int:
         emb = encode_cyc_pos(clue, dim)
 
     payload = {"kind": emb.kind, "order": emb.order}
+    if (args.activation is None) != (args.frames is None):
+        raise CliError("--activation requires --frames" if args.frames is None else "--frames requires --activation")
     if args.activation is not None:
-        if args.frames is None:
-            raise CliError("--activation requires --frames")
         activation = json_array(read_json(args.activation), args.activation)
         if activation.ndim != 1:
             raise CliError(f"{args.activation}: activation must be a JSON array of numbers")
@@ -265,11 +267,13 @@ def cmd_contour(args) -> int:
         raise CliError(f"--span must be a finite number >= 0, got {args.span}")
     if not math.isfinite(args.span / args.step):
         raise CliError(f"--step must be large enough that --span / --step is finite, got {args.step}")
+    steps = int(round(args.span / args.step))
+    if (side := 2 * steps + 1) ** 2 > CONTOUR_MAX_POINTS:  # Python ints: no overflow, and no list built yet
+        raise CliError(f"--span / --step asks for a {side:.6g} x {side:.6g} grid, more than {CONTOUR_MAX_POINTS} points")
     doas, offsets, mixture = read_scene_dir(args.scene)
     ref = read_source_reference(args.scene, args.source, len(doas))
     clue = doas[args.source]
 
-    steps = int(round(args.span / args.step))
     offsets_deg = [i * args.step for i in range(-steps, steps + 1)]
     grid = [(d_az, d_el) for d_az in offsets_deg for d_el in offsets_deg]
     values = contour_grid(mixture, ref, offsets, clue, grid, jobs=args.jobs)

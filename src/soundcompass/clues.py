@@ -12,9 +12,8 @@ of the raw angles is provided as a comparison baseline.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,14 +143,9 @@ class ClueEmbedding:
     def dim(self) -> int:
         return self.vector.size
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"kind": self.kind, "order": self.order, "vector": self.vector.tolist()}
-        )
-
     @classmethod
     def from_json(cls, text: str | bytes) -> "ClueEmbedding":
-        """Parse the JSON that to_json returns; every error is a ValueError."""
+        """Parse the static embedding that `soundcompass clue` writes; every error is a ValueError."""
         d = parse_json(text, "clue embedding JSON", keys=("kind", "order", "vector"))
         if type(d["order"]) is not int:  # refuses a string, a fraction and a bool
             raise ValueError("clue embedding JSON: order must be an integer")
@@ -192,14 +186,11 @@ class TimeVaryingClue:
     """Per-frame scaled copies of a static embedding, [T x dim]."""
 
     matrix: np.ndarray
-    activation_source_len: int
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
         if self.matrix.ndim != 2 or self.matrix.shape[0] < 1:
             raise ValueError("matrix must be [T x dim] with T >= 1")
-        if self.activation_source_len < 1:
-            raise ValueError("activation_source_len must be >= 1")
 
     @property
     def num_frames(self) -> int:
@@ -229,4 +220,4 @@ def build_time_varying_clue(
     pos = np.arange(num_frames) * (t_src - 1) / max(num_frames - 1, 1)
     scale = np.interp(pos, np.arange(t_src), activation)
     matrix = scale[:, None] * emb.vector[None, :]
-    return TimeVaryingClue(matrix, t_src)
+    return TimeVaryingClue(matrix)

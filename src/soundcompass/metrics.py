@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio_io import MultichannelWaveform
-from .spectral import FFT_SIZE, HOP, WINDOW, ComplexSpectrogram, stft
+from .spectral import FFT_SIZE, HOP, WINDOW, stft
 
 SNR_CAP_DB = 100.0
 ENERGY_FLOOR = 1e-12
@@ -102,24 +102,12 @@ def si_snr_i(est, ref, mixture) -> float:
 # Spatial cues
 
 
-def ild(w: MultichannelWaveform, pair: tuple[int, int]) -> float:
-    """Inter-channel level difference 10 log10(E_i/E_j); NaN if a channel is silent."""
-    i, j = _check_pair(pair, w.num_channels)
-    return _ild_db(_energies(w.samples[[i, j]]), 0, 1)
-
-
 def _ild_db(energies: np.ndarray, i: int, j: int) -> float:
+    """Inter-channel level difference 10 log10(E_i/E_j); NaN if a channel is silent."""
     ei, ej = float(energies[i]), float(energies[j])
     if ei < ENERGY_FLOOR or ej < ENERGY_FLOOR:
         return math.nan
     return 10.0 * math.log10(ei / ej)
-
-
-def ipd(spec: ComplexSpectrogram, pair: tuple[int, int]) -> np.ndarray:
-    """Wrapped phase difference angle(X_j) - angle(X_i) per (t, f) in (-pi, pi]."""
-    i, j = _check_pair(pair, spec.num_channels)
-    x = spec.as_complex()
-    return np.angle(x[j] * np.conj(x[i]))
 
 
 def gcc_phat_itd(w: MultichannelWaveform, pair: tuple[int, int], max_lag_s: float) -> float:

@@ -1,4 +1,5 @@
 import json
+import wave
 
 import numpy as np
 import pytest
@@ -31,6 +32,21 @@ def make_tone_wav(path, freq=440.0, seconds=0.5, rate=16000, scale=0.3):
     w = MultichannelWaveform(scale * np.sin(2 * np.pi * freq * t)[None, :], rate)
     write_wav(w, path)
     return w
+
+
+def write_pcm16_wav(path, x, rate):
+    """[channels, samples] in [-1, 1] as a PCM16 WAV, written by the standard library's wave module.
+
+    The package writes float32 only; PCM16 arrives from other tools. Samples
+    are rounded to 1/32768 steps and +1.0 is clipped to 32767.
+    """
+    x = np.atleast_2d(x)
+    pcm = np.clip(np.round(x * 32768.0), -32768, 32767).astype("<i2")
+    with wave.open(str(path), "wb") as fh:
+        fh.setnchannels(x.shape[0])
+        fh.setsampwidth(2)
+        fh.setframerate(rate)
+        fh.writeframes(pcm.T.tobytes())
 
 
 @pytest.fixture

@@ -252,6 +252,23 @@ def test_simulate_non_finite_source_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == f"scene_0: {wav}: frame 3999 holds a non-finite sample\n"
 
 
+@pytest.mark.parametrize(
+    "seconds, channels, message",
+    [(100 / FS, 1, "noise is 100 samples, scene needs 4000"), (0.25, 2, "noise has 2 channels, array has 4")],
+    ids=["short", "stereo"],
+)
+def test_simulate_bad_noise_exits_2(tmp_path, capsys, seconds, channels, message):
+    manifest = write_manifest(tmp_path)  # one 4000-sample source, 4 mics
+    make_noise_wav(tmp_path / "noise.wav", seconds=seconds, channels=channels)
+    scene = json.loads(manifest.read_text())
+    scene["noise"] = {"wav": "noise.wav", "gain_db": -10.0}
+    manifest.write_text(json.dumps(scene) + "\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["simulate", "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"scene_0: {message}\n"
+    assert not (out / "scene_0" / "mixture.wav").exists()
+
+
 def test_import_loads_no_scipy(tmp_path):
     # no command needs scipy, rendering included
     code = (
@@ -445,6 +462,13 @@ def test_clue_activation_requires_frames(tmp_path):
     act.write_text("[1.0]")
     rc = main(["clue", "--az", "0", "--el", "0", "--activation", str(act)])
     assert rc == 2
+
+
+def test_clue_frames_requires_activation(tmp_path, capsys):
+    out = tmp_path / "clue.json"
+    assert main(["clue", "--az", "0", "--el", "0", "--frames", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --frames requires --activation\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("payload", ['{"a": 1}', "null", '"0.5"', "[[0.5]]", '[0.5, "x"]', "[true]", "[NaN]"])
@@ -694,6 +718,18 @@ def test_contour_bad_grid_exits_2(rendered_scene, tmp_path, capsys, option, valu
     argv = ["contour", "--scene", str(rendered_scene), "--source", "0", "--out", str(out)]
     assert main(argv + [option, value]) == 2
     assert capsys.readouterr().err.startswith(f"error: {option} must be")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [("--step", "1e-300"), ("--span", "180", "--step", "1e-7")], ids=["3e301-side", "3.6e9-side"])
+def test_contour_oversized_grid_exits_2(rendered_scene, tmp_path, argv):
+    # in a subprocess with a timeout: a check placed after the grid is built fails here instead of hanging
+    out = tmp_path / "contour.csv"
+    cmd = [sys.executable, "-m", "soundcompass.cli", "contour", "--scene", str(rendered_scene), "--source", "0", *argv]
+    env = {**os.environ, "PYTHONPATH": str(Path(soundcompass.__file__).parents[1])}
+    proc = subprocess.run(cmd + ["--out", str(out)], capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 2
+    assert re.fullmatch(r"error: --span / --step asks for a \S+ x \S+ grid, more than 1000000 points\n", proc.stderr)
     assert not out.exists()
 
 

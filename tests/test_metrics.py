@@ -11,7 +11,6 @@ from soundcompass import (
     MultichannelWaveform,
     evaluate_extraction,
     gcc_phat_itd,
-    ild,
     si_snr,
     si_snr_i,
     snr,
@@ -26,7 +25,6 @@ from soundcompass.metrics import (
     IPD_GATE_DB,
     _gcc_phat_itds,
     _ratio_db,
-    ipd,
 )
 from soundcompass.spectral import HOP as DEFAULT_HOP
 from soundcompass.spectral import WINDOW as DEFAULT_WINDOW
@@ -137,25 +135,24 @@ def test_snr_rejects_shape_mismatch(rng):
 
 
 def test_ild_values(rng):
+    """spatial_errors' per-pair ILD error is |ILD_est - ILD_ref|, ILD = 10 log10(E_i/E_j)."""
     x = rng.standard_normal(2000)
-    w = MultichannelWaveform(np.stack([x, x]), FS)
-    assert ild(w, (0, 1)) == pytest.approx(0.0, abs=1e-12)
-    w2 = MultichannelWaveform(np.stack([2.0 * x, x]), FS)
-    assert ild(w2, (0, 1)) == pytest.approx(10.0 * math.log10(4.0), abs=1e-12)
-    assert ild(w2, (1, 0)) == pytest.approx(-10.0 * math.log10(4.0), abs=1e-12)
+    same = MultichannelWaveform(np.stack([x, x]), FS)
+    louder_0 = MultichannelWaveform(np.stack([2.0 * x, x]), FS)
+    louder_1 = MultichannelWaveform(np.stack([x, 2.0 * x]), FS)
+    (p,) = spatial_errors(same, same)[3]
+    assert p.d_ild_db == 0.0
+    (p,) = spatial_errors(louder_0, same)[3]
+    assert p.d_ild_db == pytest.approx(10.0 * math.log10(4.0), abs=1e-12)
+    (p,) = spatial_errors(louder_0, louder_1)[3]
+    assert p.d_ild_db == pytest.approx(20.0 * math.log10(4.0), abs=1e-12)
 
 
 def test_ild_silent_channel_nan(rng):
-    w = MultichannelWaveform(np.stack([rng.standard_normal(500), np.zeros(500)]), FS)
-    assert math.isnan(ild(w, (0, 1)))
-
-
-def test_ild_pair_validation(rng):
-    w = MultichannelWaveform(rng.standard_normal((2, 100)), FS)
-    with pytest.raises(ValueError):
-        ild(w, (0, 2))
-    with pytest.raises(ValueError):
-        ild(w, (1, 1))
+    est = MultichannelWaveform(np.stack([rng.standard_normal(2000), np.zeros(2000)]), FS)
+    ref = MultichannelWaveform(rng.standard_normal((2, 2000)), FS)
+    (p,) = spatial_errors(est, ref)[3]
+    assert math.isnan(p.d_ild_db) and not p.defined
 
 
 # ---------------------------------------------------------------------------
@@ -319,21 +316,29 @@ def per_pair_gcc_phat_itd(w, pair, max_lag_s):
     return peak_lag / w.sample_rate
 
 
+def pair_ild_db(w, i, j):
+    """10 log10(E_i/E_j) of one pair; NaN if a channel is silent."""
+    ei, ej = (float(w.samples[c] @ w.samples[c]) for c in (i, j))
+    if ei < ENERGY_FLOOR or ej < ENERGY_FLOOR:
+        return math.nan
+    return 10.0 * math.log10(ei / ej)
+
+
 def per_pair_spatial_errors(est, ref, max_lag_s=None):
-    """One IPD per pair and signal from fresh complex spectra, ITD per call."""
+    """One ILD and IPD per pair and signal from fresh energies and complex spectra, ITD per call."""
     m = est.num_channels
     if max_lag_s is None:
         max_lag_s = 64 / est.sample_rate
     spec_est = stft(est, DEFAULT_WINDOW, DEFAULT_WINDOW.length, DEFAULT_HOP)
     spec_ref = stft(ref, DEFAULT_WINDOW, DEFAULT_WINDOW.length, DEFAULT_HOP)
-    mag_est = np.abs(spec_est.as_complex())
-    mag_ref = np.abs(spec_ref.as_complex())
+    x_est, x_ref = spec_est.as_complex(), spec_ref.as_complex()
+    mag_est, mag_ref = np.abs(x_est), np.abs(x_ref)
     peak = max(mag_est.max(), mag_ref.max())
     gate = peak * 10.0 ** (IPD_GATE_DB / 20.0)
     rows = []
     for i in range(m):
         for j in range(i + 1, m):
-            d_ild = abs(ild(est, (i, j)) - ild(ref, (i, j)))
+            d_ild = abs(pair_ild_db(est, i, j) - pair_ild_db(ref, i, j))
             mask = (
                 (mag_est[i] >= gate)
                 & (mag_est[j] >= gate)
@@ -342,7 +347,9 @@ def per_pair_spatial_errors(est, ref, max_lag_s=None):
                 & (peak > 0.0)
             )
             if mask.any():
-                diff = np.angle(np.exp(1j * (ipd(spec_est, (i, j)) - ipd(spec_ref, (i, j)))))
+                ipd_est = np.angle(x_est[j] * np.conj(x_est[i]))
+                ipd_ref = np.angle(x_ref[j] * np.conj(x_ref[i]))
+                diff = np.angle(np.exp(1j * (ipd_est - ipd_ref)))
                 d_ipd = float(np.abs(diff[mask]).mean())
             else:
                 d_ipd = math.nan

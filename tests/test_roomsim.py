@@ -9,6 +9,7 @@ from scipy.signal import fftconvolve
 
 from soundcompass import (
     MultichannelWaveform,
+    NoiseSpec,
     SceneSpec,
     SimulationError,
     SourceSpec,
@@ -441,6 +442,25 @@ def test_render_mixture_is_exact_stem_sum(scene_factory):
     for s in truth.sources:
         acc += s.direct.samples + s.reverb.samples
     np.testing.assert_array_equal(mixture.samples, acc)
+
+
+def test_render_mono_noise_adds_to_stem_sum(scene_factory, tmp_path):
+    spec = scene_factory(
+        positions=((1.2, 3.8, 1.7), (4.1, 1.4, 2.2)), rt60=0.22, absorption=None, seconds=0.2
+    )
+    noise = make_noise_wav(tmp_path / "noise.wav", seconds=0.3, seed=9)  # longer than the scene
+    spec.noise = NoiseSpec(wav=str(tmp_path / "noise.wav"), gain_db=-6.0)
+    mixture, truth = render_scene(spec)
+    num_samples = mixture.num_samples
+    assert num_samples == int(0.2 * FS)
+    # mono noise is cut to the scene, scaled, and the same on every mic
+    want = read_wav(tmp_path / "noise.wav").samples[0, :num_samples] * 10.0 ** (-6.0 / 20.0)
+    assert noise.num_samples > num_samples
+    np.testing.assert_array_equal(truth.noise.samples, np.repeat(want[None, :], 4, axis=0))
+    acc = np.zeros_like(mixture.samples)
+    for s in truth.sources:
+        acc += s.direct.samples + s.reverb.samples
+    np.testing.assert_array_equal(mixture.samples, acc + truth.noise.samples)
 
 
 def test_render_gain_scales_stems(scene_factory):

@@ -36,3 +36,36 @@ def test_steering_contour_writes_finite_grid(tmp_path):
     assert rows[0] == ["offset_az_deg", "offset_el_deg", "mean_si_snri_db"]
     assert len(rows) == 1 + 9
     assert all(math.isfinite(float(v)) for row in rows[1:] for v in row)
+
+
+def test_output_digests_agree_across_blas_threads_and_jobs(tmp_path):
+    """One BLAS thread and the default, --jobs 1 and 2: every CLI output has the same bytes."""
+    env = {**os.environ, "PYTHONPATH": str(Path(soundcompass.__file__).parents[1])}
+    envs = {"one": {**env, "OPENBLAS_NUM_THREADS": "1"}, "default": env}
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        envs["default"].pop(var, None)
+    procs = {  # both at once, so the check costs one run's wall time on two cores
+        name: subprocess.Popen(
+            [sys.executable, str(SCRIPTS / "output_digests.py"), "--out", str(tmp_path / name)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=e,
+        )
+        for name, e in envs.items()
+    }
+    outs = {}
+    try:
+        for name, proc in procs.items():
+            stdout, stderr = proc.communicate(timeout=120)
+            assert proc.returncode == 0, stderr
+            outs[name] = stdout
+    finally:
+        for proc in procs.values():
+            proc.kill()  # a no-op once it has exited
+            proc.communicate()
+    assert outs["one"] == outs["default"]
+
+    digest = {path: sha for sha, path in (line.split("  ") for line in outs["one"].splitlines())}
+    assert len(digest) == 4 + 2 * 12 + 2 * (6 + 2 + 2 + 2) + 3 + 1  # inputs, simulate, per scene, clue, fuse-check
+    jobs_2 = {path: sha for path, sha in digest.items() if "_j2" in path}
+    assert len(jobs_2) == 14  # 12 simulate files, 2 contour CSVs
+    for path, sha in jobs_2.items():
+        assert digest[path.replace("_j2", "_j1")] == sha, path
