@@ -20,6 +20,8 @@ import numpy as np
 from .audio_io import json_array, parse_json
 
 TWO_PI = 2.0 * math.pi
+SH_MAX_ORDER = 85  # sh_complex's (n+m)! converts to a float up to n + m = 170
+CYC_POS_MAX_OCTAVES = 1022  # 2^k * angle stays finite for every angle below 2pi up to k = 1021
 
 
 @dataclass
@@ -157,8 +159,8 @@ class ClueEmbedding:
 
 def encode_sh(clue: DoAClue, order: int = 5) -> ClueEmbedding:
     """[Re Y_n^m ...] then [Im Y_n^m ...], n = 0..N major, m = -n..n ascending."""
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    if not 0 <= order <= SH_MAX_ORDER:
+        raise ValueError(f"order must be in [0, {SH_MAX_ORDER}], got {order}")
     vals = [
         sh_complex(n, m, clue.polar, clue.azimuth)
         for n in range(order + 1)
@@ -170,8 +172,8 @@ def encode_sh(clue: DoAClue, order: int = 5) -> ClueEmbedding:
 
 def encode_cyc_pos(clue: DoAClue, dim: int = 72) -> ClueEmbedding:
     """Sinusoids at octave frequencies: [sin 2^k phi, cos 2^k phi]_k then same in theta."""
-    if dim % 4 != 0 or dim <= 0:
-        raise ValueError(f"dim must be a positive multiple of 4, got {dim}")
+    if dim % 4 != 0 or not 0 < dim <= 4 * CYC_POS_MAX_OCTAVES:
+        raise ValueError(f"dim must be a multiple of 4 in [4, {4 * CYC_POS_MAX_OCTAVES}], got {dim}")
     octaves = dim // 4
     parts = []
     for angle in (clue.azimuth, clue.polar):

@@ -149,8 +149,10 @@ def contour_grid(
     allows, so a point's value does not depend on the rest of the grid.
     Chunks of CONTOUR_CHUNK points run on up to jobs threads; no sum crosses chunks.
 
-    Where an output channel is exactly silent (a signal shorter than its
-    steering delays), rounding in the sums decides its capped ratio.
+    A signal no longer than the two edge strips is scored point by point,
+    serially: there the sums only cancel against the strips, and the rounding
+    left would decide the ratio of an output channel that its kernels barely
+    or never reach, as when the signal is shorter than the steering delays.
     """
     az, el = clue.to_degrees()
     clues = [DoAClue.from_degrees(az + d_az, min(max(el + d_el, -90.0), 90.0)) for d_az, d_el in grid]
@@ -167,6 +169,8 @@ def contour_grid(
     # every delay_signal kernel lies within +-half lags, whatever the clue: |floor(d)| <= int(reach) + 2
     reach = float(np.linalg.norm(offsets, axis=1).max()) * fs / SPEED_OF_SOUND
     half = KERNEL_HALF + int(reach) + 2
+    if s <= 2 * half:
+        return np.array([metrics.si_snr(delay_and_sum(mixture, c, offsets), ref) for c in clues]) - base
     lags = 4 * half  # reach of the correlation of two composed (alignment then re-projection) kernels
     n = 1 << (2 * lags).bit_length()  # holds lags -lags..lags apart, and an edge strip's 7 * half samples
 
@@ -177,7 +181,6 @@ def contour_grid(
     # Parseval on the circle: sum over a real spectrum's half, interior bins twice
     weights = np.full(n // 2 + 1, 2.0 / n)
     weights[[0, -1]] = 1.0 / n
-    strip = min(half, s // 2)  # the zero-filled ends differ within half samples of each end
     energy, dot = np.empty((2, len(delays), m))
 
     def score(chunks):  # writes only these chunks of energy and dot
@@ -189,7 +192,8 @@ def contour_grid(
             energy[chunk] = (project.real**2 + project.imag**2) * power[:, None] @ weights
             cross = sum(np.conj(align[:, i, None]) * xr[i] for i in range(m)) / m  # [P, M, n // 2 + 1]
             dot[chunk] = (np.conj(project) * cross).real @ weights
-            for lo, hi in ((-2 * half, strip), (max(s - half, strip), s + 2 * half)):
+            # the zero-filled ends differ within half samples of each end
+            for lo, hi in ((-2 * half, half), (s - half, s + 2 * half)):
                 d_energy, d_dot = _edge_sums(x, r, align, project, lo, hi, half)
                 energy[chunk] += d_energy
                 dot[chunk] += d_dot

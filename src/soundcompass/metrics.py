@@ -213,8 +213,8 @@ def spatial_errors(
     if max_lag_s is None:
         max_lag_s = 64 / est.sample_rate
 
-    x_est = stft(est, WINDOW, FFT_SIZE, HOP).as_complex()
-    x_ref = stft(ref, WINDOW, FFT_SIZE, HOP).as_complex()
+    x_est = stft(est, WINDOW, FFT_SIZE, HOP).values
+    x_ref = stft(ref, WINDOW, FFT_SIZE, HOP).values
     mag_est, mag_ref = np.abs(x_est), np.abs(x_ref)
     peak = max(mag_est.max(), mag_ref.max())
     gate = peak * 10.0 ** (IPD_GATE_DB / 20.0)

@@ -59,49 +59,37 @@ def make_gaussian_window(p: GaussianWindowParams) -> np.ndarray:
 
 @dataclass
 class ComplexSpectrogram:
-    """Per-channel complex time-frequency grid stored as stacked real planes.
+    """Per-channel complex STFT, values [M, T, F] with F = fft_size/2 + 1.
 
-    planes[0..M-1] are real parts, planes[M..2M-1] imaginary parts, so the
-    tensor is [2M, T, F] with F = fft_size/2 + 1.
+    spin_forward stacks the real and imaginary planes that SPIN reads; every
+    other reader takes the complex values as they are.
     """
 
-    planes: np.ndarray
+    values: np.ndarray
     frame_hop: int
     fft_size: int
     sample_rate: int
 
     def __post_init__(self):
-        self.planes = np.asarray(self.planes, dtype=np.float64)
-        if self.planes.ndim != 3:
-            raise ValueError("planes must be [2M, T, F]")
-        if self.planes.shape[0] % 2:
-            raise ValueError("plane count must be even (real+imag per channel)")
-        if self.planes.shape[2] != self.fft_size // 2 + 1:
+        self.values = np.asarray(self.values, dtype=np.complex128)
+        if self.values.ndim != 3:
+            raise ValueError("values must be [M, T, F]")
+        if self.values.shape[2] != self.fft_size // 2 + 1:
             raise ValueError(
-                f"F={self.planes.shape[2]} inconsistent with fft_size={self.fft_size}"
+                f"F={self.values.shape[2]} inconsistent with fft_size={self.fft_size}"
             )
 
     @property
     def num_channels(self) -> int:
-        return self.planes.shape[0] // 2
+        return self.values.shape[0]
 
     @property
     def num_frames(self) -> int:
-        return self.planes.shape[1]
+        return self.values.shape[1]
 
     @property
     def num_bins(self) -> int:
-        return self.planes.shape[2]
-
-    def as_complex(self) -> np.ndarray:
-        """[M, T, F] complex view of the stacked planes."""
-        m = self.num_channels
-        return self.planes[:m] + 1j * self.planes[m:]
-
-    @classmethod
-    def from_complex(cls, spec, frame_hop, fft_size, sample_rate):
-        planes = np.concatenate([spec.real, spec.imag], axis=0)
-        return cls(planes, frame_hop, fft_size, sample_rate)
+        return self.values.shape[2]
 
 
 def frame_count(num_samples: int, fft_size: int, hop: int) -> int:
@@ -146,7 +134,7 @@ def stft(w: MultichannelWaveform, p: GaussianWindowParams, fft_size: int, hop: i
         raise ValueError("empty signal")
     frames = frame_view(w.samples, fft_size, hop)  # [M, T, N]
     spec = np.fft.rfft(frames * make_gaussian_window(p), axis=2)
-    return ComplexSpectrogram.from_complex(spec, hop, fft_size, w.sample_rate)
+    return ComplexSpectrogram(spec, hop, fft_size, w.sample_rate)
 
 
 def synthesis_window_energy(p: GaussianWindowParams, hop: int, num_frames: int) -> np.ndarray:
@@ -178,7 +166,7 @@ def istft(spec: ComplexSpectrogram, p: GaussianWindowParams, out_len: int | None
             "widen std or shrink the hop"
         )
 
-    frames = np.fft.irfft(spec.as_complex(), n=spec.fft_size, axis=2)  # [M, T, N]
+    frames = np.fft.irfft(spec.values, n=spec.fft_size, axis=2)  # [M, T, N]
     frames *= make_gaussian_window(p)
     out = overlap_add(frames, spec.frame_hop)[:, :out_len] / energy[:out_len]
     return MultichannelWaveform(out, spec.sample_rate)

@@ -1,10 +1,10 @@
 """Pairwise-product spatial features from stacked spectrogram planes.
 
-Each of the 2M real planes (M real parts, M imaginary parts) is scaled by the
-per-(t,f) norm over all planes, so every plane lies in [-1, 1] pointwise.
-All (2M)^2 ordered pairwise products then also lie in [-1, 1]; products of a
-real and an imaginary plane carry the inter-channel phase information that a
-magnitude-only frontend drops.
+Only this module stacks the complex STFT into 2M real planes (M real parts,
+then M imaginary parts). Each is scaled by the per-(t,f) norm over all planes,
+so every plane lies in [-1, 1] pointwise. All (2M)^2 ordered pairwise products
+then also lie in [-1, 1]; products of a real and an imaginary plane carry the
+inter-channel phase information that a magnitude-only frontend drops.
 """
 
 from __future__ import annotations
@@ -17,28 +17,23 @@ from .buffers import recycled_empty
 from .spectral import ComplexSpectrogram
 
 EPS_NORM = 1e-12
-LOG_FLOOR = 1e-7
 
 
 @dataclass
 class SpinFeature:
-    """pairwise [P=(2M)^2, T, F] products (from spin_forward, a bin-major view) plus log-magnitude side input."""
+    """pairwise [P=(2M)^2, T, F] products of the planes [Re_0..Re_{M-1}, Im_0..Im_{M-1}] (from spin_forward, a bin-major view)."""
 
     pairwise: np.ndarray
-    log_mag: np.ndarray
     num_channels: int
 
     def __post_init__(self):
         self.pairwise = np.asarray(self.pairwise, dtype=np.float64)
-        self.log_mag = np.asarray(self.log_mag, dtype=np.float64)
         m2 = 2 * self.num_channels
         if self.pairwise.shape[0] != m2 * m2:
             raise ValueError(
                 f"expected {m2 * m2} pairwise planes for {self.num_channels} channels, "
                 f"got {self.pairwise.shape[0]}"
             )
-        if self.log_mag.shape != (m2,) + self.pairwise.shape[1:]:
-            raise ValueError("log_mag must be [2M, T, F] matching pairwise [.., T, F]")
 
 
 def normalize_planes(planes: np.ndarray) -> np.ndarray:
@@ -53,16 +48,14 @@ def normalize_planes(planes: np.ndarray) -> np.ndarray:
 
 
 def spin_forward(spec: ComplexSpectrogram) -> SpinFeature:
-    """All ordered pairwise products of the normalized planes, a [(2M)^2, T, F] view of [F, (2M)^2, T]."""
-    unit = normalize_planes(spec.planes)
+    """Stack spec into planes, normalize them, take all ordered pairwise products: a [(2M)^2, T, F] view of [F, (2M)^2, T]."""
+    planes = np.concatenate([spec.values.real, spec.values.imag])  # [2M, T, F]
+    unit = normalize_planes(planes)
     m2, t, f = unit.shape
     u = np.ascontiguousarray(unit.transpose(2, 0, 1))  # [F, 2M, T]
     store = np.multiply(u[:, :, None], u[:, None, :], out=recycled_empty((f, m2, m2, t)))
     pairwise = store.reshape(f, m2 * m2, t).transpose(1, 2, 0)
-    mag = np.abs(spec.as_complex())
-    log_mag_half = np.log(np.maximum(mag, LOG_FLOOR))
-    log_mag = np.concatenate([log_mag_half, log_mag_half], axis=0)
-    return SpinFeature(pairwise=pairwise, log_mag=log_mag, num_channels=spec.num_channels)
+    return SpinFeature(pairwise=pairwise, num_channels=spec.num_channels)
 
 
 def pair_index(a: int, b: int, num_channels: int) -> int:

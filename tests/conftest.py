@@ -19,6 +19,11 @@ def rng():
     return np.random.default_rng(0xC0FFEE)
 
 
+def complex_normal(rng, shape):
+    """Complex spectrogram values: the real parts are drawn first, then the imaginary parts."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def make_noise_wav(path, seconds=0.5, rate=16000, channels=1, seed=0, scale=0.3):
     r = np.random.default_rng(seed)
     x = scale * r.standard_normal((channels, int(seconds * rate)))

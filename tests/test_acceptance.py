@@ -49,7 +49,7 @@ from soundcompass.clues import sh_complex
 from soundcompass.roomsim import SPEED_OF_SOUND
 from soundcompass.spectral import BandLayout, merge_weights
 
-from conftest import make_noise_wav
+from conftest import complex_normal, make_noise_wav
 
 FS = 16000
 
@@ -111,13 +111,12 @@ def test_criterion_2_pairwise_features():
     chan_count = None
     while total_bins < 1_000_000:
         t_n, f_n = 100, 1000  # 1e5 bins per batch
-        planes = rng.standard_normal((8, t_n, f_n)) * 10.0 ** rng.uniform(-6, 6)
-        spec = ComplexSpectrogram(planes, 256, 2 * (f_n - 1), FS)
+        xc = complex_normal(rng, (4, t_n, f_n)) * 10.0 ** rng.uniform(-6, 6)
+        spec = ComplexSpectrogram(xc, 256, 2 * (f_n - 1), FS)
         feat = spin_forward(spec)
         chan_count = feat.pairwise.shape[0]
         if feat.pairwise.min() < -1.0 or feat.pairwise.max() > 1.0:
             bound_ok = False
-        xc = spec.as_complex()
         mags = np.abs(xc)
         i, j = 0, 3
         mask = (mags[i] > 1e-8) & (mags[j] > 1e-8)
@@ -224,9 +223,9 @@ def test_criterion_5_stft_round_trip():
     a = rng.standard_normal((2, 4000))
     b = rng.standard_normal((2, 4000))
     p = GaussianWindowParams(0.5, 0.25, 512)
-    sa = stft(MultichannelWaveform(a, FS), p, 512, 256).planes
-    sb = stft(MultichannelWaveform(b, FS), p, 512, 256).planes
-    sab = stft(MultichannelWaveform(1.5 * a - 0.5 * b, FS), p, 512, 256).planes
+    sa = stft(MultichannelWaveform(a, FS), p, 512, 256).values
+    sb = stft(MultichannelWaveform(b, FS), p, 512, 256).values
+    sab = stft(MultichannelWaveform(1.5 * a - 0.5 * b, FS), p, 512, 256).values
     lin_err = float(np.abs(sab - (1.5 * sa - 0.5 * sb)).max())
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-6 and lin_err <= 1e-10

@@ -6,6 +6,8 @@ from soundcompass import buffers
 from soundcompass.buffers import MIN_BYTES, recycled_empty
 from soundcompass.spin import normalize_planes
 
+from conftest import complex_normal
+
 LARGE = (4, MIN_BYTES // 8 // 4)  # exactly MIN_BYTES of float64
 
 
@@ -54,10 +56,10 @@ def test_spare_mappings_are_capped(monkeypatch):
 
 
 def test_outputs_on_reused_memory_match_reference(rng):
-    planes = rng.standard_normal((8, 64, 257))  # pairwise of 64 * 64 * 257 floats
-    spec = ComplexSpectrogram(planes, 256, 512, 16000)
+    x = complex_normal(rng, (4, 64, 257))  # pairwise of 64 * 64 * 257 floats
+    spec = ComplexSpectrogram(x, 256, 512, 16000)
     layout = make_band_layout(257, 16000)
-    unit = normalize_planes(planes)
+    unit = normalize_planes(np.concatenate([x.real, x.imag]))
     want = (unit[:, None] * unit[None, :]).reshape(64, 64, 257)
     for reused in (0, 2):
         assert len(buffers._spare) == reused

@@ -313,6 +313,25 @@ def test_featurize_outputs(tmp_path):
     assert float(np.abs(data["pairwise"]).max()) <= 1.0
 
 
+def test_featurize_log_mag(tmp_path, rng):
+    x = 0.3 * rng.standard_normal((4, 4000))
+    x[2] = 0.0  # a silent channel reads the floor everywhere
+    wav = tmp_path / "x.wav"
+    soundcompass.write_wav(soundcompass.MultichannelWaveform(x, FS), wav)
+    out = tmp_path / "feat"
+    assert main(["featurize", "--wav", str(wav), "--out", str(out)]) == 0
+    with np.load(out / "spin.npz") as data:
+        log_mag = data["log_mag"]
+    spec = soundcompass.stft(soundcompass.read_wav(wav), cli.WINDOW, 512, 256)
+    assert log_mag.dtype == np.float32
+    assert log_mag.shape == (8, spec.num_frames, 257)
+    np.testing.assert_array_equal(log_mag[:4], log_mag[4:])
+    assert np.all(log_mag[2] == np.float32(np.log(1e-7)))
+    want = np.log(np.maximum(np.abs(spec.values), 1e-7)).astype(np.float32)
+    np.testing.assert_array_equal(log_mag[:4], want)
+    assert log_mag[[0, 1, 3]].min() > np.log(1e-7)
+
+
 def test_featurize_custom_band_file(tmp_path):
     wav = tmp_path / "x.wav"
     make_noise_wav(wav, seconds=0.3, channels=2)
@@ -440,6 +459,23 @@ def test_clue_cyc_pos_periodicity(capsys):
     b = json.loads(capsys.readouterr().out)
     assert a["vector"] == pytest.approx(b["vector"], abs=1e-9)
     assert len(a["vector"]) == 2 * 4**2  # 2 (order+1)^2
+
+
+# sh: (n+m)! past 170 does not convert to a float; cyc-pos: 2**k * angle overflows
+# past 1022 octaves, and --order 44 gives a dim (2 * 45**2) that is no multiple of 4
+@pytest.mark.parametrize(
+    "kind, largest, too_large, message",
+    [
+        ("sh", 85, 86, "order must be in [0, 85], got 86"),
+        ("cyc-pos", 43, 45, "dim must be a multiple of 4 in [4, 4088], got 4232"),
+    ],
+)
+def test_clue_order_past_float_range_exits_2(capsys, kind, largest, too_large, message):
+    assert main(["clue", "--az", "45", "--el", "10", "--kind", kind, "--order", str(largest)]) == 0
+    assert np.isfinite(json.loads(capsys.readouterr().out)["vector"]).all()
+    assert main(["clue", "--az", "45", "--el", "10", "--kind", kind, "--order", str(too_large)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_clue_time_varying(tmp_path):

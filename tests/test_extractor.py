@@ -218,6 +218,21 @@ def test_contour_grid_short_signal_wide_array(rng, samples):
     np.testing.assert_allclose(got, per_point_contour(mixture, ref, offsets, clue, GRID_5X5), rtol=0, atol=1e-9)
 
 
+def test_contour_grid_signal_shorter_than_steering_delays(rng):
+    # 7 samples against up to 49 samples of delay: delay_and_sum leaves some
+    # output channels exactly zero and others made of kernel tails alone
+    offsets = 25.0 * tetrahedral_offsets()
+    mixture = MultichannelWaveform(rng.standard_normal((4, 7)), FS)
+    ref = MultichannelWaveform(rng.standard_normal((4, 7)), FS)
+    clue = DoAClue.from_degrees(30.0, 10.0)
+    grid = [(d_az, d_el) for d_az in range(-40, 80, 20) for d_el in range(-40, 80, 20)]
+    az0, el0 = clue.to_degrees()
+    outs = [delay_and_sum(mixture, DoAClue.from_degrees(az0 + a, min(el0 + e, 90.0)), offsets) for a, e in grid]
+    assert any(not ch.any() for out in outs for ch in out.samples)  # the probe holds an exactly silent channel
+    got = contour_grid(mixture, ref, offsets, clue, grid)
+    np.testing.assert_allclose(got, per_point_contour(mixture, ref, offsets, clue, grid), rtol=0, atol=1e-9)
+
+
 def test_contour_grid_all_zero_mixture(rng):
     offsets = tetrahedral_offsets()
     mixture = MultichannelWaveform(np.zeros((4, 1000)), FS)

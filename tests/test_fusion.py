@@ -26,7 +26,7 @@ from soundcompass import (
 from soundcompass import fusion
 from soundcompass.fusion import ADANORM_EPS, BAND_PARAMS, FusedFeature
 
-from conftest import UNREADABLE_JSON, mutated_json
+from conftest import UNREADABLE_JSON, complex_normal, mutated_json
 
 
 def make_encoder(rng, dim_in, dim_out, bias_free=False):
@@ -217,8 +217,7 @@ def test_encode_band_feature_shape(rng):
 
 def test_fuse_all_bands_shapes(rng):
     layout = make_band_layout(33, 2000, f_min=80.0)
-    planes = rng.standard_normal((4, 5, 33))
-    spin = spin_forward(ComplexSpectrogram(planes, 32, 64, 2000))
+    spin = spin_forward(ComplexSpectrogram(complex_normal(rng, (2, 5, 33)), 32, 64, 2000))
     weights = init_fusion_weights(layout, dim_clue=6, c_in=16, c_band=3, hidden=5, seed=1)
     fused = fuse_all_bands(spin, layout, rng.standard_normal(6), weights)
     assert len(fused.bands) == layout.num_bands
@@ -228,8 +227,7 @@ def test_fuse_all_bands_shapes(rng):
 
 def test_fuse_all_bands_single_band_matches_manual(rng):
     layout = BandLayout(bands=[(0, 8)], num_bins=9)
-    planes = rng.standard_normal((4, 5, 9))
-    spin = spin_forward(ComplexSpectrogram(planes, 8, 16, 16000))
+    spin = spin_forward(ComplexSpectrogram(complex_normal(rng, (2, 5, 9)), 8, 16, 16000))
     weights = init_fusion_weights(layout, dim_clue=6, c_in=16, c_band=3, hidden=5, seed=2)
     clue = rng.standard_normal(6)
     fused = fuse_all_bands(spin, layout, clue, weights)
@@ -241,8 +239,7 @@ def test_fuse_all_bands_single_band_matches_manual(rng):
 
 def test_fuse_all_bands_error_names_band(rng):
     layout = BandLayout(bands=[(0, 4), (3, 8)], num_bins=9)
-    planes = rng.standard_normal((4, 5, 9))
-    spin = spin_forward(ComplexSpectrogram(planes, 8, 16, 16000))
+    spin = spin_forward(ComplexSpectrogram(complex_normal(rng, (2, 5, 9)), 8, 16, 16000))
     weights = init_fusion_weights(layout, dim_clue=6, c_in=16, c_band=3, hidden=5)
     with pytest.raises(ValueError, match="band 0"):
         fuse_all_bands(spin, layout, rng.standard_normal(7), weights)
@@ -491,7 +488,7 @@ def test_encode_band_feature_checks_kept(rng):
 
 def test_fuse_all_bands_matches_per_band_references(rng):
     layout = make_band_layout(33, 2000, f_min=80.0)
-    spin = spin_forward(ComplexSpectrogram(rng.standard_normal((8, 9, 33)), 16, 64, 2000))
+    spin = spin_forward(ComplexSpectrogram(complex_normal(rng, (4, 9, 33)), 16, 64, 2000))
     c_in = spin.pairwise.shape[0]
     weights = init_fusion_weights(layout, dim_clue=6, c_in=c_in, c_band=4, hidden=5, seed=3)
     clue = rng.standard_normal((9, 6))
@@ -554,8 +551,7 @@ def test_save_load_forward_equivalence(tmp_path, rng):
     weights = init_fusion_weights(layout, dim_clue=6, c_in=16, c_band=3, hidden=5, seed=4)
     save_weights(weights, tmp_path / "w.bin", tmp_path / "w.json")
     loaded = load_weights(tmp_path / "w.bin", tmp_path / "w.json")
-    planes = rng.standard_normal((4, 5, 9))
-    spin = spin_forward(ComplexSpectrogram(planes, 8, 16, 16000))
+    spin = spin_forward(ComplexSpectrogram(complex_normal(rng, (2, 5, 9)), 8, 16, 16000))
     clue = rng.standard_normal(6)
     a = fuse_all_bands(spin, layout, clue, weights)
     b = fuse_all_bands(spin, layout, clue, loaded)

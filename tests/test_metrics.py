@@ -331,7 +331,7 @@ def per_pair_spatial_errors(est, ref, max_lag_s=None):
         max_lag_s = 64 / est.sample_rate
     spec_est = stft(est, DEFAULT_WINDOW, DEFAULT_WINDOW.length, DEFAULT_HOP)
     spec_ref = stft(ref, DEFAULT_WINDOW, DEFAULT_WINDOW.length, DEFAULT_HOP)
-    x_est, x_ref = spec_est.as_complex(), spec_ref.as_complex()
+    x_est, x_ref = spec_est.values, spec_ref.values
     mag_est, mag_ref = np.abs(x_est), np.abs(x_ref)
     peak = max(mag_est.max(), mag_ref.max())
     gate = peak * 10.0 ** (IPD_GATE_DB / 20.0)

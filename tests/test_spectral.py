@@ -21,7 +21,7 @@ from soundcompass import (
 )
 from soundcompass.spectral import frame_count, merge_weights, synthesis_window_energy
 
-from conftest import UNREADABLE_JSON, mutated_json
+from conftest import UNREADABLE_JSON, complex_normal, mutated_json
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +72,8 @@ def test_stft_reference_shape(rng):
     # 4 channels, 4 s at 16 kHz, fft 512, hop 256: T = (64000-512)//256 + 2
     x = MultichannelWaveform(rng.standard_normal((4, 64000)), 16000)
     spec = stft(x, DEFAULT_P, 512, 256)
-    assert spec.planes.shape == (8, 250, 257)
+    assert spec.values.shape == (4, 250, 257)
+    assert spec.values.dtype == np.complex128
     assert spec.num_channels == 4
     assert spec.num_frames == frame_count(64000, 512, 256) == 250
     assert spec.num_bins == 257
@@ -87,15 +88,15 @@ def test_stft_short_signal_single_frame(rng):
 def test_stft_zero_signal():
     x = MultichannelWaveform(np.zeros((2, 5000)), 16000)
     spec = stft(x, DEFAULT_P, 512, 256)
-    assert np.all(spec.planes == 0.0)
+    assert np.all(spec.values == 0.0)
 
 
 def test_stft_linearity(rng):
     a = rng.standard_normal((2, 4000))
     b = rng.standard_normal((2, 4000))
-    sa = stft(MultichannelWaveform(a, 16000), DEFAULT_P, 512, 256).planes
-    sb = stft(MultichannelWaveform(b, 16000), DEFAULT_P, 512, 256).planes
-    sab = stft(MultichannelWaveform(2.0 * a - 3.0 * b, 16000), DEFAULT_P, 512, 256).planes
+    sa = stft(MultichannelWaveform(a, 16000), DEFAULT_P, 512, 256).values
+    sb = stft(MultichannelWaveform(b, 16000), DEFAULT_P, 512, 256).values
+    sab = stft(MultichannelWaveform(2.0 * a - 3.0 * b, 16000), DEFAULT_P, 512, 256).values
     np.testing.assert_allclose(sab, 2.0 * sa - 3.0 * sb, atol=1e-10)
 
 
@@ -106,7 +107,7 @@ def test_stft_bin_centered_cosine_concentrates():
     t = np.arange(n * 4) / fs
     x = MultichannelWaveform(np.cos(2 * np.pi * (20 * fs / n) * t)[None, :], fs)
     spec = stft(x, p, n, n)  # hop = fft: no overlap, full frames only
-    frame = np.abs(spec.as_complex()[0, 1])  # interior frame
+    frame = np.abs(spec.values[0, 1])  # interior frame
     energy = frame**2
     assert energy[20] / energy.sum() >= 0.99
 
@@ -118,7 +119,7 @@ def test_stft_parseval_per_frame(rng):
     window = make_gaussian_window(p)
     padded = np.zeros((spec.num_frames - 1) * 256 + 512)
     padded[:3000] = x[0]
-    xc = spec.as_complex()[0]
+    xc = spec.values[0]
     for t in range(spec.num_frames):
         seg = padded[t * 256 : t * 256 + 512] * window
         spec_energy = (np.abs(xc[t, 0]) ** 2 + np.abs(xc[t, -1]) ** 2 + 2 * (np.abs(xc[t, 1:-1]) ** 2).sum()) / 512
@@ -205,7 +206,7 @@ def slice_stacking_stft(w, p, fft_size, hop):
     padded[:, : x.shape[1]] = x
     frames = np.stack([padded[:, s : s + fft_size] for s in np.arange(t_frames) * hop], axis=1)
     spec = np.fft.rfft(frames * make_gaussian_window(p), axis=2)
-    return ComplexSpectrogram.from_complex(spec, hop, fft_size, w.sample_rate)
+    return ComplexSpectrogram(spec, hop, fft_size, w.sample_rate)
 
 
 @pytest.mark.parametrize(
@@ -218,8 +219,8 @@ def test_stft_equals_slice_stacking_bitwise(rng, channels, samples, fft_size, ho
     p = GaussianWindowParams(mean=0.45, std=0.2, length=fft_size)
     got = stft(w, p, fft_size, hop)
     want = slice_stacking_stft(w, p, fft_size, hop)
-    assert got.planes.shape == want.planes.shape
-    assert np.array_equal(got.planes, want.planes)
+    assert got.values.shape == want.values.shape
+    assert np.array_equal(got.values, want.values)
 
 
 def loop_synthesis_window_energy(p, hop, num_frames):
@@ -238,7 +239,7 @@ def loop_istft(spec, p, out_len):
     t_frames = spec.num_frames
     energy = loop_synthesis_window_energy(p, hop, t_frames)
     window = make_gaussian_window(p)
-    frames = np.fft.irfft(spec.as_complex(), n=fft_size, axis=2)
+    frames = np.fft.irfft(spec.values, n=fft_size, axis=2)
     acc = np.zeros((spec.num_channels, (t_frames - 1) * hop + fft_size))
     for t in range(t_frames):
         acc[:, t * hop : t * hop + fft_size] += frames[:, t, :] * window
@@ -266,8 +267,7 @@ def test_overlap_add_equals_per_frame_loops_bitwise(rng, channels, samples, fft_
     assert got.shape == want.shape
     assert np.array_equal(got, want)
 
-    planes = rng.standard_normal((2 * channels, t_frames, fft_size // 2 + 1))
-    spec = ComplexSpectrogram(planes, hop, fft_size, 16000)
+    spec = ComplexSpectrogram(complex_normal(rng, (channels, t_frames, fft_size // 2 + 1)), hop, fft_size, 16000)
     for out_len in (samples, (t_frames - 1) * hop + fft_size):
         got = istft(spec, p, out_len=out_len).samples
         want = loop_istft(spec, p, out_len)
@@ -540,14 +540,7 @@ def test_split_rejects_wrong_bins(rng):
 
 
 def test_spectrogram_validation(rng):
-    with pytest.raises(ValueError):
-        ComplexSpectrogram(rng.standard_normal((3, 4, 257)), 256, 512, 16000)  # odd planes
-    with pytest.raises(ValueError):
-        ComplexSpectrogram(rng.standard_normal((2, 4, 100)), 256, 512, 16000)  # F mismatch
-
-
-def test_spectrogram_complex_round_trip(rng):
-    planes = rng.standard_normal((4, 6, 257))
-    spec = ComplexSpectrogram(planes, 256, 512, 16000)
-    rebuilt = ComplexSpectrogram.from_complex(spec.as_complex(), 256, 512, 16000)
-    np.testing.assert_array_equal(rebuilt.planes, planes)
+    with pytest.raises(ValueError, match=r"\[M, T, F\]"):
+        ComplexSpectrogram(complex_normal(rng, (4, 257)), 256, 512, 16000)
+    with pytest.raises(ValueError, match="inconsistent"):
+        ComplexSpectrogram(complex_normal(rng, (2, 4, 100)), 256, 512, 16000)  # F mismatch

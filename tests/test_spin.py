@@ -12,18 +12,18 @@ from soundcompass import (
     spin_forward,
     stft,
 )
-from soundcompass.spin import LOG_FLOOR, normalize_planes, pair_index
+from soundcompass.spin import normalize_planes, pair_index
+
+from conftest import complex_normal
 
 
 def random_spec(rng, channels=4, frames=6, bins=17):
-    planes = rng.standard_normal((2 * channels, frames, bins))
-    return ComplexSpectrogram(planes, 256, 2 * (bins - 1), 16000)
+    return ComplexSpectrogram(complex_normal(rng, (channels, frames, bins)), 256, 2 * (bins - 1), 16000)
 
 
 def test_output_shapes(rng):
     feat = spin_forward(random_spec(rng))
     assert feat.pairwise.shape == (64, 6, 17)
-    assert feat.log_mag.shape == (8, 6, 17)
     assert feat.num_channels == 4
 
 
@@ -38,8 +38,7 @@ def test_pairwise_bounded(rng):
 @given(scale=st.floats(1e-6, 1e6), channels=st.sampled_from([1, 2, 4]))
 def test_pairwise_bounded_across_scales(scale, channels):
     rng = np.random.default_rng(7)
-    planes = scale * rng.standard_normal((2 * channels, 3, 9))
-    feat = spin_forward(ComplexSpectrogram(planes, 256, 16, 16000))
+    feat = spin_forward(ComplexSpectrogram(scale * complex_normal(rng, (channels, 3, 9)), 256, 16, 16000))
     assert np.all(np.abs(feat.pairwise) <= 1.0)
     assert feat.pairwise.shape[0] == (2 * channels) ** 2
 
@@ -56,7 +55,9 @@ def test_zero_cells_stay_zero(rng):
     planes[:, 2, 3] = 0.0
     unit = normalize_planes(planes)
     assert np.all(unit[:, 2, 3] == 0.0)
-    feat = spin_forward(ComplexSpectrogram(planes, 256, 8, 16000))
+    x = complex_normal(rng, (4, 4, 5))
+    x[:, 2, 3] = 0.0
+    feat = spin_forward(ComplexSpectrogram(x, 256, 8, 16000))
     assert np.all(feat.pairwise[:, 2, 3] == 0.0)
 
 
@@ -69,9 +70,9 @@ def test_tiny_cells_never_amplified():
 
 
 def test_scale_invariance(rng):
-    planes = rng.standard_normal((8, 5, 9))
-    a = spin_forward(ComplexSpectrogram(planes, 256, 16, 16000))
-    b = spin_forward(ComplexSpectrogram(1e3 * planes, 256, 16, 16000))
+    x = complex_normal(rng, (4, 5, 9))
+    a = spin_forward(ComplexSpectrogram(x, 256, 16, 16000))
+    b = spin_forward(ComplexSpectrogram(1e3 * x, 256, 16, 16000))
     np.testing.assert_allclose(a.pairwise, b.pairwise, atol=1e-12)
 
 
@@ -91,28 +92,13 @@ def test_diagonal_nonnegative(rng):
         assert np.all(feat.pairwise[pair_index(a, a, 4)] >= 0.0)
 
 
-def test_log_mag_floor():
-    planes = np.zeros((4, 2, 3))
-    feat = spin_forward(ComplexSpectrogram(planes, 2, 4, 16000))
-    np.testing.assert_allclose(feat.log_mag, np.log(LOG_FLOOR))
-
-
-def test_log_mag_values(rng):
-    planes = rng.standard_normal((8, 3, 5))
-    spec = ComplexSpectrogram(planes, 4, 8, 16000)
-    feat = spin_forward(spec)
-    mags = np.abs(spec.as_complex())  # [M, T, F]
-    expected = np.log(np.maximum(np.tile(mags, (2, 1, 1)), LOG_FLOOR))
-    np.testing.assert_allclose(feat.log_mag, expected, atol=1e-12)
-
-
 def test_ipd_recovery_exact(rng):
     # IPD of the input spectrogram must be recoverable from products alone
     mags = rng.uniform(0.5, 2.0, size=(3, 7, 9))
     phases = rng.uniform(-np.pi, np.pi, size=(3, 7, 9))
-    spec = ComplexSpectrogram.from_complex(mags * np.exp(1j * phases), 256, 16, 16000)
+    spec = ComplexSpectrogram(mags * np.exp(1j * phases), 256, 16, 16000)
     feat = spin_forward(spec)
-    xc = spec.as_complex()
+    xc = spec.values
     for i in range(3):
         for j in range(3):
             true_ipd = np.angle(xc[j] * np.conj(xc[i]))
@@ -125,7 +111,7 @@ def test_ipd_recovery_from_waveform_stft(rng):
     x = MultichannelWaveform(rng.standard_normal((2, 4000)), 16000)
     spec = stft(x, GaussianWindowParams(0.5, 0.3, 512), 512, 256)
     feat = spin_forward(spec)
-    xc = spec.as_complex()
+    xc = spec.values
     true_ipd = np.angle(xc[1] * np.conj(xc[0]))
     got = recover_ipd(feat, 0, 1)
     # compare only where both channels carry energy
@@ -144,17 +130,7 @@ def test_recover_ipd_validates_channels(rng):
 
 def test_spin_feature_validation(rng):
     with pytest.raises(ValueError):
-        SpinFeature(
-            pairwise=rng.standard_normal((63, 4, 5)),
-            log_mag=rng.standard_normal((8, 4, 5)),
-            num_channels=4,
-        )
-    with pytest.raises(ValueError):
-        SpinFeature(
-            pairwise=rng.standard_normal((64, 4, 5)),
-            log_mag=rng.standard_normal((8, 3, 5)),
-            num_channels=4,
-        )
+        SpinFeature(pairwise=rng.standard_normal((63, 4, 5)), num_channels=4)
 
 
 def test_single_channel_four_products(rng):
