@@ -79,6 +79,6 @@ from .spectral import (
     split_bands,
     stft,
 )
-from .spin import SpinFeature, normalize_planes, recover_ipd, spin_forward
+from .spin import SpinFeature, log_magnitude, normalize_planes, recover_ipd, spin_forward
 
 __version__ = "0.1.0"

@@ -28,14 +28,13 @@ from .metrics import si_snr_i  # noqa: F401  (unused here; perfbench wraps cli.s
 from .roomsim import read_scene_dir, read_source_reference, render_scene_to_dir
 from .scenes import read_manifest
 from .spectral import FFT_SIZE, HOP, WINDOW, BandLayout, make_band_layout, stft
-from .spin import spin_forward
+from .spin import log_magnitude, spin_forward
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INVALID = 2
 
 CONTOUR_MAX_POINTS = 10**6  # a 999x999 grid fits; about 4 min at the README's 61x61 rate
-LOG_FLOOR = 1e-7  # featurize's log_mag floor: log(max(|X|, LOG_FLOOR))
 
 # CliError, SceneValidationError, WavFormatError, SimulationError and read_json's errors are ValueErrors
 INVALID_INPUT_ERRORS = (
@@ -130,11 +129,10 @@ def cmd_featurize(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    log_mag = np.log(np.maximum(np.abs(spec.values), LOG_FLOOR)).astype(np.float32)  # [M, T, F]
     np.savez(
         out / "spin.npz",
         pairwise=feat.pairwise.astype(np.float32),
-        log_mag=np.concatenate([log_mag, log_mag]),  # [2M, T, F]: one row per plane, Re and Im rows alike
+        log_mag=log_magnitude(spec).astype(np.float32),
         num_channels=np.int64(feat.num_channels),
         frame_hop=np.int64(args.hop),
         fft_size=np.int64(args.fft),

@@ -17,6 +17,7 @@ from .buffers import recycled_empty
 from .spectral import ComplexSpectrogram
 
 EPS_NORM = 1e-12
+LOG_FLOOR = 1e-7  # log_magnitude's floor: log(max(|X|, LOG_FLOOR))
 
 
 @dataclass
@@ -56,6 +57,12 @@ def spin_forward(spec: ComplexSpectrogram) -> SpinFeature:
     store = np.multiply(u[:, :, None], u[:, None, :], out=recycled_empty((f, m2, m2, t)))
     pairwise = store.reshape(f, m2 * m2, t).transpose(1, 2, 0)
     return SpinFeature(pairwise=pairwise, num_channels=spec.num_channels)
+
+
+def log_magnitude(spec: ComplexSpectrogram) -> np.ndarray:
+    """[2M, T, F] log(max(|X_m|, LOG_FLOOR)), one row per plane: the Re and Im rows of a channel alike."""
+    log_mag = np.log(np.maximum(np.abs(spec.values), LOG_FLOOR))  # [M, T, F]
+    return np.concatenate([log_mag, log_mag])
 
 
 def pair_index(a: int, b: int, num_channels: int) -> int:

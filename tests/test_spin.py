@@ -12,7 +12,7 @@ from soundcompass import (
     spin_forward,
     stft,
 )
-from soundcompass.spin import normalize_planes, pair_index
+from soundcompass.spin import LOG_FLOOR, log_magnitude, normalize_planes, pair_index
 
 from conftest import complex_normal
 
@@ -90,6 +90,20 @@ def test_diagonal_nonnegative(rng):
     feat = spin_forward(random_spec(rng))
     for a in range(8):
         assert np.all(feat.pairwise[pair_index(a, a, 4)] >= 0.0)
+
+
+def test_log_mag_floor():
+    spec = ComplexSpectrogram(np.zeros((2, 2, 3), dtype=complex), 2, 4, 16000)
+    log_mag = log_magnitude(spec)
+    assert log_mag.shape == (4, 2, 3)
+    np.testing.assert_allclose(log_mag, np.log(LOG_FLOOR))
+
+
+def test_log_mag_values(rng):
+    spec = ComplexSpectrogram(complex_normal(rng, (4, 3, 5)), 4, 8, 16000)
+    mags = np.abs(spec.values)  # [M, T, F]
+    expected = np.log(np.maximum(np.tile(mags, (2, 1, 1)), LOG_FLOOR))
+    np.testing.assert_allclose(log_magnitude(spec), expected, atol=1e-12)
 
 
 def test_ipd_recovery_exact(rng):
