@@ -154,9 +154,10 @@ def cmd_clue(args) -> int:
     clue = DoAClue.from_degrees(args.az, args.el)
     if args.kind == "sh":
         emb = encode_sh(clue, args.order)
+    elif args.order % 2 == 0:  # 2 (order + 1)^2 is a multiple of 4 only for odd orders
+        raise CliError(f"--order {args.order}: --kind cyc-pos works with odd orders only")
     else:
-        dim = 2 * (args.order + 1) ** 2
-        emb = encode_cyc_pos(clue, dim)
+        emb = encode_cyc_pos(clue, 2 * (args.order + 1) ** 2)
 
     payload = {"kind": emb.kind, "order": emb.order}
     if (args.activation is None) != (args.frames is None):

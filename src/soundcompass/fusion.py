@@ -188,8 +188,19 @@ def _encode_columns(cols: np.ndarray, w: EncoderWeights):
     z *= a
     z *= w.gain[:, None]
     z += w.bias[:, None]
-    np.multiply(z, w.prelu_slope, out=z, where=z < 0.0)
+    _prelu(z, w.prelu_slope)
     return z, a, s
+
+
+def _prelu(z: np.ndarray, slope: float) -> None:
+    """In-place PReLU with the masked multiply's bits, branch-free as max(z, slope z) for 0 < slope <= 1.
+
+    Slope 0 keeps the mask (+inf * 0 is NaN), and so does a negative slope (the max flips a zero's sign).
+    """
+    if 0.0 < slope <= 1.0:
+        np.maximum(z, z * slope, out=z)
+    else:
+        np.multiply(z, slope, out=z, where=z < 0.0)
 
 
 def _clue_matrix(clue, dim_expected: int, num_frames: int) -> tuple[np.ndarray, bool]:

@@ -6,6 +6,13 @@ the wall at 0 and |m_d| times off the wall at L along each axis d. Each image
 contributes an attenuated, fractionally delayed copy: amplitude
 (product of wall reflection coefficients) / (4 pi distance), delay d/c.
 
+The images form a Cartesian product of per-axis reflections, so coordinates
+and gains are kept per axis and never built as 3-vectors: a mic's squared
+distances are the cube sum (dx^2 + dy^2) + dz^2 of its per-axis squares,
+gathered at the live images (gain above 1e-12) and square-rooted. That is
+the sum order np.linalg.norm takes over [x, y, z], so the taps are the same
+bits as a norm over materialized image positions.
+
 Rendering convolves each source with its RIR, splitting the zeroth-order
 (direct) tap from the rest so direct and reverberant stems are separate
 targets; their sum equals the full convolution by linearity.
@@ -118,27 +125,14 @@ class RoomImpulseResponse:
         return self.taps - self.direct_taps
 
 
-def _image_sources(src, room, betas, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positions [I, 3] and reflection gains [I] of the live images up to order."""
+def _image_axes(src, room, betas, order: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-axis image coordinates and reflection-coefficient products, [2 (2 order + 1)] each."""
     ms = np.arange(-order, order + 1)
-    # per-axis image coordinates and reflection-coefficient products
-    axis_coords, axis_gains = [], []
+    coords, gains = [], []
     for d in range(3):
-        coords, gains = [], []
-        for p in (0, 1):
-            c = (1 - 2 * p) * src[d] + 2 * ms * room[d]
-            g = betas[2 * d] ** np.abs(ms - p) * betas[2 * d + 1] ** np.abs(ms)
-            coords.append(c)
-            gains.append(g)
-        axis_coords.append(np.concatenate(coords))
-        axis_gains.append(np.concatenate(gains))
-
-    cx, cy, cz = np.meshgrid(*axis_coords, indexing="ij")
-    gx, gy, gz = np.meshgrid(*axis_gains, indexing="ij")
-    positions = np.stack([cx.ravel(), cy.ravel(), cz.ravel()], axis=1)  # [I, 3]
-    gains = (gx * gy * gz).ravel()
-    keep = gains > 1e-12
-    return positions[keep], gains[keep]
+        coords.append(np.concatenate([(1 - 2 * p) * src[d] + 2 * ms * room[d] for p in (0, 1)]))
+        gains.append(np.concatenate([betas[2 * d] ** np.abs(ms - p) * betas[2 * d + 1] ** np.abs(ms) for p in (0, 1)]))
+    return coords, gains
 
 
 def _quantize(delays):
@@ -186,8 +180,11 @@ def simulate_rir(spec: SceneSpec, source_index: int, sample_rate: int = 16000) -
     # an anechoic room has only the direct image
     order, capped = (0, False) if np.all(betas == 0.0) else _image_order(spec, absorptions)
 
-    positions, gains = _image_sources(src, room, betas, order)
-    if positions.shape[0] == 0:
+    coords, (gx, gy, gz) = _image_axes(src, room, betas, order)
+    cube = gx[:, None, None] * gy[:, None] * gz  # gains of the image cube, x-major
+    live = np.flatnonzero(cube > 1e-12)
+    gains = cube.ravel()[live]
+    if live.size == 0:
         raise SimulationError("no live image sources; absorption layout degenerate")
 
     fs = sample_rate
@@ -199,10 +196,15 @@ def simulate_rir(spec: SceneSpec, source_index: int, sample_rate: int = 16000) -
         raise SimulationError(
             f"source {source_index} is within 1 mm of mic {near[0]}; geometry degenerate"
         )
-    dists = np.empty((num_mics, positions.shape[0]))
+    dists = np.empty((num_mics, live.size))
     for mi in range(num_mics):
-        dists[mi] = np.maximum(np.linalg.norm(positions - mics[mi], axis=1), MIN_SOURCE_MIC_DISTANCE)
-    del positions
+        # np.linalg.norm's sum order, sqrt((dx^2 + dy^2) + dz^2), with the cube reused for the squares;
+        # every index is live, so mode="clip" changes nothing but lets take write into dists unbuffered
+        dx2, dy2, dz2 = ((c - m) ** 2 for c, m in zip(coords, mics[mi]))
+        np.add(dx2[:, None, None] + dy2[:, None], dz2, out=cube)
+        np.sqrt(cube.take(live, out=dists[mi], mode="clip"), out=dists[mi])
+    np.maximum(dists, MIN_SOURCE_MIC_DISTANCE, out=dists)
+    del cube, live
 
     # the farthest image sets each channel's length; the longest channel sets the RIR's
     last, _ = _quantize(dists.max(axis=1) / SPEED_OF_SOUND * fs)

@@ -461,6 +461,12 @@ def test_clue_cyc_pos_periodicity(capsys):
     assert len(a["vector"]) == 2 * 4**2  # 2 (order+1)^2
 
 
+@pytest.mark.parametrize("order", [0, 4, 44, -2])
+def test_clue_cyc_pos_even_order_exits_2(capsys, order):
+    assert main(["clue", "--az", "45", "--el", "10", "--kind", "cyc-pos", "--order", str(order)]) == 2
+    assert capsys.readouterr().err == f"error: --order {order}: --kind cyc-pos works with odd orders only\n"
+
+
 # sh: (n+m)! past 170 does not convert to a float; cyc-pos: 2**k * angle overflows
 # past 1022 octaves, and --order 44 gives a dim (2 * 45**2) that is no multiple of 4
 @pytest.mark.parametrize(

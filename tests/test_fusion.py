@@ -155,6 +155,18 @@ def test_relu_limit_zero_slope(rng):
     assert (out == 0.0).any()  # some units do go negative pre-activation
 
 
+@pytest.mark.parametrize("slope", [-0.5, 0.0, 0.25, 1.0, 1.5])
+def test_prelu_equals_masked_multiply_bitwise(rng, slope):
+    tiny = np.finfo(np.float64).smallest_subnormal
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny, 3 * tiny, -2.5e-310, 2.5e-310]
+    z = np.concatenate([special, rng.standard_normal(1000), 1e300 * rng.standard_normal(50)])
+    want = z.copy()
+    with np.errstate(invalid="ignore"):  # -inf * 0 is NaN on both paths
+        np.multiply(want, slope, out=want, where=want < 0.0)
+        fusion._prelu(z, slope)
+    assert z.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
 def test_zero_clue_bias_free_passthrough(rng):
     # all-zero clue through a bias-free encoder leaves h = 0, so with zero
     # gamma/beta biases the modulation is exactly the identity

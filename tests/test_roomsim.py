@@ -1,9 +1,12 @@
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
@@ -170,15 +173,35 @@ def test_source_index_out_of_range():
 # Image scatter against the per-fraction np.add.at reference
 
 
-def reference_rir(spec, source_index):
-    """Taps, direct taps and direct index by scattering each fraction with np.add.at per mic."""
+def image_sources(spec, source_index):
+    """Positions [I, 3] and gains [I] of the live images, the whole image cube built from meshgrids.
+
+    Returns the source and mic positions too.
+    """
     room = np.asarray(spec.room_dims, dtype=np.float64)
     src = np.asarray(spec.sources[source_index].position, dtype=np.float64)
     mics = np.asarray(spec.array_center, dtype=np.float64) + spec.array_offsets
     absorptions = roomsim._wall_absorptions(spec)
     betas = np.sqrt(np.clip(1.0 - absorptions, 0.0, 1.0))
     order = 0 if np.all(betas == 0.0) else roomsim._image_order(spec, absorptions)[0]
-    positions, gains = roomsim._image_sources(src, room, betas, order)
+    ms = np.arange(-order, order + 1)
+    axis_coords, axis_gains = [], []
+    for d in range(3):
+        axis_coords.append(np.concatenate([(1 - 2 * p) * src[d] + 2 * ms * room[d] for p in (0, 1)]))
+        axis_gains.append(
+            np.concatenate([betas[2 * d] ** np.abs(ms - p) * betas[2 * d + 1] ** np.abs(ms) for p in (0, 1)])
+        )
+    cx, cy, cz = np.meshgrid(*axis_coords, indexing="ij")
+    gx, gy, gz = np.meshgrid(*axis_gains, indexing="ij")
+    positions = np.stack([cx.ravel(), cy.ravel(), cz.ravel()], axis=1)
+    gains = (gx * gy * gz).ravel()
+    keep = gains > 1e-12
+    return positions[keep], gains[keep], src, mics
+
+
+def reference_rir(spec, source_index):
+    """Taps, direct taps and direct index by scattering each fraction with np.add.at per mic."""
+    positions, gains, src, mics = image_sources(spec, source_index)
 
     def scatter(taps, d_int, q, amps):
         tap_range = np.arange(KERNEL_TAPS)
@@ -245,6 +268,58 @@ def test_scatter_matches_add_at_reference(positions, room, center, absorption, r
         np.testing.assert_array_equal(rir.direct_taps, rir.taps)
     # the nearest mic hears the source within KERNEL_HALF samples: its kernel starts before sample 0
     assert (rir.direct_tap_index.min() < KERNEL_HALF) == clipped
+
+
+def meshgrid_rir(spec, source_index):
+    """Taps, direct taps and image count from image_sources with a norm per mic, through roomsim's scatter."""
+    positions, gains, src, mics = image_sources(spec, source_index)
+    dists = np.stack([np.maximum(np.linalg.norm(positions - mic, axis=1), 1e-3) for mic in mics])
+    direct_dists = np.linalg.norm(src - mics, axis=1)
+    last, _ = roomsim._quantize(dists.max(axis=1) / SPEED_OF_SOUND * FS)
+    taps = np.zeros((len(mics), int(last.max()) + KERNEL_TAPS + 1))
+    direct = np.zeros_like(taps)
+    dd_int, dq = roomsim._quantize(direct_dists / SPEED_OF_SOUND * FS)
+    for mi, d in enumerate(dists):
+        d_int, q = roomsim._quantize(d / SPEED_OF_SOUND * FS)
+        roomsim._scatter(taps[mi], d_int, q, gains / (4.0 * np.pi * d))
+        kernel = 1.0 / (4.0 * np.pi * direct_dists[mi]) * roomsim.KERNEL_TABLE[dq[mi]]
+        lo = int(dd_int[mi]) - KERNEL_HALF
+        skip = max(0, -lo)
+        direct[mi, lo + skip : lo + KERNEL_TAPS] = kernel[skip:]
+    return taps, direct, gains.shape[0]
+
+
+@st.composite
+def image_scenes(draw):
+    """A scene with random room, array and source, some walls fully absorbing (beta = 0), and an image order."""
+    unit = st.floats(0.05, 0.95)
+    room = np.array([draw(st.floats(1.5, 9.0)) for _ in range(3)])
+    center = np.array([draw(st.floats(0.25, 0.75)) for _ in range(3)]) * room
+    offsets = tetrahedral_offsets()
+    if draw(st.booleans()):
+        # within KERNEL_HALF samples of a mic, so its direct kernel starts before sample 0
+        az, z = draw(st.floats(0.0, 2 * np.pi)), draw(st.floats(-1.0, 1.0))
+        direction = np.array([math.sqrt(1 - z * z) * math.cos(az), math.sqrt(1 - z * z) * math.sin(az), z])
+        r = draw(st.floats(2e-3, KERNEL_HALF / FS * SPEED_OF_SOUND))
+        src = np.clip(center + offsets[draw(st.integers(0, 3))] + r * direction, 0.01 * room, 0.99 * room)
+    else:
+        src = np.array([draw(unit) for _ in range(3)]) * room
+    assume(np.linalg.norm(src - (center + offsets), axis=1).min() > 2e-3)
+    absorption = [draw(st.just(1.0) | st.floats(0.05, 1.0)) for _ in range(6)]
+    spec = geometry_scene([src], offsets, room, center, absorption)
+    return spec, draw(st.integers(0, 12))
+
+
+@settings(max_examples=40, deadline=None)
+@given(image_scenes())
+def test_simulate_rir_equals_meshgrid_norm_reference_bitwise(scene):
+    spec, order = scene
+    with mock.patch.object(roomsim, "_image_order", lambda spec, absorptions: (order, False)):
+        rir = simulate_rir(spec, 0, sample_rate=FS)
+        taps, direct_taps, num_images = meshgrid_rir(spec, 0)
+    assert rir.taps.tobytes() == taps.tobytes()
+    assert rir.direct_taps.tobytes() == direct_taps.tobytes()
+    assert rir.num_images == num_images
 
 
 def test_simulate_rir_peak_allocation():
