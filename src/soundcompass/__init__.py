@@ -11,7 +11,6 @@ from .audio_io import MultichannelWaveform, WavFormatError, read_wav, write_wav
 from .clues import (
     ClueEmbedding,
     DoAClue,
-    TimeVaryingClue,
     assoc_legendre,
     build_time_varying_clue,
     encode_cyc_pos,
@@ -30,8 +29,6 @@ from .fusion import (
     finite_difference_check,
     fuse_all_bands,
     init_fusion_weights,
-    load_weights,
-    save_weights,
 )
 from .metrics import (
     MetricsReport,
@@ -61,10 +58,8 @@ from .scenes import (
     SceneValidationError,
     SourceSpec,
     NoiseSpec,
-    parse_scene,
     read_manifest,
     scene_from_dict,
-    serialize_scene,
     tetrahedral_offsets,
 )
 from .spectral import (

@@ -35,6 +35,9 @@ EXIT_INTERNAL = 1
 EXIT_INVALID = 2
 
 CONTOUR_MAX_POINTS = 10**6  # a 999x999 grid fits; about 4 min at the README's 61x61 rate
+# clue --kind cyc-pos turns --order N into dim 2 (N + 1)^2, a multiple of 4 only for odd N
+# and within encode_cyc_pos's 4 * CYC_POS_MAX_OCTAVES up to N = 43
+CYC_POS_MAX_ORDER = 43
 
 # CliError, SceneValidationError, WavFormatError, SimulationError and read_json's errors are ValueErrors
 INVALID_INPUT_ERRORS = (
@@ -154,23 +157,25 @@ def cmd_clue(args) -> int:
     clue = DoAClue.from_degrees(args.az, args.el)
     if args.kind == "sh":
         emb = encode_sh(clue, args.order)
-    elif args.order % 2 == 0:  # 2 (order + 1)^2 is a multiple of 4 only for odd orders
-        raise CliError(f"--order {args.order}: --kind cyc-pos works with odd orders only")
+    elif not (args.order % 2 and 1 <= args.order <= CYC_POS_MAX_ORDER):
+        raise CliError(f"--order {args.order}: --kind cyc-pos works with odd orders 1 to {CYC_POS_MAX_ORDER} only")
     else:
         emb = encode_cyc_pos(clue, 2 * (args.order + 1) ** 2)
 
     payload = {"kind": emb.kind, "order": emb.order}
     if (args.activation is None) != (args.frames is None):
         raise CliError("--activation requires --frames" if args.frames is None else "--frames requires --activation")
+    if args.frames is not None and args.frames < 1:
+        raise CliError(f"--frames must be an integer >= 1, got {args.frames}")
     if args.activation is not None:
         activation = json_array(read_json(args.activation), args.activation)
         if activation.ndim != 1:
             raise CliError(f"{args.activation}: activation must be a JSON array of numbers")
         try:
-            tv = build_time_varying_clue(emb, activation, args.frames)
+            matrix = build_time_varying_clue(emb, activation, args.frames)
         except ValueError as e:  # e.g. an empty array or a value outside [0, 1]
             raise CliError(f"{args.activation}: {e}") from None
-        payload["matrix"] = [[round(v, 10) for v in row] for row in tv.matrix.tolist()]
+        payload["matrix"] = [[round(v, 10) for v in row] for row in matrix.tolist()]
     else:
         payload["vector"] = [round(v, 10) for v in emb.vector.tolist()]
 
@@ -211,7 +216,7 @@ def cmd_fuse_check(args) -> int:
         worst = max(worst, rel)
 
         # null modulation: zeroed heads must reproduce the input bit for bit
-        heads = {attr: np.zeros_like(getattr(bw, attr)) for _, owner, attr, _ in BAND_PARAMS if owner is None}
+        heads = {attr: np.zeros_like(getattr(bw, attr)) for owner, attr, _ in BAND_PARAMS if owner is None}
         if not np.array_equal(film_fuse(feat, clue_vec, replace(bw, **heads)), feat):
             print("null-modulation identity FAILED", file=sys.stderr)
             return EXIT_INTERNAL

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import json_array, parse_json
-
 TWO_PI = 2.0 * math.pi
 SH_MAX_ORDER = 85  # sh_complex's (n+m)! converts to a float up to n + m = 170
 CYC_POS_MAX_OCTAVES = 1022  # 2^k * angle stays finite for every angle below 2pi up to k = 1021
@@ -145,17 +143,6 @@ class ClueEmbedding:
     def dim(self) -> int:
         return self.vector.size
 
-    @classmethod
-    def from_json(cls, text: str | bytes) -> "ClueEmbedding":
-        """Parse the static embedding that `soundcompass clue` writes; every error is a ValueError."""
-        d = parse_json(text, "clue embedding JSON", keys=("kind", "order", "vector"))
-        if type(d["order"]) is not int:  # refuses a string, a fraction and a bool
-            raise ValueError("clue embedding JSON: order must be an integer")
-        try:
-            return cls(json_array(d["vector"], "vector"), d["order"], d["kind"])
-        except ValueError as e:  # e.g. a string or a bool in the vector, Infinity
-            raise ValueError(f"clue embedding JSON: malformed value: {e}") from None
-
 
 def encode_sh(clue: DoAClue, order: int = 5) -> ClueEmbedding:
     """[Re Y_n^m ...] then [Im Y_n^m ...], n = 0..N major, m = -n..n ascending."""
@@ -183,30 +170,10 @@ def encode_cyc_pos(clue: DoAClue, dim: int = 72) -> ClueEmbedding:
     return ClueEmbedding(np.array(parts), octaves, "cyc_pos")
 
 
-@dataclass
-class TimeVaryingClue:
-    """Per-frame scaled copies of a static embedding, [T x dim]."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        if self.matrix.ndim != 2 or self.matrix.shape[0] < 1:
-            raise ValueError("matrix must be [T x dim] with T >= 1")
-
-    @property
-    def num_frames(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
-
 def build_time_varying_clue(
     emb: ClueEmbedding, activation: np.ndarray, num_frames: int
-) -> TimeVaryingClue:
-    """Interpolate the activation to num_frames, scale the embedding per frame.
+) -> np.ndarray:
+    """Interpolate the activation to num_frames, scale the embedding per frame: [num_frames x dim].
 
     Endpoints map to endpoints: target frame t samples the activation at
     position t*(T'-1)/max(T-1, 1). Interpolating the scalar activation first
@@ -221,5 +188,4 @@ def build_time_varying_clue(
     t_src = activation.size
     pos = np.arange(num_frames) * (t_src - 1) / max(num_frames - 1, 1)
     scale = np.interp(pos, np.arange(t_src), activation)
-    matrix = scale[:, None] * emb.vector[None, :]
-    return TimeVaryingClue(matrix)
+    return scale[:, None] * emb.vector[None, :]

@@ -15,16 +15,12 @@ central finite differences (see finite_difference_check).
 
 from __future__ import annotations
 
-import math
-import re
 from dataclasses import dataclass
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
-from .audio_io import read_json, write_json
-from .clues import ClueEmbedding, TimeVaryingClue
+from .clues import ClueEmbedding
 from .spectral import BandLayout, split_bands
 from .spin import SpinFeature
 
@@ -59,7 +55,7 @@ class EncoderWeights:
         self.b = np.asarray(self.b, dtype=np.float64)
         self.gain = np.asarray(self.gain, dtype=np.float64)
         self.bias = np.asarray(self.bias, dtype=np.float64)
-        # a weight file holds a scalar as a 1-element tensor; ValueError unless one value
+        # a 0-d or 1-element array becomes a float; ValueError unless one value
         self.prelu_slope = np.asarray(self.prelu_slope, dtype=np.float64).item()
         self.k_ada = np.asarray(self.k_ada, dtype=np.float64).item()
         if self.w.ndim != 2:
@@ -111,27 +107,19 @@ class BandFusionWeights:
         return self.w_gamma.shape[0]
 
 
-# The 16 parameters of a band, in weight-file order. Each row gives the file
-# name suffix (after "band{k}."), the owner (the "feat" or "clue" encoder, or
-# None for the band itself), the attribute, and the film_gradients key (None
-# for the feature encoder, which film_fuse does not read).
+# The 10 parameters film_fuse reads, each as (owner, attribute, film_gradients
+# key); the owner is "clue" for the clue encoder, or None for the band itself.
 BAND_PARAMS = (
-    ("feat.w", "feat", "w", None),
-    ("feat.b", "feat", "b", None),
-    ("feat.gain", "feat", "gain", None),
-    ("feat.bias", "feat", "bias", None),
-    ("feat.prelu_slope", "feat", "prelu_slope", None),
-    ("feat.k_ada", "feat", "k_ada", None),
-    ("clue.w", "clue", "w", "w1"),
-    ("clue.b", "clue", "b", "b1"),
-    ("clue.gain", "clue", "gain", "gain"),
-    ("clue.bias", "clue", "bias", "bias"),
-    ("clue.prelu_slope", "clue", "prelu_slope", "prelu_slope"),
-    ("clue.k_ada", "clue", "k_ada", "k_ada"),
-    ("gamma.w", None, "w_gamma", "w_gamma"),
-    ("gamma.b", None, "b_gamma", "b_gamma"),
-    ("beta.w", None, "w_beta", "w_beta"),
-    ("beta.b", None, "b_beta", "b_beta"),
+    ("clue", "w", "w1"),
+    ("clue", "b", "b1"),
+    ("clue", "gain", "gain"),
+    ("clue", "bias", "bias"),
+    ("clue", "prelu_slope", "prelu_slope"),
+    ("clue", "k_ada", "k_ada"),
+    (None, "w_gamma", "w_gamma"),
+    (None, "b_gamma", "b_gamma"),
+    (None, "w_beta", "w_beta"),
+    (None, "b_beta", "b_beta"),
 )
 
 
@@ -204,19 +192,15 @@ def _prelu(z: np.ndarray, slope: float) -> None:
 
 
 def _clue_matrix(clue, dim_expected: int, num_frames: int) -> tuple[np.ndarray, bool]:
-    """Coerce a clue to [Tc x dim]: one row if static, num_frames rows if not."""
-    if isinstance(clue, ClueEmbedding):
-        mat, static = clue.vector[None, :], True
-    elif isinstance(clue, TimeVaryingClue):
-        mat, static = clue.matrix, False
+    """Coerce a ClueEmbedding, a [dim] vector or a [T x dim] matrix to [Tc x dim]:
+    one row if static, num_frames rows if not."""
+    mat = np.asarray(clue.vector if isinstance(clue, ClueEmbedding) else clue, dtype=np.float64)
+    if mat.ndim == 1:
+        mat, static = mat[None, :], True
+    elif mat.ndim == 2:
+        static = False
     else:
-        mat = np.asarray(clue, dtype=np.float64)
-        if mat.ndim == 1:
-            mat, static = mat[None, :], True
-        elif mat.ndim == 2:
-            static = False
-        else:
-            raise ValueError("clue must be a vector or [T x dim] matrix")
+        raise ValueError("clue must be a vector or [T x dim] matrix")
     if mat.shape[-1] != dim_expected:
         raise ValueError(f"clue dim {mat.shape[-1]} != encoder input {dim_expected}")
     if not static and mat.shape[0] != num_frames:
@@ -360,10 +344,10 @@ def finite_difference_check(
 ):
     """Compare analytic gradients to central differences at random coordinates.
 
-    Perturbs the feature, the clue and every BAND_PARAMS row with a gradient
-    key, each on a copy: max(1, num_coords // 6) coordinates of an array, the
-    value of a float. Returns (max_relative_error, checked_count). Coordinates
-    where both the analytic and numeric values are tiny (< 1e-12) count as exact.
+    Perturbs the feature, the clue and every BAND_PARAMS row, each on a copy:
+    max(1, num_coords // 6) coordinates of an array, the value of a float.
+    Returns (max_relative_error, checked_count). Coordinates where both the
+    analytic and numeric values are tiny (< 1e-12) count as exact.
     """
     rng = rng or np.random.default_rng(0)
     grads = film_gradients(feat_k, clue, bw, upstream)
@@ -371,7 +355,7 @@ def finite_difference_check(
     clue = _clue_matrix(clue, bw.clue.dim_in, feat_k.shape[1])[0].reshape(grads["d_clue"].shape)
     inputs = SimpleNamespace(feat=feat_k, clue=clue)
     slots = [(inputs, "feat", "d_feat"), (inputs, "clue", "d_clue")]
-    slots += [(getattr(bw, owner) if owner else bw, attr, key) for _, owner, attr, key in BAND_PARAMS if key]
+    slots += [(getattr(bw, owner) if owner else bw, attr, key) for owner, attr, key in BAND_PARAMS]
 
     def loss_at(obj, attr, idx, delta):
         saved = getattr(obj, attr)
@@ -398,7 +382,7 @@ def finite_difference_check(
 
 
 # ---------------------------------------------------------------------------
-# Initialization and serialization
+# Initialization
 
 
 def _init_encoder(rng, dim_in: int, dim_out: int) -> EncoderWeights:
@@ -438,74 +422,4 @@ def init_fusion_weights(
                 b_beta=rng.uniform(-lim, lim, c_band),
             )
         )
-    return FusionWeights(bands)
-
-
-_BAND_PREFIX = re.compile(r"band([0-9]+)\.")
-
-
-def save_weights(weights: FusionWeights, bin_path, manifest_path) -> None:
-    """float32 little-endian tensors in manifest order: BAND_PARAMS per band."""
-    entries = []
-    with open(bin_path, "wb") as f:
-        for k, bw in enumerate(weights.bands):
-            for suffix, owner, attr, _ in BAND_PARAMS:
-                tensor = np.atleast_1d(getattr(getattr(bw, owner) if owner else bw, attr))
-                f.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
-                entries.append({"name": f"band{k}.{suffix}", "shape": list(tensor.shape)})
-    write_json({"format": "float32-le", "tensors": entries}, manifest_path)
-
-
-def load_weights(bin_path, manifest_path) -> FusionWeights:
-    """Read save_weights' files: exactly the BAND_PARAMS rows of bands 0..K-1; errors name the manifest."""
-    manifest = read_json(manifest_path, keys=("format",))
-    try:
-        return _weights_from_manifest(manifest, bin_path)
-    except ValueError as e:
-        raise ValueError(f"{manifest_path}: {e}") from None
-
-
-def _weights_from_manifest(manifest: dict, bin_path) -> FusionWeights:
-    if not isinstance(manifest.get("tensors"), list):
-        raise ValueError("weight manifest needs a 'tensors' list")
-    if manifest["format"] != "float32-le":
-        raise ValueError(f"unsupported weight format {manifest['format']!r}")
-    raw = Path(bin_path).read_bytes()
-    tensors = {}
-    offset = 0
-    for entry in manifest["tensors"]:
-        name, shape = (entry.get("name"), entry.get("shape")) if isinstance(entry, dict) else (None, None)
-        if not isinstance(name, str) or name in tensors:
-            raise ValueError(f"tensor name {name!r} is not a string or is listed twice")
-        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
-            raise ValueError(f"tensor {name!r} shape must be a list of integers >= 0, got {shape!r}")
-        count = math.prod(shape)
-        nbytes = count * 4
-        if offset + nbytes > len(raw):
-            raise ValueError(f"weight file {bin_path} truncated at tensor {name}")
-        tensors[name] = (
-            np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-            .reshape(shape)
-            .astype(np.float64)
-        )
-        offset += nbytes
-    if offset != len(raw):
-        raise ValueError(f"weight file {bin_path} has trailing bytes not covered by the manifest")
-
-    band_ids = sorted({int(m.group(1)) for n in tensors if (m := _BAND_PREFIX.match(n))})
-    if band_ids != list(range(len(band_ids))):
-        raise ValueError("manifest band indices must be contiguous from 0")
-    unused = sorted(set(tensors) - {f"band{k}.{row[0]}" for k in band_ids for row in BAND_PARAMS})
-    if unused:
-        raise ValueError(f"weight manifest has tensors no band uses: {unused}")
-    bands = []
-    for k in band_ids:
-        kw, encoders = {}, {}
-        for suffix, owner, attr, _ in BAND_PARAMS:
-            name = f"band{k}.{suffix}"
-            if name not in tensors:
-                raise ValueError(f"weight manifest lacks tensor {name!r}")
-            (encoders.setdefault(owner, {}) if owner else kw)[attr] = tensors[name]
-        kw.update({owner: EncoderWeights(**enc) for owner, enc in encoders.items()})
-        bands.append(BandFusionWeights(**kw))
     return FusionWeights(bands)

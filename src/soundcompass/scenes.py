@@ -13,9 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import json_array, parse_json, write_json
+from .audio_io import json_array, parse_json
 
-TETRAHEDRAL_PRESET = "tetrahedral_4ch_r0.042"
 _PRESET_RE = re.compile(r"^tetrahedral_4ch_r([0-9]*\.?[0-9]+)$")
 
 
@@ -72,7 +71,6 @@ class SceneSpec:
     absorption: np.ndarray | None = None  # [6] per-wall energy absorption
     noise: NoiseSpec | None = None
     seed: int = 0
-    array_preset: str | None = None  # remembered for round-trip serialization
 
     def __post_init__(self):
         self.room_dims = np.asarray(self.room_dims, dtype=np.float64).reshape(3)
@@ -145,17 +143,17 @@ def _check_keys(d: dict, allowed: set, context: str):
         raise SceneValidationError(f"unknown key(s) {sorted(unknown)} in {context}")
 
 
-def resolve_array(value) -> tuple[np.ndarray, str | None]:
+def resolve_array(value) -> np.ndarray:
     """Resolve the schema's ``array`` entry to explicit offsets."""
     if isinstance(value, str):
         match = _PRESET_RE.match(value)
         if not match:
             raise SceneValidationError(f"unknown array preset {value!r}")
-        return tetrahedral_offsets(float(match.group(1))), value
+        return tetrahedral_offsets(float(match.group(1)))
     if isinstance(value, dict):
         if "offsets" not in value:
             raise SceneValidationError("array object must carry 'offsets'")
-        return json_array(value["offsets"], "array offsets"), None
+        return json_array(value["offsets"], "array offsets")
     raise SceneValidationError("array must be a preset string or an object with offsets")
 
 
@@ -190,7 +188,7 @@ def _scene_from_dict(d: dict) -> SceneSpec:
         {"room_dims", "rt60_s", "absorption", "array_center", "array", "sources", "noise", "seed"},
         "scene",
     )
-    offsets, preset = resolve_array(_require(d, "array", "scene"))
+    offsets = resolve_array(_require(d, "array", "scene"))
     sources = []
     for j, s in enumerate(_typed(_require(d, "sources", "scene"), (list,), "a list", "sources", "scene")):
         ctx = f"sources[{j}]"
@@ -217,35 +215,7 @@ def _scene_from_dict(d: dict) -> SceneSpec:
         absorption=None if d.get("absorption") is None else json_array(d["absorption"], "absorption"),
         noise=noise,
         seed=_typed(d.get("seed", 0), (int,), "an integer", "seed", "scene"),
-        array_preset=preset,
     )
-
-
-def scene_to_dict(spec: SceneSpec) -> dict:
-    d = {
-        "room_dims": spec.room_dims.tolist(),
-        "array_center": spec.array_center.tolist(),
-        "array": spec.array_preset
-        if spec.array_preset is not None
-        else {"offsets": spec.array_offsets.tolist()},
-        "sources": [
-            {
-                "position": s.position.tolist(),
-                "class": s.class_label,
-                "gain_db": s.gain_db,
-                "wav": s.wav,
-            }
-            for s in spec.sources
-        ],
-        "seed": spec.seed,
-    }
-    if spec.rt60_s is not None:
-        d["rt60_s"] = spec.rt60_s
-    else:
-        d["absorption"] = spec.absorption.tolist()
-    if spec.noise is not None:
-        d["noise"] = {"wav": spec.noise.wav, "gain_db": spec.noise.gain_db}
-    return d
 
 
 def _scene(data: bytes, where) -> SceneSpec:
@@ -256,14 +226,6 @@ def _scene(data: bytes, where) -> SceneSpec:
         raise SceneValidationError(f"{where}: {exc}") from exc
     except ValueError as exc:  # parse_json's, which names where
         raise SceneValidationError(str(exc)) from exc
-
-
-def parse_scene(path) -> SceneSpec:
-    return _scene(Path(path).read_bytes(), path)
-
-
-def serialize_scene(spec: SceneSpec, path) -> None:
-    write_json(scene_to_dict(spec), path)
 
 
 def read_manifest(path) -> list[SceneSpec]:

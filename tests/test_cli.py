@@ -464,16 +464,30 @@ def test_clue_cyc_pos_periodicity(capsys):
 @pytest.mark.parametrize("order", [0, 4, 44, -2])
 def test_clue_cyc_pos_even_order_exits_2(capsys, order):
     assert main(["clue", "--az", "45", "--el", "10", "--kind", "cyc-pos", "--order", str(order)]) == 2
-    assert capsys.readouterr().err == f"error: --order {order}: --kind cyc-pos works with odd orders only\n"
+    assert capsys.readouterr().err == f"error: --order {order}: --kind cyc-pos works with odd orders 1 to 43 only\n"
 
 
-# sh: (n+m)! past 170 does not convert to a float; cyc-pos: 2**k * angle overflows
-# past 1022 octaves, and --order 44 gives a dim (2 * 45**2) that is no multiple of 4
+# a negative order once wrote an embedding (-3 as 2 octaves, -45 as 968), and -1 and 45 named dim;
+# 2**k * angle overflows past 1022 octaves, so 43 (968 octaves) is the largest order
+@pytest.mark.parametrize("order, rc", [(-45, 2), (-3, 2), (-1, 2), (45, 2), (43, 0)])
+def test_clue_cyc_pos_odd_order_range(tmp_path, capsys, order, rc):
+    out = tmp_path / "clue.json"
+    args = ["clue", "--az", "45", "--el", "10", "--kind", "cyc-pos", "--order", str(order), "--out", str(out)]
+    assert main(args) == rc
+    if rc:
+        assert capsys.readouterr().err == f"error: --order {order}: --kind cyc-pos works with odd orders 1 to 43 only\n"
+        assert not out.exists()
+    else:
+        payload = json.loads(out.read_text())
+        assert payload["order"] == (order + 1) ** 2 // 2 and len(payload["vector"]) == 2 * (order + 1) ** 2
+        assert np.isfinite(payload["vector"]).all()
+
+
+# sh: (n+m)! past 170 does not convert to a float (cyc-pos: test_clue_cyc_pos_odd_order_range)
 @pytest.mark.parametrize(
     "kind, largest, too_large, message",
     [
         ("sh", 85, 86, "order must be in [0, 85], got 86"),
-        ("cyc-pos", 43, 45, "dim must be a multiple of 4 in [4, 4088], got 4232"),
     ],
 )
 def test_clue_order_past_float_range_exits_2(capsys, kind, largest, too_large, message):
@@ -510,6 +524,16 @@ def test_clue_frames_requires_activation(tmp_path, capsys):
     out = tmp_path / "clue.json"
     assert main(["clue", "--az", "0", "--el", "0", "--frames", "3", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: --frames requires --activation\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("frames", ["0", "-2"])
+def test_clue_frames_below_1_exits_2(tmp_path, capsys, frames):
+    # the error names --frames, not the activation file
+    act, out = tmp_path / "act.json", tmp_path / "clue.json"
+    act.write_text("[0.0, 1.0]")
+    assert main(["clue", "--az", "0", "--el", "0", "--activation", str(act), "--frames", frames, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --frames must be an integer >= 1, got {frames}\n"
     assert not out.exists()
 
 

@@ -1,32 +1,25 @@
-import json
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from soundcompass import (
     BandFusionWeights,
     BandLayout,
     ComplexSpectrogram,
+    ClueEmbedding,
     EncoderWeights,
-    FusionWeights,
     encode_band_feature,
     film_fuse,
     film_gradients,
     finite_difference_check,
     fuse_all_bands,
     init_fusion_weights,
-    load_weights,
     make_band_layout,
-    save_weights,
     spin_forward,
 )
 from soundcompass import fusion
 from soundcompass.fusion import ADANORM_EPS, BAND_PARAMS, FusedFeature
 
-from conftest import UNREADABLE_JSON, complex_normal, mutated_json
+from conftest import complex_normal
 
 
 def make_encoder(rng, dim_in, dim_out, bias_free=False):
@@ -214,6 +207,39 @@ def test_film_shape_errors(rng):
         film_fuse(rng.standard_normal((2, 4, 5)), rng.standard_normal(6), bw)
 
 
+@pytest.mark.parametrize(
+    "clue, match",
+    [
+        (np.zeros((4, 6, 1)), "clue must be a vector or"),
+        (np.zeros(7), "clue dim 7 != encoder input 6"),
+        (np.zeros((4, 7)), "clue dim 7 != encoder input 6"),
+        (np.zeros((9, 6)), "time-varying clue has 9 frames, features have 4"),
+        (np.full(6, np.nan), "non-finite values in clue"),
+        (np.full((4, 6), np.inf), "non-finite values in clue"),
+    ],
+    ids=["3d", "vector_dim", "matrix_dim", "frames", "nan_vector", "inf_matrix"],
+)
+def test_clue_matrix_rejections_name_the_fault(rng, clue, match):
+    bw = make_band_weights(rng)
+    feat = rng.standard_normal((3, 4, 5))
+    with pytest.raises(ValueError, match=match):
+        film_fuse(feat, clue, bw)
+    with pytest.raises(ValueError, match=match):
+        film_gradients(feat, clue, bw, feat)
+
+
+def test_clue_embedding_fuses_as_its_vector(rng):
+    bw = make_band_weights(rng, dim_clue=8)
+    feat, upstream = rng.standard_normal((2, 3, 4, 5))
+    vec = rng.standard_normal(8)
+    emb = ClueEmbedding(vec, order=1)
+    np.testing.assert_array_equal(film_fuse(feat, emb, bw), film_fuse(feat, vec, bw))
+    got, want = film_gradients(feat, emb, bw, upstream), film_gradients(feat, vec, bw, upstream)
+    assert sorted(got) == sorted(want)
+    for name in want:
+        np.testing.assert_array_equal(got[name], want[name])
+
+
 def test_encode_band_feature_shape(rng):
     w = make_encoder(rng, 9, 4)
     band = rng.standard_normal((9, 6, 11))
@@ -307,7 +333,7 @@ def test_gradients_many_seeded_configs():
     assert worst <= 1e-5
 
 
-@pytest.mark.parametrize("key", [key for *_, key in BAND_PARAMS if key])
+@pytest.mark.parametrize("key", [key for *_, key in BAND_PARAMS])
 def test_finite_difference_check_catches_each_wrong_gradient(rng, monkeypatch, key):
     # every weight film_fuse reads is perturbed: a 1% error in any one gradient shows
     exact = fusion.film_gradients
@@ -325,11 +351,20 @@ def test_finite_difference_check_catches_each_wrong_gradient(rng, monkeypatch, k
     assert checked == 2 + 10  # feat, clue and one coordinate or float per gradient key
 
 
+def test_band_params_are_the_film_gradients_parameters(rng):
+    bw = make_band_weights(rng)
+    feat, upstream = rng.standard_normal((2, 3, 4, 5))
+    grads = film_gradients(feat, rng.standard_normal(6), bw, upstream)
+    assert [key for *_, key in BAND_PARAMS] == [k for k in grads if k not in ("d_feat", "d_clue")]
+    for owner, attr, key in BAND_PARAMS:
+        assert np.shape(getattr(getattr(bw, owner) if owner else bw, attr)) == np.shape(grads[key]), key
+
+
 def test_finite_difference_check_restores_every_value(rng):
     bw = make_band_weights(rng)
     feat, upstream = rng.standard_normal((2, 3, 4, 5))
     clue = rng.standard_normal((4, 6))
-    params = [(getattr(bw, owner) if owner else bw, attr) for _, owner, attr, _ in BAND_PARAMS]
+    params = [(getattr(bw, owner) if owner else bw, attr) for owner, attr, _ in BAND_PARAMS]
     before = [getattr(obj, attr) for obj, attr in params]
     copies = [np.copy(v) for v in before + [feat, clue]]
     finite_difference_check(bw, feat, clue, upstream, num_coords=40, rng=rng)
@@ -527,7 +562,7 @@ def test_static_clue_gradients_equal_tiled_clue_gradients(rng, frames):
 
 
 # ---------------------------------------------------------------------------
-# Init and serialization
+# Init
 
 
 def test_init_deterministic_per_seed():
@@ -539,205 +574,3 @@ def test_init_deterministic_per_seed():
     np.testing.assert_array_equal(a.bands[1].w_gamma, b.bands[1].w_gamma)
     assert not np.array_equal(a.bands[0].feat.w, c.bands[0].feat.w)
     assert a.num_bands == 2
-
-
-def test_save_load_round_trip(tmp_path):
-    layout = BandLayout(bands=[(0, 4), (3, 8)], num_bins=9)
-    weights = init_fusion_weights(layout, dim_clue=6, c_in=16, c_band=3, hidden=5, seed=3)
-    bin_path = tmp_path / "w.bin"
-    man_path = tmp_path / "w.json"
-    save_weights(weights, bin_path, man_path)
-    loaded = load_weights(bin_path, man_path)
-    assert loaded.num_bands == 2
-    for bw_a, bw_b in zip(weights.bands, loaded.bands):
-        # float32 storage: agreement to single precision
-        np.testing.assert_allclose(bw_a.feat.w, bw_b.feat.w, atol=1e-6)
-        np.testing.assert_allclose(bw_a.w_gamma, bw_b.w_gamma, atol=1e-6)
-        np.testing.assert_allclose(bw_a.b_beta, bw_b.b_beta, atol=1e-6)
-        assert bw_b.clue.k_ada == pytest.approx(bw_a.clue.k_ada, abs=1e-6)
-        assert bw_b.clue.prelu_slope == pytest.approx(bw_a.clue.prelu_slope, abs=1e-6)
-
-
-def test_save_load_forward_equivalence(tmp_path, rng):
-    layout = BandLayout(bands=[(0, 8)], num_bins=9)
-    weights = init_fusion_weights(layout, dim_clue=6, c_in=16, c_band=3, hidden=5, seed=4)
-    save_weights(weights, tmp_path / "w.bin", tmp_path / "w.json")
-    loaded = load_weights(tmp_path / "w.bin", tmp_path / "w.json")
-    spin = spin_forward(ComplexSpectrogram(complex_normal(rng, (2, 5, 9)), 8, 16, 16000))
-    clue = rng.standard_normal(6)
-    a = fuse_all_bands(spin, layout, clue, weights)
-    b = fuse_all_bands(spin, layout, clue, loaded)
-    for x, y in zip(a.bands, b.bands):
-        np.testing.assert_allclose(x, y, atol=1e-4)
-
-
-def test_binary_layout_first_tensor(tmp_path):
-    layout = BandLayout(bands=[(0, 8)], num_bins=9)
-    weights = init_fusion_weights(layout, dim_clue=6, c_in=16, c_band=3, hidden=5, seed=5)
-    bin_path, man_path = tmp_path / "w.bin", tmp_path / "w.json"
-    save_weights(weights, bin_path, man_path)
-    manifest = json.loads(man_path.read_text())
-    assert manifest["format"] == "float32-le"
-    first = manifest["tensors"][0]
-    assert first["name"] == "band0.feat.w"
-    assert first["shape"] == [3, 16]
-    raw = bin_path.read_bytes()
-    head = np.frombuffer(raw, dtype="<f4", count=3 * 16).reshape(3, 16)
-    np.testing.assert_allclose(head, weights.bands[0].feat.w, atol=1e-6)
-    total = sum(
-        int(np.prod(e["shape"])) if e["shape"] else 1 for e in manifest["tensors"]
-    )
-    assert len(raw) == 4 * total
-
-
-def test_load_rejects_truncation_and_trailing(tmp_path):
-    layout = BandLayout(bands=[(0, 8)], num_bins=9)
-    weights = init_fusion_weights(layout, dim_clue=6, c_in=16, c_band=3, hidden=5)
-    bin_path, man_path = tmp_path / "w.bin", tmp_path / "w.json"
-    save_weights(weights, bin_path, man_path)
-    raw = bin_path.read_bytes()
-    bin_path.write_bytes(raw[:-4])
-    with pytest.raises(ValueError, match="truncated"):
-        load_weights(bin_path, man_path)
-    bin_path.write_bytes(raw + b"\x00\x00\x00\x00")
-    with pytest.raises(ValueError, match="trailing"):
-        load_weights(bin_path, man_path)
-
-
-def test_load_rejects_bad_format(tmp_path):
-    man_path = tmp_path / "w.json"
-    man_path.write_text(json.dumps({"format": "float64-be", "tensors": []}))
-    (tmp_path / "w.bin").write_bytes(b"")
-    with pytest.raises(ValueError, match="format"):
-        load_weights(tmp_path / "w.bin", man_path)
-
-
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(allow_nan=False) | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
-    max_leaves=6,
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_load_rejects_malformed_manifest_with_value_error(tmp_path_factory, data):
-    tmp = tmp_path_factory.mktemp("weights")
-    layout = BandLayout(bands=[(0, 4), (3, 8)], num_bins=9)
-    weights = init_fusion_weights(layout, dim_clue=3, c_in=2, c_band=2, hidden=3, seed=1)
-    bin_path, man_path = tmp / "w.bin", tmp / "w.json"
-    save_weights(weights, bin_path, man_path)
-    manifest = json.loads(man_path.read_text())
-    entries = manifest["tensors"]
-    i = data.draw(st.integers(0, len(entries) - 1), label="entry")
-    mutation = data.draw(
-        st.sampled_from(["root", "top_key", "entry", "name", "shape", "dim", "drop", "duplicate"]),
-        label="mutation",
-    )
-    value = data.draw(JSON_VALUES, label="value")
-    if mutation == "root":
-        manifest = value
-    elif mutation == "top_key":
-        key = data.draw(st.sampled_from(["format", "tensors"]), label="key")
-        if data.draw(st.booleans(), label="delete"):
-            del manifest[key]
-        else:
-            manifest[key] = value
-    elif mutation == "entry":
-        entries[i] = value
-    elif mutation == "name":
-        names = st.sampled_from([entries[0]["name"], "band9.feat.w", "bandx.w"])
-        entries[i]["name"] = data.draw(names | JSON_VALUES)
-    elif mutation == "shape":
-        entries[i]["shape"] = value
-    elif mutation == "dim":
-        shape = entries[i]["shape"]
-        shape[data.draw(st.integers(0, len(shape) - 1))] = data.draw(st.integers(-5, 12) | JSON_VALUES)
-    elif mutation == "drop":
-        del entries[i]
-    else:
-        entries.insert(i, dict(entries[i]))
-    man_path.write_text(json.dumps(manifest))
-    try:
-        loaded = load_weights(bin_path, man_path)
-    except ValueError:
-        return
-    assert isinstance(loaded, FusionWeights)
-
-
-def test_load_rejects_tensors_no_band_uses(tmp_path):
-    layout = BandLayout(bands=[(0, 8)], num_bins=9)
-    weights = init_fusion_weights(layout, dim_clue=6, c_in=16, c_band=3, hidden=5)
-    bin_path, man_path = tmp_path / "w.bin", tmp_path / "w.json"
-    save_weights(weights, bin_path, man_path)
-    manifest = json.loads(man_path.read_text())
-    manifest["tensors"] += [{"name": "band0.feat.typo", "shape": [2]}, {"name": "junk", "shape": [1]}]
-    man_path.write_text(json.dumps(manifest))
-    bin_path.write_bytes(bin_path.read_bytes() + bytes(12))
-    with pytest.raises(ValueError, match=r"no band uses: \['band0.feat.typo', 'junk'\]"):
-        load_weights(bin_path, man_path)
-
-
-def _drop_last_tensor(m):
-    # the [3] band0.beta.b entry; the test cuts its 12 bytes from the binary
-    return {**m, "tensors": m["tensors"][:-1]}
-
-
-def _set_shape(i, shape):
-    def edit(m):
-        m["tensors"][i]["shape"] = shape
-        return m
-
-    return edit
-
-
-@pytest.mark.parametrize(
-    "edit, cut, match",
-    [
-        (_drop_last_tensor, 12, "lacks tensor 'band0.beta.b'"),
-        (lambda m: {"format": m["format"]}, 0, "'tensors' list"),
-        (lambda m: m["tensors"], 0, "JSON object"),
-        (lambda m: {**m, "tensors": m["tensors"][:1] + m["tensors"]}, 0, "listed twice"),
-        (_set_shape(4, [0]), 4, "size 1"),
-        (_set_shape(0, "3"), 0, "list of integers"),
-        (_set_shape(0, [-3, 16]), 0, "list of integers"),
-    ],
-)
-def test_load_malformed_manifest_raises_value_error(tmp_path, edit, cut, match):
-    layout = BandLayout(bands=[(0, 8)], num_bins=9)
-    weights = init_fusion_weights(layout, dim_clue=6, c_in=16, c_band=3, hidden=5)
-    bin_path, man_path = tmp_path / "w.bin", tmp_path / "w.json"
-    save_weights(weights, bin_path, man_path)
-    raw = bin_path.read_bytes()
-    bin_path.write_bytes(raw[: len(raw) - cut])
-    man_path.write_text(json.dumps(edit(json.loads(man_path.read_text()))))
-    with pytest.raises(ValueError, match=match):
-        load_weights(bin_path, man_path)
-
-
-BAD_MANIFESTS = {**UNREADABLE_JSON, "wrong_type": b"[]", "missing_key": b'{"tensors": []}'}
-
-
-@pytest.mark.parametrize("bad", sorted(BAD_MANIFESTS))
-def test_load_bad_manifest_document_named(tmp_path, bad):
-    man_path = tmp_path / "w.json"
-    man_path.write_bytes(BAD_MANIFESTS[bad])
-    (tmp_path / "w.bin").write_bytes(b"")
-    with pytest.raises(ValueError, match=r"^\S*w\.json: "):
-        load_weights(tmp_path / "w.bin", man_path)
-
-
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_load_weights_fuzz_manifest_bytes_raises_only_value_error(tmp_path_factory, data):
-    """A manifest mutated down to its bytes either loads or raises ValueError."""
-    tmp = tmp_path_factory.mktemp("weights")
-    weights = init_fusion_weights(BandLayout(bands=[(0, 4), (3, 8)], num_bins=9), dim_clue=3, c_in=2, c_band=2, hidden=3)
-    save_weights(weights, tmp / "w.bin", tmp / "w.json")
-    blob = data.draw(mutated_json(json.loads((tmp / "w.json").read_text())), label="manifest")
-    (tmp / "w.json").write_bytes(blob)
-    try:
-        loaded = load_weights(tmp / "w.bin", tmp / "w.json")
-    except ValueError:
-        return
-    assert isinstance(loaded, FusionWeights)
