@@ -126,10 +126,10 @@ def read_wav(path) -> MultichannelWaveform:
         raise WavFormatError(f"{path}: data chunk is not a whole number of frames")
 
     frames = np.frombuffer(data, dtype=dtype).reshape(-1, channels)  # interleaved on disk
-    bad = np.flatnonzero(~np.isfinite(frames).all(axis=1))  # only float32 can hold one
-    if bad.size:
+    if not np.isfinite(frames).all():  # only float32 can hold one; the search for the first runs only then
+        bad = np.flatnonzero(~np.isfinite(frames).all(axis=1))
         raise WavFormatError(f"{path}: frame {bad[0]} holds a non-finite sample")
-    samples = frames.T.astype(np.float64) * scale
+    samples = frames.T.astype(np.float64) if scale == 1.0 else frames.T * scale  # float32 is not rescaled
     return MultichannelWaveform(samples, rate)
 
 

@@ -162,7 +162,7 @@ def cmd_clue(args) -> int:
     else:
         emb = encode_cyc_pos(clue, 2 * (args.order + 1) ** 2)
 
-    payload = {"kind": emb.kind, "order": emb.order}
+    payload = {"kind": args.kind, "order": args.order}  # as given: cyc-pos holds (order + 1)^2 / 2 octaves
     if (args.activation is None) != (args.frames is None):
         raise CliError("--activation requires --frames" if args.frames is None else "--frames requires --activation")
     if args.frames is not None and args.frames < 1:

@@ -100,7 +100,6 @@ class RoomImpulseResponse:
     taps: np.ndarray  # [M, L] full response
     direct_taps: np.ndarray  # [M, L] zeroth-order image only
     sample_rate: int
-    direct_tap_index: np.ndarray  # [M] nearest integer arrival per channel
     image_order: int  # reflection order per axis the image cube spans
     order_capped: bool  # MAX_IMAGE_ORDER cut the order the decay time asked for
     num_images: int  # images with non-negligible gain
@@ -108,13 +107,10 @@ class RoomImpulseResponse:
     def __post_init__(self):
         self.taps = np.asarray(self.taps, dtype=np.float64)
         self.direct_taps = np.asarray(self.direct_taps, dtype=np.float64)
-        self.direct_tap_index = np.asarray(self.direct_tap_index, dtype=np.int64)
         if self.taps.ndim != 2:
             raise ValueError("taps must be [M, L]")
         if self.direct_taps.shape != self.taps.shape:
             raise ValueError("direct_taps must match taps shape")
-        if self.direct_tap_index.shape != (self.taps.shape[0],):
-            raise ValueError("need one direct tap index per channel")
 
     @property
     def num_channels(self) -> int:
@@ -135,35 +131,38 @@ def _image_axes(src, room, betas, order: int) -> tuple[list[np.ndarray], list[np
     return coords, gains
 
 
-def _quantize(delays):
-    """Whole-sample and 1/64-fraction parts of delays.
+def _arrival_index(delays: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Arrivals on the 1/64-sample grid: DELAY_FRACTIONS * whole samples + fraction, int64.
 
-    A fraction that rounds to 64/64 moves to the next sample.
+    The same bits as rounding each fraction to 1/64 and carrying 64/64 to the
+    next sample: delays * 64 and its fractional part are exact, and rounding
+    half to even commutes with adding the even integer 64 * floor(delays).
+    delays (float64, in samples) is scaled in place; out, if given, receives the indices.
     """
-    d_int = np.floor(delays).astype(np.int64)
-    q = np.round((delays - d_int) * DELAY_FRACTIONS).astype(np.int64)
-    d_int = d_int + (q == DELAY_FRACTIONS)
-    return d_int, np.where(q == DELAY_FRACTIONS, 0, q)
+    if out is None:
+        out = np.empty(delays.shape, dtype=np.int64)
+    out[...] = np.rint(np.multiply(delays, DELAY_FRACTIONS, out=delays), out=delays)
+    return out
 
 
-def _scatter(out: np.ndarray, d_int: np.ndarray, q: np.ndarray, amps: np.ndarray) -> None:
-    """Add amps[i] * KERNEL_TABLE[q[i]] into out with tap k at d_int[i] - KERNEL_HALF + k.
+def _scatter(out: np.ndarray, index: np.ndarray, amps: np.ndarray) -> None:
+    """Add amps[i] * KERNEL_TABLE[q] into out with tap k at d - KERNEL_HALF + k, where d, q = divmod(index[i], 64).
 
-    Images are binned by (sample, fraction), the bins are filtered through the
+    Images are binned by arrival index, the bins are filtered through the
     kernel table, and each of the KERNEL_TAPS columns is added at its shift.
-    Taps before sample 0 are dropped; out must extend KERNEL_HALF past d_int.max().
+    Taps before sample 0 are dropped; out must extend KERNEL_HALF past index.max() // 64.
     """
-    rows = int(d_int.max()) + 1
-    grid = np.bincount(d_int * DELAY_FRACTIONS + q, weights=amps, minlength=rows * DELAY_FRACTIONS)
-    grid = grid.reshape(rows, DELAY_FRACTIONS)
+    rows = int(index.max()) // DELAY_FRACTIONS + 1
+    grid = np.bincount(index, weights=amps, minlength=rows * DELAY_FRACTIONS).reshape(rows, DELAY_FRACTIONS)
+    block = np.empty((KERNEL_TAPS, min(rows, SCATTER_BLOCK_ROWS)))  # one GEMM output for every block
     for r0 in range(0, rows, SCATTER_BLOCK_ROWS):
-        block = KERNEL_TABLE.T @ grid[r0 : r0 + SCATTER_BLOCK_ROWS].T  # [KERNEL_TAPS, n]
-        n = block.shape[1]
+        n = min(SCATTER_BLOCK_ROWS, rows - r0)
+        np.matmul(KERNEL_TABLE.T, grid[r0 : r0 + n].T, out=block[:, :n])
         for k in range(KERNEL_TAPS):
             lo = r0 - KERNEL_HALF + k
             skip = max(0, -lo)
             if skip < n:
-                out[lo + skip : lo + n] += block[k, skip:]
+                out[lo + skip : lo + n] += block[k, skip:n]
 
 
 def simulate_rir(spec: SceneSpec, source_index: int, sample_rate: int = 16000) -> RoomImpulseResponse:
@@ -207,15 +206,17 @@ def simulate_rir(spec: SceneSpec, source_index: int, sample_rate: int = 16000) -
     del cube, live
 
     # the farthest image sets each channel's length; the longest channel sets the RIR's
-    last, _ = _quantize(dists.max(axis=1) / SPEED_OF_SOUND * fs)
+    last = _arrival_index(dists.max(axis=1) / SPEED_OF_SOUND * fs) // DELAY_FRACTIONS
     max_len = int(last.max()) + KERNEL_TAPS + 1
     out = np.zeros((num_mics, max_len))
     out_direct = np.zeros((num_mics, max_len))
-    direct_delays = direct_dists / SPEED_OF_SOUND * fs
-    dd_int, dq = _quantize(direct_delays)
+    dd_int, dq = divmod(_arrival_index(direct_dists / SPEED_OF_SOUND * fs), DELAY_FRACTIONS)
+    index = np.empty(gains.size, dtype=np.int64)
+    amps = np.empty(gains.size)  # a mic's delays in samples, then its image amplitudes
     for mi in range(num_mics):
-        d_int, q = _quantize(dists[mi] / SPEED_OF_SOUND * fs)
-        _scatter(out[mi], d_int, q, gains / (4.0 * np.pi * dists[mi]))
+        # dists / c * fs and gains / (4 pi dists), operation for operation, into the two buffers
+        _arrival_index(np.multiply(np.divide(dists[mi], SPEED_OF_SOUND, out=amps), fs, out=amps), out=index)
+        _scatter(out[mi], index, np.divide(gains, np.multiply(dists[mi], 4.0 * np.pi, out=amps), out=amps))
 
         # same amplitude expression as the image sum
         kernel = 1.0 / (4.0 * np.pi * direct_dists[mi]) * KERNEL_TABLE[dq[mi]]
@@ -223,10 +224,7 @@ def simulate_rir(spec: SceneSpec, source_index: int, sample_rate: int = 16000) -
         skip = max(0, -lo)
         out_direct[mi, lo + skip : lo + KERNEL_TAPS] = kernel[skip:]
 
-    direct_idx = np.round(direct_delays).astype(np.int64)
-    return RoomImpulseResponse(
-        out, out_direct, fs, direct_idx, image_order=order, order_capped=capped, num_images=gains.shape[0]
-    )
+    return RoomImpulseResponse(out, out_direct, fs, image_order=order, order_capped=capped, num_images=gains.shape[0])
 
 
 def ground_truth_doa(spec: SceneSpec, source_index: int) -> DoAClue:
@@ -310,17 +308,17 @@ def render_scene(spec: SceneSpec, base_dir=None) -> tuple[MultichannelWaveform, 
     truths = []
     for j, sig in enumerate(signals):
         rir = simulate_rir(spec, j, sample_rate=rate)
-        direct = _fit_length(fftconvolve(sig[None, :], rir.direct_taps), num_samples)
-        reverb = _fit_length(fftconvolve(sig[None, :], rir.reverb_taps()), num_samples)
-        dw = MultichannelWaveform(direct, rate)
-        rw = MultichannelWaveform(reverb, rate)
-        mixture += direct + reverb
+        # one transform of the source for both stems; the FFT takes each row on its own
+        both = np.concatenate([rir.direct_taps, rir.reverb_taps()])
+        stems = _fit_length(fftconvolve(sig[None, :], both), num_samples)
+        direct, reverb = MultichannelWaveform(stems[:num_mics], rate), MultichannelWaveform(stems[num_mics:], rate)
+        mixture += direct.samples + reverb.samples
         truths.append(
             SourceTruth(
-                direct=dw,
-                reverb=rw,
+                direct=direct,
+                reverb=reverb,
                 doa=ground_truth_doa(spec, j),
-                activation=frame_activation(dw),
+                activation=frame_activation(direct),
                 class_label=spec.sources[j].class_label,
                 position=np.asarray(spec.sources[j].position, dtype=np.float64),
                 render=_render_record(spec, rir),

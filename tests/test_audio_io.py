@@ -153,6 +153,20 @@ def test_read_rejects_non_finite_sample(tmp_path, value):
         read_wav(path)
 
 
+# the samples read back are checked bit for bit by the round-trip tests above
+@pytest.mark.parametrize("bad", [[0], [4, 7]], ids=["first", "two"])
+def test_read_names_first_non_finite_frame(tmp_path, bad):
+    path = tmp_path / "n.wav"
+    write_wav(MultichannelWaveform(np.random.default_rng(5).uniform(-0.9, 0.9, (3, 10)), 16000), path)
+    blob = bytearray(path.read_bytes())
+    for frame in bad:  # 44-byte header, then 3 float32 samples per frame
+        i = 44 + (frame * 3 + frame % 3) * 4
+        blob[i : i + 4] = np.float32(np.nan).tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(WavFormatError, match=rf"n\.wav: frame {min(bad)} holds a non-finite sample"):
+        read_wav(path)
+
+
 def _valid_wav(tmp_path_factory, encoding: str) -> bytes:
     path = tmp_path_factory.mktemp("seed") / f"{encoding}.wav"
     x = np.random.default_rng(3).uniform(-0.9, 0.9, (3, 40))

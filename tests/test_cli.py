@@ -468,8 +468,9 @@ def test_clue_cyc_pos_even_order_exits_2(capsys, order):
 
 
 # a negative order once wrote an embedding (-3 as 2 octaves, -45 as 968), and -1 and 45 named dim;
-# 2**k * angle overflows past 1022 octaves, so 43 (968 octaves) is the largest order
-@pytest.mark.parametrize("order, rc", [(-45, 2), (-3, 2), (-1, 2), (45, 2), (43, 0)])
+# 2**k * angle overflows past 1022 octaves, so 43 (968 octaves) is the largest order;
+# the document once held the octave count and the class's spelling: --order 3 wrote "order": 8, "kind": "cyc_pos"
+@pytest.mark.parametrize("order, rc", [(-45, 2), (-3, 2), (-1, 2), (45, 2), (43, 0), (3, 0)])
 def test_clue_cyc_pos_odd_order_range(tmp_path, capsys, order, rc):
     out = tmp_path / "clue.json"
     args = ["clue", "--az", "45", "--el", "10", "--kind", "cyc-pos", "--order", str(order), "--out", str(out)]
@@ -479,7 +480,8 @@ def test_clue_cyc_pos_odd_order_range(tmp_path, capsys, order, rc):
         assert not out.exists()
     else:
         payload = json.loads(out.read_text())
-        assert payload["order"] == (order + 1) ** 2 // 2 and len(payload["vector"]) == 2 * (order + 1) ** 2
+        assert (payload["kind"], payload["order"]) == ("cyc-pos", order)
+        assert len(payload["vector"]) == 2 * (order + 1) ** 2
         assert np.isfinite(payload["vector"]).all()
 
 

@@ -199,6 +199,37 @@ def image_sources(spec, source_index):
     return positions[keep], gains[keep], src, mics
 
 
+def quantize(delays):
+    """Whole-sample and 1/64-fraction parts of delays; a fraction that rounds to 64/64 moves to the next sample."""
+    d_int = np.floor(delays).astype(np.int64)
+    q = np.round((delays - d_int) * 64).astype(np.int64)
+    d_int = d_int + (q == 64)
+    return d_int, np.where(q == 64, 0, q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(0.0, 2e5),
+            # exact ties between two 1/64 steps, which round half to even
+            st.builds(lambda k, j: k + (2 * j + 1) / 128, st.integers(0, 200000), st.integers(0, 63)),
+            # just below a whole sample, whose fraction rounds up to 64/64 and carries
+            st.builds(lambda k: np.nextafter(float(k), 0.0), st.integers(1, 200000)),
+        ),
+        min_size=1,
+        max_size=50,
+    )
+)
+def test_arrival_index_equals_floor_round_carry(delays):
+    delays = np.asarray(delays)
+    d_int, q = quantize(delays)
+    np.testing.assert_array_equal(roomsim._arrival_index(delays.copy()), d_int * 64 + q)
+    index = np.empty(delays.shape, dtype=np.int64)
+    assert roomsim._arrival_index(delays.copy(), out=index) is index
+    np.testing.assert_array_equal(index, d_int * 64 + q)
+
+
 def reference_rir(spec, source_index):
     """Taps, direct taps and direct index by scattering each fraction with np.add.at per mic."""
     positions, gains, src, mics = image_sources(spec, source_index)
@@ -211,12 +242,6 @@ def reference_rir(spec, source_index):
             w = (amps[sel][:, None] * fractional_delay_kernel(qv / 64.0)[None, :]).ravel()
             ok = (idx >= 0) & (idx < taps.shape[0])
             np.add.at(taps, idx[ok], w[ok])
-
-    def quantize(delays):
-        d_int = np.floor(delays).astype(np.int64)
-        q = np.round((delays - d_int) * 64).astype(np.int64)
-        d_int = d_int + (q == 64)
-        return d_int, np.where(q == 64, 0, q)
 
     channels, direct_channels, direct_idx = [], [], []
     for mic in mics:
@@ -260,14 +285,15 @@ def test_scatter_matches_add_at_reference(positions, room, center, absorption, r
     rir = simulate_rir(spec, 0, sample_rate=FS)
     taps, direct_taps, direct_idx = reference_rir(spec, 0)
     assert rir.taps.shape == taps.shape
-    np.testing.assert_array_equal(rir.direct_tap_index, direct_idx)
+    # the direct kernel peaks at the nearest whole-sample arrival
+    np.testing.assert_array_equal(np.abs(rir.direct_taps).argmax(axis=1), direct_idx)
     peak = np.abs(taps).max()
     assert np.abs(rir.taps - taps).max() <= 1e-12 * peak
     assert np.abs(rir.direct_taps - direct_taps).max() <= 1e-12 * np.abs(direct_taps).max()
     if absorption == [1.0] * 6:
         np.testing.assert_array_equal(rir.direct_taps, rir.taps)
     # the nearest mic hears the source within KERNEL_HALF samples: its kernel starts before sample 0
-    assert (rir.direct_tap_index.min() < KERNEL_HALF) == clipped
+    assert (direct_idx.min() < KERNEL_HALF) == clipped
 
 
 def meshgrid_rir(spec, source_index):
@@ -275,13 +301,13 @@ def meshgrid_rir(spec, source_index):
     positions, gains, src, mics = image_sources(spec, source_index)
     dists = np.stack([np.maximum(np.linalg.norm(positions - mic, axis=1), 1e-3) for mic in mics])
     direct_dists = np.linalg.norm(src - mics, axis=1)
-    last, _ = roomsim._quantize(dists.max(axis=1) / SPEED_OF_SOUND * FS)
+    last, _ = quantize(dists.max(axis=1) / SPEED_OF_SOUND * FS)
     taps = np.zeros((len(mics), int(last.max()) + KERNEL_TAPS + 1))
     direct = np.zeros_like(taps)
-    dd_int, dq = roomsim._quantize(direct_dists / SPEED_OF_SOUND * FS)
+    dd_int, dq = quantize(direct_dists / SPEED_OF_SOUND * FS)
     for mi, d in enumerate(dists):
-        d_int, q = roomsim._quantize(d / SPEED_OF_SOUND * FS)
-        roomsim._scatter(taps[mi], d_int, q, gains / (4.0 * np.pi * d))
+        d_int, q = quantize(d / SPEED_OF_SOUND * FS)
+        roomsim._scatter(taps[mi], d_int * 64 + q, gains / (4.0 * np.pi * d))
         kernel = 1.0 / (4.0 * np.pi * direct_dists[mi]) * roomsim.KERNEL_TABLE[dq[mi]]
         lo = int(dd_int[mi]) - KERNEL_HALF
         skip = max(0, -lo)
@@ -475,6 +501,10 @@ def test_render_stems_match_full_convolution(scene_factory):
     full = fftconvolve(sig[None, :], rir.taps, axes=1)[:, : mixture.num_samples]
     stems = truth.sources[0].direct.samples + truth.sources[0].reverb.samples
     assert np.abs(stems - full).max() <= 1e-9
+    # both stems come from one transform of the source, bit for bit as from one convolution each
+    direct, reverb = truth.sources[0].direct.samples, truth.sources[0].reverb.samples
+    assert direct.tobytes() == roomsim.fftconvolve(sig[None, :], rir.direct_taps)[:, : mixture.num_samples].tobytes()
+    assert reverb.tobytes() == roomsim.fftconvolve(sig[None, :], rir.reverb_taps())[:, : mixture.num_samples].tobytes()
 
 
 def test_fft_length_matches_scipy():
