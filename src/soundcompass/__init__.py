@@ -9,7 +9,6 @@ steered extraction with SNR-family and spatial-cue metrics.
 
 from .audio_io import MultichannelWaveform, WavFormatError, read_wav, write_wav
 from .clues import (
-    ClueEmbedding,
     DoAClue,
     assoc_legendre,
     build_time_varying_clue,

@@ -35,9 +35,6 @@ EXIT_INTERNAL = 1
 EXIT_INVALID = 2
 
 CONTOUR_MAX_POINTS = 10**6  # a 999x999 grid fits; about 4 min at the README's 61x61 rate
-# clue --kind cyc-pos turns --order N into dim 2 (N + 1)^2, a multiple of 4 only for odd N
-# and within encode_cyc_pos's 4 * CYC_POS_MAX_OCTAVES up to N = 43
-CYC_POS_MAX_ORDER = 43
 
 # CliError, SceneValidationError, WavFormatError, SimulationError and read_json's errors are ValueErrors
 INVALID_INPUT_ERRORS = (
@@ -155,14 +152,13 @@ def cmd_featurize(args) -> int:
 
 def cmd_clue(args) -> int:
     clue = DoAClue.from_degrees(args.az, args.el)
-    if args.kind == "sh":
-        emb = encode_sh(clue, args.order)
-    elif not (args.order % 2 and 1 <= args.order <= CYC_POS_MAX_ORDER):
-        raise CliError(f"--order {args.order}: --kind cyc-pos works with odd orders 1 to {CYC_POS_MAX_ORDER} only")
-    else:
-        emb = encode_cyc_pos(clue, 2 * (args.order + 1) ** 2)
+    encode = encode_sh if args.kind == "sh" else encode_cyc_pos
+    try:
+        emb = encode(clue, args.order)
+    except ValueError as e:
+        raise CliError(f"--order: {e}") from None
 
-    payload = {"kind": args.kind, "order": args.order}  # as given: cyc-pos holds (order + 1)^2 / 2 octaves
+    payload = {"kind": args.kind, "order": args.order}
     if (args.activation is None) != (args.frames is None):
         raise CliError("--activation requires --frames" if args.frames is None else "--frames requires --activation")
     if args.frames is not None and args.frames < 1:
@@ -177,7 +173,7 @@ def cmd_clue(args) -> int:
             raise CliError(f"{args.activation}: {e}") from None
         payload["matrix"] = [[round(v, 10) for v in row] for row in matrix.tolist()]
     else:
-        payload["vector"] = [round(v, 10) for v in emb.vector.tolist()]
+        payload["vector"] = [round(v, 10) for v in emb.tolist()]
 
     text = json.dumps(payload)
     if args.out:

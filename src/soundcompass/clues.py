@@ -6,8 +6,9 @@ and elevation-above-horizon; conversion helpers live here so everything past
 the boundary is radians/polar.
 
 The main embedding stacks real and imaginary parts of the complex spherical
-harmonics Y_n^m up to order N (length 2(N+1)^2). A sinusoidal cyclic encoding
-of the raw angles is provided as a comparison baseline.
+harmonics Y_n^m up to order N. A sinusoidal cyclic encoding of the raw angles
+is provided as a comparison baseline. Either is a float64 vector of 2(N+1)^2
+values for order N.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 SH_MAX_ORDER = 85  # sh_complex's (n+m)! converts to a float up to n + m = 170
-CYC_POS_MAX_OCTAVES = 1022  # 2^k * angle stays finite for every angle below 2pi up to k = 1021
+# order N holds (N + 1)^2 / 2 octaves, 968 at N = 43; 2^k * angle stays finite below 2pi up to k = 1021
+CYC_POS_MAX_ORDER = 43
 
 
 @dataclass
@@ -39,6 +41,8 @@ class DoAClue:
     @classmethod
     def from_degrees(cls, azimuth_deg: float, elevation_deg: float) -> "DoAClue":
         """Elevation is above the horizon; polar = 90deg - elevation."""
+        if not -90.0 <= elevation_deg <= 90.0:  # NaN fails too
+            raise ValueError(f"elevation {elevation_deg} deg outside [-90, 90]")
         return cls(math.radians(azimuth_deg), math.radians(90.0 - elevation_deg))
 
     def to_degrees(self) -> tuple[float, float]:
@@ -115,64 +119,36 @@ def sh_complex(n: int, m: int, theta: float, phi: float) -> complex:
     return norm * p * complex(math.cos(m * phi), math.sin(m * phi))
 
 
-@dataclass
-class ClueEmbedding:
-    """Direction embedding vector.
-
-    kind="sh": order is the max harmonic order N, length 2(N+1)^2.
-    kind="cyc_pos": order is the octave count (vector length / 4).
-    """
-
-    vector: np.ndarray
-    order: int
-    kind: str = "sh"
-
-    def __post_init__(self):
-        self.vector = np.asarray(self.vector, dtype=np.float64).ravel()
-        if self.kind not in ("sh", "cyc_pos"):
-            raise ValueError(f"unknown embedding kind {self.kind!r}")
-        if self.kind == "sh" and self.vector.size != 2 * (self.order + 1) ** 2:
-            raise ValueError(
-                f"sh embedding of order {self.order} needs length "
-                f"{2 * (self.order + 1) ** 2}, got {self.vector.size}"
-            )
-        if not np.isfinite(self.vector).all():
-            raise ValueError("embedding vector must be finite")
-
-    @property
-    def dim(self) -> int:
-        return self.vector.size
-
-
-def encode_sh(clue: DoAClue, order: int = 5) -> ClueEmbedding:
-    """[Re Y_n^m ...] then [Im Y_n^m ...], n = 0..N major, m = -n..n ascending."""
+def encode_sh(clue: DoAClue, order: int = 5) -> np.ndarray:
+    """[Re Y_n^m ...] then [Im Y_n^m ...], n = 0..N major, m = -n..n ascending: 2(N+1)^2 values."""
     if not 0 <= order <= SH_MAX_ORDER:
-        raise ValueError(f"order must be in [0, {SH_MAX_ORDER}], got {order}")
+        raise ValueError(f"sh order must be in [0, {SH_MAX_ORDER}], got {order}")
     vals = [
         sh_complex(n, m, clue.polar, clue.azimuth)
         for n in range(order + 1)
         for m in range(-n, n + 1)
     ]
-    vec = np.concatenate([[v.real for v in vals], [v.imag for v in vals]])
-    return ClueEmbedding(vec, order, "sh")
+    return np.concatenate([[v.real for v in vals], [v.imag for v in vals]])
 
 
-def encode_cyc_pos(clue: DoAClue, dim: int = 72) -> ClueEmbedding:
-    """Sinusoids at octave frequencies: [sin 2^k phi, cos 2^k phi]_k then same in theta."""
-    if dim % 4 != 0 or not 0 < dim <= 4 * CYC_POS_MAX_OCTAVES:
-        raise ValueError(f"dim must be a multiple of 4 in [4, {4 * CYC_POS_MAX_OCTAVES}], got {dim}")
-    octaves = dim // 4
+def encode_cyc_pos(clue: DoAClue, order: int = 5) -> np.ndarray:
+    """Sinusoids at octave frequencies: [sin 2^k phi, cos 2^k phi]_k then same in theta.
+
+    Order N gives (N + 1)^2 / 2 octaves per angle, so the same 2(N+1)^2 values
+    as encode_sh; that count is whole only for odd N.
+    """
+    if not (order % 2 and 1 <= order <= CYC_POS_MAX_ORDER):
+        raise ValueError(f"cyc-pos order must be odd and in [1, {CYC_POS_MAX_ORDER}], got {order}")
+    octaves = (order + 1) ** 2 // 2
     parts = []
     for angle in (clue.azimuth, clue.polar):
         for k in range(octaves):
             f = 2.0**k
             parts.extend([math.sin(f * angle), math.cos(f * angle)])
-    return ClueEmbedding(np.array(parts), octaves, "cyc_pos")
+    return np.array(parts)
 
 
-def build_time_varying_clue(
-    emb: ClueEmbedding, activation: np.ndarray, num_frames: int
-) -> np.ndarray:
+def build_time_varying_clue(emb: np.ndarray, activation: np.ndarray, num_frames: int) -> np.ndarray:
     """Interpolate the activation to num_frames, scale the embedding per frame: [num_frames x dim].
 
     Endpoints map to endpoints: target frame t samples the activation at
@@ -188,4 +164,4 @@ def build_time_varying_clue(
     t_src = activation.size
     pos = np.arange(num_frames) * (t_src - 1) / max(num_frames - 1, 1)
     scale = np.interp(pos, np.arange(t_src), activation)
-    return scale[:, None] * emb.vector[None, :]
+    return scale[:, None] * np.asarray(emb, dtype=np.float64)[None, :]

@@ -20,7 +20,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .clues import ClueEmbedding
 from .spectral import BandLayout, split_bands
 from .spin import SpinFeature
 
@@ -192,9 +191,9 @@ def _prelu(z: np.ndarray, slope: float) -> None:
 
 
 def _clue_matrix(clue, dim_expected: int, num_frames: int) -> tuple[np.ndarray, bool]:
-    """Coerce a ClueEmbedding, a [dim] vector or a [T x dim] matrix to [Tc x dim]:
+    """Coerce a [dim] vector or a [T x dim] matrix to [Tc x dim]:
     one row if static, num_frames rows if not."""
-    mat = np.asarray(clue.vector if isinstance(clue, ClueEmbedding) else clue, dtype=np.float64)
+    mat = np.asarray(clue, dtype=np.float64)
     if mat.ndim == 1:
         mat, static = mat[None, :], True
     elif mat.ndim == 2:
@@ -351,9 +350,7 @@ def finite_difference_check(
     """
     rng = rng or np.random.default_rng(0)
     grads = film_gradients(feat_k, clue, bw, upstream)
-    # the clue as an array in its own shape, so it indexes like grads["d_clue"]
-    clue = _clue_matrix(clue, bw.clue.dim_in, feat_k.shape[1])[0].reshape(grads["d_clue"].shape)
-    inputs = SimpleNamespace(feat=feat_k, clue=clue)
+    inputs = SimpleNamespace(feat=feat_k, clue=np.asarray(clue, dtype=np.float64))
     slots = [(inputs, "feat", "d_feat"), (inputs, "clue", "d_clue")]
     slots += [(getattr(bw, owner) if owner else bw, attr, key) for owner, attr, key in BAND_PARAMS]
 

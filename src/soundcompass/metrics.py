@@ -203,13 +203,12 @@ def spatial_errors(
     IPD differences are averaged only over bins whose smallest magnitude
     across the four involved spectra stays within 60 dB of the overall peak;
     phases of near-silent bins are noise. Returns (d_ild_db, d_ipd_rad,
-    d_itd_us, per_pair) where undefined pairs are excluded from the means.
+    d_itd_us, per_pair) where undefined pairs are excluded from the means; with
+    no defined pair (one channel has none) the means are NaN.
     """
     if est.samples.shape != ref.samples.shape or est.sample_rate != ref.sample_rate:
         raise ValueError("est and ref must share shape and sample rate")
     m = est.num_channels
-    if m < 2:
-        raise ValueError("spatial cues need at least two channels")
     if max_lag_s is None:
         max_lag_s = 64 / est.sample_rate
 

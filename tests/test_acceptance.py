@@ -91,7 +91,7 @@ def test_criterion_1_spherical_harmonics():
 
     from soundcompass import encode_sh
 
-    dim = encode_sh(DoAClue.from_degrees(10, 20), order=5).vector.size
+    dim = encode_sh(DoAClue.from_degrees(10, 20), order=5).size
     elapsed = time.monotonic() - t0
     ok = ortho_err <= 1e-6 and add_err <= 1e-10 and dim == 72 and elapsed < 5.0
     report(

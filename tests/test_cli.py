@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -464,7 +465,7 @@ def test_clue_cyc_pos_periodicity(capsys):
 @pytest.mark.parametrize("order", [0, 4, 44, -2])
 def test_clue_cyc_pos_even_order_exits_2(capsys, order):
     assert main(["clue", "--az", "45", "--el", "10", "--kind", "cyc-pos", "--order", str(order)]) == 2
-    assert capsys.readouterr().err == f"error: --order {order}: --kind cyc-pos works with odd orders 1 to 43 only\n"
+    assert capsys.readouterr().err == f"error: --order: cyc-pos order must be odd and in [1, 43], got {order}\n"
 
 
 # a negative order once wrote an embedding (-3 as 2 octaves, -45 as 968), and -1 and 45 named dim;
@@ -476,7 +477,7 @@ def test_clue_cyc_pos_odd_order_range(tmp_path, capsys, order, rc):
     args = ["clue", "--az", "45", "--el", "10", "--kind", "cyc-pos", "--order", str(order), "--out", str(out)]
     assert main(args) == rc
     if rc:
-        assert capsys.readouterr().err == f"error: --order {order}: --kind cyc-pos works with odd orders 1 to 43 only\n"
+        assert capsys.readouterr().err == f"error: --order: cyc-pos order must be odd and in [1, 43], got {order}\n"
         assert not out.exists()
     else:
         payload = json.loads(out.read_text())
@@ -497,7 +498,7 @@ def test_clue_order_past_float_range_exits_2(capsys, kind, largest, too_large, m
     assert np.isfinite(json.loads(capsys.readouterr().out)["vector"]).all()
     assert main(["clue", "--az", "45", "--el", "10", "--kind", kind, "--order", str(too_large)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: --order: ") and message in err
 
 
 def test_clue_time_varying(tmp_path):
@@ -631,6 +632,36 @@ def test_evaluate_source_out_of_range(rendered_scene, tmp_path):
         ["evaluate", "--est", str(est), "--scene", str(rendered_scene), "--source", "5", "--out", str(tmp_path / "r.csv")]
     )
     assert rc == 2
+
+
+def test_one_mic_scene_evaluates_with_nan_spatial_columns(tmp_path):
+    """One channel has no pairs: the SNR columns are finite and the spatial means NaN, as for undefined pairs."""
+    manifest = write_manifest(tmp_path, seconds=0.3)
+    scene = json.loads(manifest.read_text())
+    scene["array"] = {"offsets": [[0, 0, 0]]}
+    manifest.write_text(json.dumps(scene) + "\n", encoding="utf-8")
+    out, est, report = tmp_path / "scenes", tmp_path / "est.wav", tmp_path / "report.csv"
+    assert main(["simulate", "--manifest", str(manifest), "--out", str(out)]) == 0
+    assert main(["extract", "--scene", str(out / "scene_0"), "--az", "0", "--el", "0", "--out", str(est)]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["evaluate", "--est", str(est), "--scene", str(out / "scene_0"), "--source", "0", "--out", str(report)])
+    assert rc == 0
+    rows = list(csv.DictReader(report.read_text().splitlines()))
+    assert [r["scene_id"] for r in rows] == ["scene_0", "mean"]
+    for row in rows:
+        assert math.isfinite(float(row["snri_db"])) and math.isfinite(float(row["si_snri_db"]))
+        assert [row[k] for k in ("d_ild_db", "d_ipd_rad", "d_itd_us")] == ["nan"] * 3
+
+
+@pytest.mark.parametrize("el, rc", [(100, 2), (-91, 2), (math.nan, 2), (90, 0), (-90, 0)])
+def test_elevation_range_is_named_in_degrees(rendered_scene, tmp_path, capsys, el, rc):
+    extract = ["extract", "--scene", str(rendered_scene), "--out", str(tmp_path / "est.wav")]
+    for argv in (["clue"], extract):
+        capsys.readouterr()
+        assert main(argv + ["--az", "0", "--el", str(el)]) == rc
+        if rc:
+            assert capsys.readouterr().err == f"error: elevation {float(el)} deg outside [-90, 90]\n"
 
 
 MALFORMED_TRUTHS = {

@@ -6,14 +6,13 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from soundcompass import (
-    ClueEmbedding,
     DoAClue,
     build_time_varying_clue,
     encode_cyc_pos,
     encode_sh,
 )
 from soundcompass.cli import main
-from soundcompass.clues import assoc_legendre, sh_complex
+from soundcompass.clues import CYC_POS_MAX_ORDER, assoc_legendre, sh_complex
 
 
 # ---------------------------------------------------------------------------
@@ -201,40 +200,39 @@ def test_angular_distance_cases():
 
 def test_encode_sh_layout():
     emb = encode_sh(DoAClue.from_degrees(30, 20), order=5)
-    assert emb.kind == "sh"
-    assert emb.order == 5
-    assert emb.vector.shape == (72,)  # 2 * (5+1)^2
+    assert emb.dtype == np.float64
+    assert emb.shape == (72,)  # 2 * (5+1)^2
     # first half is the real parts, second half the imaginary parts
     c = DoAClue.from_degrees(30, 20)
     vals = [
         sh_complex(n, m, c.polar, c.azimuth) for n in range(6) for m in range(-n, n + 1)
     ]
-    np.testing.assert_allclose(emb.vector[:36], [v.real for v in vals], atol=1e-12)
-    np.testing.assert_allclose(emb.vector[36:], [v.imag for v in vals], atol=1e-12)
+    np.testing.assert_allclose(emb[:36], [v.real for v in vals], atol=1e-12)
+    np.testing.assert_allclose(emb[36:], [v.imag for v in vals], atol=1e-12)
 
 
 def test_encode_sh_order_zero():
     emb = encode_sh(DoAClue.from_degrees(123, -45), order=0)
-    np.testing.assert_allclose(emb.vector, [1.0 / math.sqrt(4 * math.pi), 0.0], atol=1e-15)
+    np.testing.assert_allclose(emb, [1.0 / math.sqrt(4 * math.pi), 0.0], atol=1e-15)
 
 
 def test_encode_sh_azimuth_periodicity():
     a = encode_sh(DoAClue(azimuth=0.3, polar=1.1), order=4)
     b = encode_sh(DoAClue(azimuth=0.3 + 2 * math.pi, polar=1.1), order=4)
-    np.testing.assert_allclose(a.vector, b.vector, atol=1e-12)
+    np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 def test_encode_sh_continuity():
     eps = 1e-7
     a = encode_sh(DoAClue(azimuth=1.0, polar=1.0), order=5)
     b = encode_sh(DoAClue(azimuth=1.0 + eps, polar=1.0 + eps), order=5)
-    assert np.abs(a.vector - b.vector).max() < 1e-5
+    assert np.abs(a - b).max() < 1e-5
 
 
 def test_encode_sh_distinguishes_directions():
     a = encode_sh(DoAClue.from_degrees(0, 0), order=5)
     b = encode_sh(DoAClue.from_degrees(10, 0), order=5)
-    assert np.abs(a.vector - b.vector).max() > 1e-3
+    assert np.abs(a - b).max() > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +240,12 @@ def test_encode_sh_distinguishes_directions():
 
 
 def test_cyc_pos_zero_direction():
-    emb = encode_cyc_pos(DoAClue(azimuth=0.0, polar=0.0), dim=8)
-    np.testing.assert_allclose(emb.vector, [0, 1, 0, 1, 0, 1, 0, 1], atol=1e-15)
-    assert emb.kind == "cyc_pos"
+    emb = encode_cyc_pos(DoAClue(azimuth=0.0, polar=0.0), order=1)
+    np.testing.assert_allclose(emb, [0, 1, 0, 1, 0, 1, 0, 1], atol=1e-15)
 
 
 def test_cyc_pos_structure():
-    emb = encode_cyc_pos(DoAClue(azimuth=0.7, polar=1.2), dim=72)
-    v = emb.vector
+    v = encode_cyc_pos(DoAClue(azimuth=0.7, polar=1.2), order=5)
     assert v.shape == (72,)
     # azimuth block: octave o contributes sin/cos of 2^o * az
     for o in range(18):
@@ -261,40 +257,40 @@ def test_cyc_pos_structure():
 
 
 def test_cyc_pos_azimuth_periodicity():
-    a = encode_cyc_pos(DoAClue(azimuth=0.25, polar=0.5), dim=16)
-    b = encode_cyc_pos(DoAClue(azimuth=0.25 + 2 * math.pi, polar=0.5), dim=16)
-    np.testing.assert_allclose(a.vector, b.vector, atol=1e-9)
+    a = encode_cyc_pos(DoAClue(azimuth=0.25, polar=0.5), order=3)
+    b = encode_cyc_pos(DoAClue(azimuth=0.25 + 2 * math.pi, polar=0.5), order=3)
+    np.testing.assert_allclose(a, b, atol=1e-9)
 
 
-def test_cyc_pos_dim_validation():
-    with pytest.raises(ValueError):
-        encode_cyc_pos(DoAClue(azimuth=0.0, polar=0.0), dim=10)
-    with pytest.raises(ValueError):
-        encode_cyc_pos(DoAClue(azimuth=0.0, polar=0.0), dim=0)
+def test_cyc_pos_order_validation():
+    """Only odd orders in 1-43 give a whole number of octaves that stay finite."""
+    for order in (-1, 0, 2, 4, 45):
+        with pytest.raises(ValueError, match=rf"cyc-pos order must be odd and in \[1, 43\], got {order}$"):
+            encode_cyc_pos(DoAClue(azimuth=0.0, polar=0.0), order)
+
+
+def test_encoders_agree_in_length_for_every_cyc_pos_order():
+    clue = DoAClue.from_degrees(45, 10)
+    for order in range(1, CYC_POS_MAX_ORDER + 1, 2):
+        sh, cyc = encode_sh(clue, order), encode_cyc_pos(clue, order)
+        assert sh.shape == cyc.shape == (2 * (order + 1) ** 2,)
+        assert sh.dtype == cyc.dtype == np.float64
+        assert np.isfinite(cyc).all()
 
 
 # ---------------------------------------------------------------------------
-# Embedding container and the JSON that `clue` writes
-
-
-def test_embedding_sh_length_validated():
-    with pytest.raises(ValueError):
-        ClueEmbedding(vector=np.zeros(71), order=5, kind="sh")
-    with pytest.raises(ValueError):
-        ClueEmbedding(vector=np.zeros(72), order=5, kind="nope")
+# The JSON that `clue` writes
 
 
 def test_embedding_json_round_trip(tmp_path):
-    """`soundcompass clue` writes the embedding's kind, order and vector, to 10 decimals."""
+    """`soundcompass clue` writes the given kind and order and the embedding, to 10 decimals."""
     emb = encode_sh(DoAClue.from_degrees(12, 34), order=3)
     out = tmp_path / "clue.json"
     assert main(["clue", "--az", "12", "--el", "34", "--order", "3", "--out", str(out)]) == 0
     payload = json.loads(out.read_text(encoding="utf-8"))
     assert set(payload) == {"kind", "order", "vector"}
-    loaded = ClueEmbedding(np.asarray(payload["vector"]), payload["order"], payload["kind"])
-    assert loaded.kind == "sh"
-    assert loaded.order == 3
-    np.testing.assert_allclose(loaded.vector, emb.vector, rtol=0, atol=1e-10)
+    assert (payload["kind"], payload["order"]) == ("sh", 3)
+    np.testing.assert_allclose(payload["vector"], emb, rtol=0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +303,8 @@ def test_time_varying_outer_product():
     mat = build_time_varying_clue(emb, act, num_frames=4)
     assert mat.shape == (4, 18) and mat.dtype == np.float64
     np.testing.assert_allclose(mat[0], 0.0, atol=1e-15)
-    np.testing.assert_allclose(mat[1], emb.vector, atol=1e-15)
-    np.testing.assert_allclose(mat[2], 0.5 * emb.vector, atol=1e-15)
+    np.testing.assert_allclose(mat[1], emb, atol=1e-15)
+    np.testing.assert_allclose(mat[2], 0.5 * emb, atol=1e-15)
 
 
 def test_time_varying_interpolation():
@@ -316,7 +312,7 @@ def test_time_varying_interpolation():
     act = np.array([0.0, 1.0])
     mat = build_time_varying_clue(emb, act, num_frames=5)
     # activation resampled linearly onto 5 frames: 0, .25, .5, .75, 1
-    scale = mat[:, 0] / emb.vector[0]
+    scale = mat[:, 0] / emb[0]
     np.testing.assert_allclose(scale, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-12)
 
 
@@ -324,7 +320,7 @@ def test_time_varying_constant_activation():
     emb = encode_sh(DoAClue.from_degrees(40, 10), order=3)
     mat = build_time_varying_clue(emb, np.ones(7), num_frames=3)
     for t in range(3):
-        np.testing.assert_allclose(mat[t], emb.vector, atol=1e-15)
+        np.testing.assert_allclose(mat[t], emb, atol=1e-15)
 
 
 def branched_scale(activation, num_frames):
@@ -345,7 +341,7 @@ def test_time_varying_scale_matches_branched_reference():
         act = rng.uniform(0.0, 1.0, t_src)
         for num_frames in (1, 2, 3, 7, 250):
             mat = build_time_varying_clue(emb, act, num_frames)
-            expected = branched_scale(act, num_frames)[:, None] * emb.vector[None, :]
+            expected = branched_scale(act, num_frames)[:, None] * emb[None, :]
             assert np.array_equal(mat, expected), (t_src, num_frames)
 
 

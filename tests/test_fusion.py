@@ -5,7 +5,6 @@ from soundcompass import (
     BandFusionWeights,
     BandLayout,
     ComplexSpectrogram,
-    ClueEmbedding,
     EncoderWeights,
     encode_band_feature,
     film_fuse,
@@ -226,18 +225,6 @@ def test_clue_matrix_rejections_name_the_fault(rng, clue, match):
         film_fuse(feat, clue, bw)
     with pytest.raises(ValueError, match=match):
         film_gradients(feat, clue, bw, feat)
-
-
-def test_clue_embedding_fuses_as_its_vector(rng):
-    bw = make_band_weights(rng, dim_clue=8)
-    feat, upstream = rng.standard_normal((2, 3, 4, 5))
-    vec = rng.standard_normal(8)
-    emb = ClueEmbedding(vec, order=1)
-    np.testing.assert_array_equal(film_fuse(feat, emb, bw), film_fuse(feat, vec, bw))
-    got, want = film_gradients(feat, emb, bw, upstream), film_gradients(feat, vec, bw, upstream)
-    assert sorted(got) == sorted(want)
-    for name in want:
-        np.testing.assert_array_equal(got[name], want[name])
 
 
 def test_encode_band_feature_shape(rng):

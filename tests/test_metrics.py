@@ -258,8 +258,10 @@ def test_spatial_errors_validation(rng):
     mono = MultichannelWaveform(rng.standard_normal((1, 1000)), FS)
     with pytest.raises(ValueError):
         spatial_errors(a, b)
-    with pytest.raises(ValueError):
-        spatial_errors(mono, mono)
+    # one channel has no pairs, so every mean is NaN, as for undefined pairs
+    d_ild, d_ipd, d_itd, pairs = spatial_errors(mono, mono)
+    assert math.isnan(d_ild) and math.isnan(d_ipd) and math.isnan(d_itd)
+    assert pairs == []
 
 
 # ---------------------------------------------------------------------------
