@@ -6,12 +6,19 @@ the wall at 0 and |m_d| times off the wall at L along each axis d. Each image
 contributes an attenuated, fractionally delayed copy: amplitude
 (product of wall reflection coefficients) / (4 pi distance), delay d/c.
 
+Only images that arrive within the decay time T after the direct sound are
+kept: those within R = |source - array centre| + c T of the array centre
+(the order cap still bounds the cube). An anechoic room has no window.
+
 The images form a Cartesian product of per-axis reflections, so coordinates
-and gains are kept per axis and never built as 3-vectors: a mic's squared
-distances are the cube sum (dx^2 + dy^2) + dz^2 of its per-axis squares,
-gathered at the live images (gain above 1e-12) and square-rooted. That is
-the sum order np.linalg.norm takes over [x, y, z], so the taps are the same
-bits as a norm over materialized image positions.
+and gains are kept per axis and never built as 3-vectors. The window is
+applied per axis, first to x, then to the (x, y) pairs, then to whole
+images, so only the (x, y) rows that can hold a kept image are expanded
+over z. A mic's squared distances are the sum (dx^2 + dy^2) + dz^2 of its
+per-axis squares over those rows, gathered at the live images (gain above
+1e-12, inside the window) and square-rooted. That is the sum order
+np.linalg.norm takes over [x, y, z], so the taps are the same bits as a norm
+over materialized image positions.
 
 Rendering convolves each source with its RIR, splitting the zeroth-order
 (direct) tap from the rest so direct and reverberant stems are separate
@@ -86,12 +93,16 @@ def _wall_absorptions(spec: SceneSpec) -> np.ndarray:
     return np.full(6, sabine_absorption(spec.room_dims, spec.rt60_s))
 
 
+def _decay_time(spec: SceneSpec, absorptions: np.ndarray) -> float:
+    """The requested RT60, or Sabine's for the mean wall absorption when the scene gives absorption."""
+    if spec.rt60_s is not None:
+        return float(spec.rt60_s)
+    return _sabine(spec.room_dims, max(float(absorptions.mean()), 1e-6))
+
+
 def _image_order(spec: SceneSpec, absorptions: np.ndarray) -> tuple[int, bool]:
     """Image order that covers the decay time, and whether MAX_IMAGE_ORDER cut it."""
-    rt60 = spec.rt60_s
-    if rt60 is None:
-        rt60 = _sabine(spec.room_dims, max(float(absorptions.mean()), 1e-6))
-    order = math.ceil(rt60 * SPEED_OF_SOUND / min(spec.room_dims)) + 1
+    order = math.ceil(_decay_time(spec, absorptions) * SPEED_OF_SOUND / min(spec.room_dims)) + 1
     return min(order, MAX_IMAGE_ORDER), order > MAX_IMAGE_ORDER
 
 
@@ -102,7 +113,8 @@ class RoomImpulseResponse:
     sample_rate: int
     image_order: int  # reflection order per axis the image cube spans
     order_capped: bool  # MAX_IMAGE_ORDER cut the order the decay time asked for
-    num_images: int  # images with non-negligible gain
+    num_images: int  # images with non-negligible gain inside the window
+    window_radius_m: float | None  # images farther than this from the array centre are dropped; None if anechoic
 
     def __post_init__(self):
         self.taps = np.asarray(self.taps, dtype=np.float64)
@@ -172,7 +184,8 @@ def simulate_rir(spec: SceneSpec, source_index: int, sample_rate: int = 16000) -
         raise SimulationError(f"source index {source_index} out of range")
     room = np.asarray(spec.room_dims, dtype=np.float64)
     src = np.asarray(spec.sources[source_index].position, dtype=np.float64)
-    mics = np.asarray(spec.array_center, dtype=np.float64) + spec.array_offsets
+    centre = np.asarray(spec.array_center, dtype=np.float64)
+    mics = centre + spec.array_offsets
 
     absorptions = _wall_absorptions(spec)
     betas = np.sqrt(np.clip(1.0 - absorptions, 0.0, 1.0))  # pairs per axis
@@ -180,8 +193,19 @@ def simulate_rir(spec: SceneSpec, source_index: int, sample_rate: int = 16000) -
     order, capped = (0, False) if np.all(betas == 0.0) else _image_order(spec, absorptions)
 
     coords, (gx, gy, gz) = _image_axes(src, room, betas, order)
-    cube = gx[:, None, None] * gy[:, None] * gz  # gains of the image cube, x-major
-    live = np.flatnonzero(cube > 1e-12)
+    radius = None  # the direct distance plus c T keeps the direct image however short T is
+    if order > 0:
+        radius = float(np.linalg.norm(src - centre)) + SPEED_OF_SOUND * _decay_time(spec, absorptions)
+    r2 = math.inf if radius is None else radius * radius
+    ex2, ey2, ez2 = ((c - m) ** 2 for c, m in zip(coords, centre))
+    # a partial sum never exceeds the full one, so each stage drops only images the full test drops;
+    # the pairs stay x-major, so the images keep the cube's order and bincount adds them as before
+    xs = np.flatnonzero(ex2 <= r2)
+    exy = ex2[xs, None] + ey2
+    pairs = np.flatnonzero(exy <= r2)
+    ix, iy = xs[pairs // ey2.size], pairs % ey2.size
+    cube = (gx[ix] * gy[iy])[:, None] * gz  # gains of the kept (x, y) rows, [pairs, z]
+    live = np.flatnonzero((cube > 1e-12) & (exy.ravel()[pairs, None] + ez2 <= r2))
     gains = cube.ravel()[live]
     if live.size == 0:
         raise SimulationError("no live image sources; absorption layout degenerate")
@@ -200,7 +224,7 @@ def simulate_rir(spec: SceneSpec, source_index: int, sample_rate: int = 16000) -
         # np.linalg.norm's sum order, sqrt((dx^2 + dy^2) + dz^2), with the cube reused for the squares;
         # every index is live, so mode="clip" changes nothing but lets take write into dists unbuffered
         dx2, dy2, dz2 = ((c - m) ** 2 for c, m in zip(coords, mics[mi]))
-        np.add(dx2[:, None, None] + dy2[:, None], dz2, out=cube)
+        np.add((dx2[ix] + dy2[iy])[:, None], dz2, out=cube)
         np.sqrt(cube.take(live, out=dists[mi], mode="clip"), out=dists[mi])
     np.maximum(dists, MIN_SOURCE_MIC_DISTANCE, out=dists)
     del cube, live
@@ -224,7 +248,9 @@ def simulate_rir(spec: SceneSpec, source_index: int, sample_rate: int = 16000) -
         skip = max(0, -lo)
         out_direct[mi, lo + skip : lo + KERNEL_TAPS] = kernel[skip:]
 
-    return RoomImpulseResponse(out, out_direct, fs, image_order=order, order_capped=capped, num_images=gains.shape[0])
+    return RoomImpulseResponse(
+        out, out_direct, fs, image_order=order, order_capped=capped, num_images=gains.shape[0], window_radius_m=radius
+    )
 
 
 def ground_truth_doa(spec: SceneSpec, source_index: int) -> DoAClue:
@@ -396,10 +422,11 @@ def _crossing_time(t: np.ndarray, db: np.ndarray, level: float) -> float:
 
 
 def _render_record(spec: SceneSpec, rir: RoomImpulseResponse) -> dict:
-    """Image order and count an RIR was built from, and its requested vs measured RT60.
+    """Image order, window and count an RIR was built from, and its requested vs measured RT60.
 
     rt60_requested_s is None when the scene gives absorption directly;
-    rt60_measured_s is None for an anechoic RIR or a decay too short to measure.
+    rt60_measured_s is None for an anechoic RIR or a decay too short to measure;
+    rt60_rel_err, |measured - requested| / requested, is None when either is.
     """
     measured = None
     if rir.image_order > 0:
@@ -407,12 +434,15 @@ def _render_record(spec: SceneSpec, rir: RoomImpulseResponse) -> dict:
             measured = schroeder_rt60(rir)
         except SimulationError:
             pass
+    requested = None if spec.rt60_s is None else float(spec.rt60_s)
     return {
         "image_order": rir.image_order,
         "order_capped": rir.order_capped,
         "num_images": rir.num_images,
-        "rt60_requested_s": None if spec.rt60_s is None else float(spec.rt60_s),
+        "window_radius_m": rir.window_radius_m,
+        "rt60_requested_s": requested,
         "rt60_measured_s": measured,
+        "rt60_rel_err": None if measured is None or requested is None else abs(measured - requested) / requested,
     }
 
 

@@ -36,6 +36,7 @@ from conftest import make_noise_wav
 
 ROOM = (5.57, 5.20, 3.79)
 CENTER = (2.8, 2.6, 1.5)
+TABLE_SOURCE = (1.9, 3.4, 1.6)  # the source of scripts/rt60_table.py
 FS = 16000
 
 
@@ -174,13 +175,17 @@ def test_source_index_out_of_range():
 
 
 def image_sources(spec, source_index):
-    """Positions [I, 3] and gains [I] of the live images, the whole image cube built from meshgrids.
+    """Positions [I, 3] and gains [I] of the live images inside the window, the whole image cube built from meshgrids.
 
+    The window keeps an image when its squared distance to the array centre,
+    summed (dx^2 + dy^2) + dz^2, is at most R^2, with R the direct distance
+    from the centre plus c times the decay time; an order-0 cube has none.
     Returns the source and mic positions too.
     """
     room = np.asarray(spec.room_dims, dtype=np.float64)
     src = np.asarray(spec.sources[source_index].position, dtype=np.float64)
-    mics = np.asarray(spec.array_center, dtype=np.float64) + spec.array_offsets
+    centre = np.asarray(spec.array_center, dtype=np.float64)
+    mics = centre + spec.array_offsets
     absorptions = roomsim._wall_absorptions(spec)
     betas = np.sqrt(np.clip(1.0 - absorptions, 0.0, 1.0))
     order = 0 if np.all(betas == 0.0) else roomsim._image_order(spec, absorptions)[0]
@@ -196,6 +201,10 @@ def image_sources(spec, source_index):
     positions = np.stack([cx.ravel(), cy.ravel(), cz.ravel()], axis=1)
     gains = (gx * gy * gz).ravel()
     keep = gains > 1e-12
+    if order > 0:
+        radius = float(np.linalg.norm(src - centre)) + SPEED_OF_SOUND * roomsim._decay_time(spec, absorptions)
+        d2 = (positions - centre) ** 2
+        keep &= (d2[:, 0] + d2[:, 1]) + d2[:, 2] <= radius * radius
     return positions[keep], gains[keep], src, mics
 
 
@@ -270,6 +279,7 @@ def reference_rir(spec, source_index):
     "positions, room, center, absorption, rt60, clipped",
     [
         pytest.param([(1.2, 3.8, 1.7)], ROOM, CENTER, None, 1.2, False, id="reference-room-order-12"),
+        pytest.param([TABLE_SOURCE], ROOM, CENTER, None, 0.2, False, id="reference-room-rt60-0.2-window"),
         pytest.param([(6.1, 1.9, 1.2)], (8.0, 6.0, 3.5), (4.0, 3.0, 1.5), None, 0.6, False, id="8x6x3.5-room"),
         pytest.param(
             [(1.2, 3.8, 1.7)], ROOM, CENTER, [1.0, 0.3, 0.5, 0.2, 0.6, 0.4], None, False, id="one-absorbing-wall"
@@ -346,6 +356,31 @@ def test_simulate_rir_equals_meshgrid_norm_reference_bitwise(scene):
     assert rir.taps.tobytes() == taps.tobytes()
     assert rir.direct_taps.tobytes() == direct_taps.tobytes()
     assert rir.num_images == num_images
+
+
+def test_window_cuts_low_rt60_cube():
+    # RT60 0.2 s still asks for the order-12 cube of 125k images, 115k of them live; the window keeps about a tenth
+    rir = simulate_rir(geometry_scene([TABLE_SOURCE], tetrahedral_offsets(), rt60=0.2), 0, sample_rate=FS)
+    assert rir.image_order == 12
+    assert rir.num_images <= 15000
+    assert rir.taps.shape[1] <= 3400
+
+
+def test_window_keeps_distant_direct_sound(scene_factory, tmp_path):
+    # c * RT60 is 17 m here, less than the 38 m to the source: the window starts at the direct distance
+    spec = scene_factory(
+        positions=((39.0, 0.5, 0.15),), room=(60.0, 1.0, 0.3), center=(1.0, 0.5, 0.15), rt60=0.05, seconds=0.2
+    )
+    positions, _, src, _ = image_sources(spec, 0)
+    assert (positions == src).all(axis=1).any()
+    out = render_scene_to_dir(spec, tmp_path / "scene")
+    render = json.loads((out / "truth.json").read_text())["sources"][0]["render"]
+    assert render["num_images"] == positions.shape[0]
+    assert render["window_radius_m"] == pytest.approx(38.0 + SPEED_OF_SOUND * 0.05)
+    rir = simulate_rir(spec, 0, sample_rate=FS)
+    taps, direct_taps, _ = reference_rir(spec, 0)
+    assert np.abs(rir.taps - taps).max() <= 1e-12 * np.abs(taps).max()
+    assert np.abs(rir.direct_taps - direct_taps).max() <= 1e-12 * np.abs(direct_taps).max()
 
 
 def test_simulate_rir_peak_allocation():
@@ -643,12 +678,15 @@ def test_truth_render_block_reverberant(scene_factory, tmp_path):
     assert (a / "truth.json").read_bytes() == (b / "truth.json").read_bytes()
     render = json.loads((a / "truth.json").read_text())["sources"][0]["render"]
     rir = simulate_rir(spec, 0, sample_rate=FS)
+    measured = schroeder_rt60(rir)
     assert render == {
         "image_order": 12,
         "order_capped": True,
         "num_images": rir.num_images,
+        "window_radius_m": np.linalg.norm(np.subtract((1.2, 3.8, 1.7), CENTER)) + SPEED_OF_SOUND * 1.2,
         "rt60_requested_s": 1.2,
-        "rt60_measured_s": schroeder_rt60(rir),
+        "rt60_measured_s": measured,
+        "rt60_rel_err": abs(measured - 1.2) / 1.2,
     }
     assert 0 < render["num_images"] <= 50**3
     # known defect, recorded not fixed: the order cap shortens the decay
@@ -662,6 +700,8 @@ def test_truth_render_block_anechoic(scene_factory, tmp_path):
         "image_order": 0,
         "order_capped": False,
         "num_images": 1,
+        "window_radius_m": None,
         "rt60_requested_s": None,
         "rt60_measured_s": None,
+        "rt60_rel_err": None,
     }

@@ -38,6 +38,19 @@ def test_steering_contour_writes_finite_grid(tmp_path):
     assert all(math.isfinite(float(v)) for row in rows[1:] for v in row)
 
 
+def test_rt60_table_prints_ten_finite_rows(tmp_path):
+    proc = run_script("rt60_table.py", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    header = [c.strip() for c in lines[0].strip("|").split("|")]
+    assert header == [
+        "room", "rt60_requested_s", "rt60_measured_s", "rt60_rel_err", "num_images", "rir_samples", "window_radius_m"
+    ]
+    rows = [[c.strip() for c in line.strip("|").split("|")] for line in lines[2:]]
+    assert len(rows) == 10
+    assert all(len(row) == len(header) and all(math.isfinite(float(v)) for v in row[1:]) for row in rows)
+
+
 def test_output_digests_agree_across_blas_threads_and_jobs(tmp_path):
     """One BLAS thread and the default, --jobs 1 and 2: every CLI output has the same bytes."""
     env = {**os.environ, "PYTHONPATH": str(Path(soundcompass.__file__).parents[1])}
