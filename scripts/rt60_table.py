@@ -24,7 +24,8 @@ ROOMS = [
 ]
 RT60S = [0.2, 0.32, 0.6, 0.8, 1.2]
 COLUMNS = [
-    "room", "rt60_requested_s", "rt60_measured_s", "rt60_rel_err", "num_images", "rir_samples", "window_radius_m"
+    "room", "rt60_requested_s", "rt60_measured_s", "rt60_rel_err", "num_images", "rir_samples", "window_radius_m",
+    "tail_onset_s",
 ]
 
 

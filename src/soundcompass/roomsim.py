@@ -6,9 +6,12 @@ the wall at 0 and |m_d| times off the wall at L along each axis d. Each image
 contributes an attenuated, fractionally delayed copy: amplitude
 (product of wall reflection coefficients) / (4 pi distance), delay d/c.
 
-Only images that arrive within the decay time T after the direct sound are
-kept: those within R = |source - array centre| + c T of the array centre
-(the order cap still bounds the cube). An anechoic room has no window.
+Only images within R = |source - array centre| + c t_on of the array centre
+are kept, t_on being 13/60 of the decay time T (-13 dB), cut to the latest time
+the order-12 cube holds every image that arrives by then. From the sample where
+R reaches the centre to each mic's direct arrival plus T, a diffuse tail seeded
+by the scene follows (see _diffuse_tail). An anechoic room has no window and no
+tail.
 
 The images form a Cartesian product of per-axis reflections, so coordinates
 and gains are kept per axis and never built as 3-vectors. The window is
@@ -37,9 +40,11 @@ from .audio_io import MultichannelWaveform, json_array, read_json, read_wav, wri
 from .clues import DoAClue
 from .delays import KERNEL_HALF, KERNEL_TAPS, SPEED_OF_SOUND, fractional_delay_kernel
 from .scenes import SceneSpec
-from .spectral import FFT_SIZE, HOP, frame_view
+from .spectral import FFT_SIZE, HOP, WINDOW, ComplexSpectrogram, frame_view, istft, stft
 
 MAX_IMAGE_ORDER = 12
+TAIL_ONSET_FRACTION = 13 / 60  # the images stop and the diffuse tail starts where the decay reaches -13 dB
+TAIL_LEVEL_S = 0.01  # each mic's tail starts at its image RMS over this span before the onset
 MIN_SOURCE_MIC_DISTANCE = 1e-3  # 1 mm
 ACTIVATION_GATE_DB = -40.0
 
@@ -65,7 +70,9 @@ def fftconvolve(sig: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Full linear convolution of a [1, S] signal with each row of [M, L] taps: [M, S + L - 1]."""
     n = sig.shape[-1] + taps.shape[-1] - 1
     nfft = _fft_length(n)
-    return np.fft.irfft(np.fft.rfft(sig, nfft) * np.fft.rfft(taps, nfft), nfft)[..., :n]
+    spectra = np.fft.rfft(taps, nfft)
+    np.multiply(np.fft.rfft(sig, nfft), spectra, out=spectra)  # in place: one [M, nfft/2 + 1] product held, not two
+    return np.fft.irfft(spectra, nfft)[..., :n]
 
 
 def _sabine(room_dims, x: float) -> float:
@@ -100,10 +107,14 @@ def _decay_time(spec: SceneSpec, absorptions: np.ndarray) -> float:
     return _sabine(spec.room_dims, max(float(absorptions.mean()), 1e-6))
 
 
-def _image_order(spec: SceneSpec, absorptions: np.ndarray) -> tuple[int, bool]:
-    """Image order that covers the decay time, and whether MAX_IMAGE_ORDER cut it."""
-    order = math.ceil(_decay_time(spec, absorptions) * SPEED_OF_SOUND / min(spec.room_dims)) + 1
-    return min(order, MAX_IMAGE_ORDER), order > MAX_IMAGE_ORDER
+def _image_order(room: np.ndarray, src: np.ndarray, centre: np.ndarray, radius: float) -> int:
+    """Smallest order whose cube holds every image within radius of the centre, at most MAX_IMAGE_ORDER.
+
+    Along axis d the order-N cube ends at -s - 2NL and s + 2NL; the nearest image
+    past it, at 2(N+1)L - s, lies 2(N+1)L - s - c from the centre, beyond radius once
+    N > (radius + s + c) / 2L - 1.
+    """
+    return min(int(np.floor((radius + src + centre) / (2.0 * room)).max()), MAX_IMAGE_ORDER)
 
 
 @dataclass
@@ -112,9 +123,10 @@ class RoomImpulseResponse:
     direct_taps: np.ndarray  # [M, L] zeroth-order image only
     sample_rate: int
     image_order: int  # reflection order per axis the image cube spans
-    order_capped: bool  # MAX_IMAGE_ORDER cut the order the decay time asked for
     num_images: int  # images with non-negligible gain inside the window
     window_radius_m: float | None  # images farther than this from the array centre are dropped; None if anechoic
+    tail_onset_s: float | None  # the diffuse tail starts this long after the direct sound reaches the centre
+    tail: np.ndarray | None  # [M, L - onset sample] diffuse tail, added into taps from the onset sample on
 
     def __post_init__(self):
         self.taps = np.asarray(self.taps, dtype=np.float64)
@@ -177,8 +189,33 @@ def _scatter(out: np.ndarray, index: np.ndarray, amps: np.ndarray) -> None:
                 out[lo + skip : lo + n] += block[k, skip:n]
 
 
+def _diffuse_tail(images: np.ndarray, onset: int, ends: np.ndarray, decay_s: float, mics: np.ndarray, fs: int, rng):
+    """[M, L - onset] diffuse tail to add into the [M, L] image response from sample onset on.
+
+    Gaussian noise is mixed per STFT bin by the symmetric square root of the
+    diffuse-field coherence sinc(2 pi f d_ij / c), so mics d_ij apart are as
+    coherent as in a diffuse field; each mic's row is then scaled to unit RMS,
+    to its image RMS over the TAIL_LEVEL_S before onset, and by the decay
+    10^(-3 (t - onset) / T), and ends at sample ends[m].
+    """
+    length = images.shape[1] - onset
+    noise = stft(MultichannelWaveform(rng.standard_normal((mics.shape[0], length)), fs), WINDOW, FFT_SIZE, HOP)
+    spacing = np.linalg.norm(mics[:, None] - mics[None], axis=-1)
+    freqs = np.fft.rfftfreq(FFT_SIZE, 1.0 / fs)
+    # np.sinc(x) is sin(pi x) / (pi x); coherence is [F, M, M], symmetric and positive semi-definite
+    lam, vec = np.linalg.eigh(np.sinc(2.0 * freqs[:, None, None] * spacing / SPEED_OF_SOUND))
+    mix = (vec * np.sqrt(np.maximum(lam, 0.0))[:, None, :]) @ vec.transpose(0, 2, 1)  # mix @ mix = coherence
+    mixed = np.moveaxis(mix @ np.moveaxis(noise.values, 2, 0), 0, 2)  # [M, T, F]
+    tail = istft(ComplexSpectrogram(mixed, HOP, FFT_SIZE, fs), WINDOW, length).samples
+    before = images[:, max(onset - round(TAIL_LEVEL_S * fs), 0) : onset]
+    tail *= np.sqrt(np.mean(before**2, axis=1) / np.mean(tail**2, axis=1))[:, None]
+    tail *= 10.0 ** (-3.0 * np.arange(length) / (decay_s * fs))
+    tail[np.arange(length) >= (ends - onset)[:, None]] = 0.0
+    return tail
+
+
 def simulate_rir(spec: SceneSpec, source_index: int, sample_rate: int = 16000) -> RoomImpulseResponse:
-    """Image-source RIR from one source to every array mic."""
+    """Image-source RIR from one source to every array mic, with a diffuse tail after the image window."""
     spec.validate()
     if not (0 <= source_index < len(spec.sources)):
         raise SimulationError(f"source index {source_index} out of range")
@@ -189,13 +226,19 @@ def simulate_rir(spec: SceneSpec, source_index: int, sample_rate: int = 16000) -
 
     absorptions = _wall_absorptions(spec)
     betas = np.sqrt(np.clip(1.0 - absorptions, 0.0, 1.0))  # pairs per axis
-    # an anechoic room has only the direct image
-    order, capped = (0, False) if np.all(betas == 0.0) else _image_order(spec, absorptions)
+    # an anechoic room has only the direct image, and no window or tail
+    order, radius, onset, decay = 0, None, None, None
+    if not np.all(betas == 0.0):
+        decay = _decay_time(spec, absorptions)
+        direct = float(np.linalg.norm(src - centre))
+        reach = float(np.min(2.0 * (MAX_IMAGE_ORDER + 1) * room - src - centre))  # see _image_order
+        # the direct distance plus c t_on keeps the direct image however short t_on is; t_on is 0
+        # only when the direct sound alone outruns the order-12 cube
+        onset = max(0.0, min(decay * TAIL_ONSET_FRACTION, (reach - direct) / SPEED_OF_SOUND))
+        radius = direct + SPEED_OF_SOUND * onset
+        order = _image_order(room, src, centre, radius)
 
     coords, (gx, gy, gz) = _image_axes(src, room, betas, order)
-    radius = None  # the direct distance plus c T keeps the direct image however short T is
-    if order > 0:
-        radius = float(np.linalg.norm(src - centre)) + SPEED_OF_SOUND * _decay_time(spec, absorptions)
     r2 = math.inf if radius is None else radius * radius
     ex2, ey2, ez2 = ((c - m) ** 2 for c, m in zip(coords, centre))
     # a partial sum never exceeds the full one, so each stage drops only images the full test drops;
@@ -229,9 +272,14 @@ def simulate_rir(spec: SceneSpec, source_index: int, sample_rate: int = 16000) -
     np.maximum(dists, MIN_SOURCE_MIC_DISTANCE, out=dists)
     del cube, live
 
-    # the farthest image sets each channel's length; the longest channel sets the RIR's
+    # the farthest image sets each channel's length, and each mic's direct arrival plus T its tail's end;
+    # the longest sets the RIR's, which holds at least one tail sample
     last = _arrival_index(dists.max(axis=1) / SPEED_OF_SOUND * fs) // DELAY_FRACTIONS
     max_len = int(last.max()) + KERNEL_TAPS + 1
+    if onset is not None:
+        start = round(radius / SPEED_OF_SOUND * fs)  # where the window's edge reaches the centre
+        ends = np.rint((direct_dists / SPEED_OF_SOUND + decay) * fs).astype(np.int64)
+        max_len = max(max_len, int(ends.max()), start + 1)
     out = np.zeros((num_mics, max_len))
     out_direct = np.zeros((num_mics, max_len))
     dd_int, dq = divmod(_arrival_index(direct_dists / SPEED_OF_SOUND * fs), DELAY_FRACTIONS)
@@ -248,8 +296,13 @@ def simulate_rir(spec: SceneSpec, source_index: int, sample_rate: int = 16000) -
         skip = max(0, -lo)
         out_direct[mi, lo + skip : lo + KERNEL_TAPS] = kernel[skip:]
 
+    tail = None
+    if onset is not None:
+        tail = _diffuse_tail(out, start, ends, decay, mics, fs, np.random.default_rng((spec.seed, source_index)))
+        out[:, start:] += tail
     return RoomImpulseResponse(
-        out, out_direct, fs, image_order=order, order_capped=capped, num_images=gains.shape[0], window_radius_m=radius
+        out, out_direct, fs, image_order=order, num_images=gains.shape[0], window_radius_m=radius,
+        tail_onset_s=onset, tail=tail,
     )
 
 
@@ -334,10 +387,12 @@ def render_scene(spec: SceneSpec, base_dir=None) -> tuple[MultichannelWaveform, 
     truths = []
     for j, sig in enumerate(signals):
         rir = simulate_rir(spec, j, sample_rate=rate)
-        # one transform of the source for both stems; the FFT takes each row on its own
-        both = np.concatenate([rir.direct_taps, rir.reverb_taps()])
-        stems = _fit_length(fftconvolve(sig[None, :], both), num_samples)
-        direct, reverb = MultichannelWaveform(stems[:num_mics], rate), MultichannelWaveform(stems[num_mics:], rate)
+        # one convolution per stem, copied out at the scene length: no [2M, nfft] buffer is built, and none
+        # outlives its stem, which keeps the heap of a long-tailed render small
+        direct, reverb = (
+            MultichannelWaveform(_fit_length(fftconvolve(sig[None, :], taps), num_samples), rate)
+            for taps in (rir.direct_taps, rir.reverb_taps())
+        )
         mixture += direct.samples + reverb.samples
         truths.append(
             SourceTruth(
@@ -378,8 +433,9 @@ def render_scene(spec: SceneSpec, base_dir=None) -> tuple[MultichannelWaveform, 
 
 
 def _fit_length(x: np.ndarray, n: int) -> np.ndarray:
+    """The first n samples of each row of x, zero-padded past its end, in an array of their own."""
     if x.shape[1] >= n:
-        return x[:, :n]
+        return x[:, :n].copy()
     out = np.zeros((x.shape[0], n))
     out[:, : x.shape[1]] = x
     return out
@@ -422,8 +478,9 @@ def _crossing_time(t: np.ndarray, db: np.ndarray, level: float) -> float:
 
 
 def _render_record(spec: SceneSpec, rir: RoomImpulseResponse) -> dict:
-    """Image order, window and count an RIR was built from, and its requested vs measured RT60.
+    """Image order, window, count and tail onset an RIR was built from, and its requested vs measured RT60.
 
+    window_radius_m and tail_onset_s are None for an anechoic RIR;
     rt60_requested_s is None when the scene gives absorption directly;
     rt60_measured_s is None for an anechoic RIR or a decay too short to measure;
     rt60_rel_err, |measured - requested| / requested, is None when either is.
@@ -437,9 +494,9 @@ def _render_record(spec: SceneSpec, rir: RoomImpulseResponse) -> dict:
     requested = None if spec.rt60_s is None else float(spec.rt60_s)
     return {
         "image_order": rir.image_order,
-        "order_capped": rir.order_capped,
         "num_images": rir.num_images,
         "window_radius_m": rir.window_radius_m,
+        "tail_onset_s": rir.tail_onset_s,
         "rt60_requested_s": requested,
         "rt60_measured_s": measured,
         "rt60_rel_err": None if measured is None or requested is None else abs(measured - requested) / requested,

@@ -114,6 +114,8 @@ class SceneSpec:
             np.any(self.absorption <= 0) or np.any(self.absorption > 1)
         ):
             raise SceneValidationError("absorption coefficients must lie in (0, 1]")
+        if self.seed < 0:  # the seed of the diffuse tail's noise
+            raise SceneValidationError(f"seed must be a non-negative integer, got {self.seed}")
         if len(self.sources) < 1:
             raise SceneValidationError("at least one source is required")
         for m, pos in enumerate(self.mic_positions()):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
-from scipy.signal import fftconvolve
+from scipy.signal import csd, fftconvolve, welch
 
 from soundcompass import (
     MultichannelWaveform,
@@ -174,13 +174,28 @@ def test_source_index_out_of_range():
 # Image scatter against the per-fraction np.add.at reference
 
 
+def image_window(spec, source_index):
+    """Tail onset t_on and window radius R = |src - centre| + c t_on of a reverberant scene.
+
+    t_on is 13/60 of the decay time, cut to the latest time the order-12 cube
+    holds every image that arrives by then; along axis d that cube reaches
+    2 * 13 * L - s - c from the centre.
+    """
+    src = np.asarray(spec.sources[source_index].position, dtype=np.float64)
+    centre = np.asarray(spec.array_center, dtype=np.float64)
+    decay = roomsim._decay_time(spec, roomsim._wall_absorptions(spec))
+    direct = float(np.linalg.norm(src - centre))
+    reach = float(np.min(2.0 * 13 * np.asarray(spec.room_dims) - src - centre))
+    onset = max(0.0, min(decay * 13 / 60, (reach - direct) / SPEED_OF_SOUND))
+    return onset, direct + SPEED_OF_SOUND * onset
+
+
 def image_sources(spec, source_index):
     """Positions [I, 3] and gains [I] of the live images inside the window, the whole image cube built from meshgrids.
 
     The window keeps an image when its squared distance to the array centre,
-    summed (dx^2 + dy^2) + dz^2, is at most R^2, with R the direct distance
-    from the centre plus c times the decay time; an order-0 cube has none.
-    Returns the source and mic positions too.
+    summed (dx^2 + dy^2) + dz^2, is at most R^2, with R from image_window; an
+    anechoic scene has no window. Returns the source and mic positions too.
     """
     room = np.asarray(spec.room_dims, dtype=np.float64)
     src = np.asarray(spec.sources[source_index].position, dtype=np.float64)
@@ -188,7 +203,9 @@ def image_sources(spec, source_index):
     mics = centre + spec.array_offsets
     absorptions = roomsim._wall_absorptions(spec)
     betas = np.sqrt(np.clip(1.0 - absorptions, 0.0, 1.0))
-    order = 0 if np.all(betas == 0.0) else roomsim._image_order(spec, absorptions)[0]
+    anechoic = np.all(betas == 0.0)
+    radius = None if anechoic else image_window(spec, source_index)[1]
+    order = 0 if anechoic else roomsim._image_order(room, src, centre, radius)
     ms = np.arange(-order, order + 1)
     axis_coords, axis_gains = [], []
     for d in range(3):
@@ -201,11 +218,28 @@ def image_sources(spec, source_index):
     positions = np.stack([cx.ravel(), cy.ravel(), cz.ravel()], axis=1)
     gains = (gx * gy * gz).ravel()
     keep = gains > 1e-12
-    if order > 0:
-        radius = float(np.linalg.norm(src - centre)) + SPEED_OF_SOUND * roomsim._decay_time(spec, absorptions)
+    if radius is not None:
         d2 = (positions - centre) ** 2
         keep &= (d2[:, 0] + d2[:, 1]) + d2[:, 2] <= radius * radius
     return positions[keep], gains[keep], src, mics
+
+
+def padded(taps, rir):
+    """[M, L] taps zero-padded to the RIR's length."""
+    out = np.zeros(rir.taps.shape)
+    out[:, : taps.shape[1]] = taps
+    return out
+
+
+def with_tail(image_taps, rir):
+    """Image taps padded to the RIR's length, plus its diffuse tail from the onset sample on, as simulate_rir adds it.
+
+    Adding the same tail to the same image taps gives the same bits.
+    """
+    out = padded(image_taps, rir)
+    if rir.tail is not None:
+        out[:, out.shape[1] - rir.tail.shape[1] :] += rir.tail
+    return out
 
 
 def quantize(delays):
@@ -294,7 +328,7 @@ def test_scatter_matches_add_at_reference(positions, room, center, absorption, r
     spec = geometry_scene(positions, tetrahedral_offsets(), room, center, absorption, rt60)
     rir = simulate_rir(spec, 0, sample_rate=FS)
     taps, direct_taps, direct_idx = reference_rir(spec, 0)
-    assert rir.taps.shape == taps.shape
+    taps, direct_taps = with_tail(taps, rir), padded(direct_taps, rir)
     # the direct kernel peaks at the nearest whole-sample arrival
     np.testing.assert_array_equal(np.abs(rir.direct_taps).argmax(axis=1), direct_idx)
     peak = np.abs(taps).max()
@@ -350,24 +384,49 @@ def image_scenes(draw):
 @given(image_scenes())
 def test_simulate_rir_equals_meshgrid_norm_reference_bitwise(scene):
     spec, order = scene
-    with mock.patch.object(roomsim, "_image_order", lambda spec, absorptions: (order, False)):
+    with mock.patch.object(roomsim, "_image_order", lambda *window: order):
         rir = simulate_rir(spec, 0, sample_rate=FS)
         taps, direct_taps, num_images = meshgrid_rir(spec, 0)
-    assert rir.taps.tobytes() == taps.tobytes()
-    assert rir.direct_taps.tobytes() == direct_taps.tobytes()
+    assert rir.taps.tobytes() == with_tail(taps, rir).tobytes()
+    assert rir.direct_taps.tobytes() == padded(direct_taps, rir).tobytes()
     assert rir.num_images == num_images
 
 
 def test_window_cuts_low_rt60_cube():
-    # RT60 0.2 s still asks for the order-12 cube of 125k images, 115k of them live; the window keeps about a tenth
-    rir = simulate_rir(geometry_scene([TABLE_SOURCE], tetrahedral_offsets(), rt60=0.2), 0, sample_rate=FS)
-    assert rir.image_order == 12
-    assert rir.num_images <= 15000
-    assert rir.taps.shape[1] <= 3400
+    # at RT60 0.2 s the images stop 43 ms after the direct sound: an order-2 cube, 155 of its images in the window
+    spec = geometry_scene([TABLE_SOURCE], tetrahedral_offsets(), rt60=0.2)
+    rir = simulate_rir(spec, 0, sample_rate=FS)
+    assert rir.tail_onset_s == 0.2 * (13 / 60)
+    assert rir.window_radius_m == image_window(spec, 0)[1]
+    assert rir.image_order == 2
+    assert rir.num_images <= 200
+    # the tail, not the images, sets the length: the farthest mic's direct arrival plus RT60
+    direct = np.linalg.norm(np.subtract(TABLE_SOURCE, CENTER) - tetrahedral_offsets(), axis=1)
+    assert rir.taps.shape[1] == round((direct.max() / SPEED_OF_SOUND + 0.2) * FS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(0.5, 20.0), min_size=3, max_size=3),
+    st.lists(st.floats(0.01, 0.99), min_size=6, max_size=6),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_image_order_holds_every_image_in_the_window(room, fracs, reach_frac):
+    room = np.array(room)
+    src, centre = np.array(fracs[:3]) * room, np.array(fracs[3:]) * room
+    reach = float(np.min(2.0 * 13 * room - src - centre))  # what the order-12 cube holds
+    radius = reach_frac * reach
+    order = roomsim._image_order(room, src, centre, radius)
+    assert 0 <= order <= roomsim.MAX_IMAGE_ORDER
+    # along each axis, every image coordinate of a wider cube within radius of the centre is in the order's cube
+    for d in range(3):
+        coords = [(1 - 2 * p) * src[d] + 2 * m * room[d] for p in (0, 1) for m in range(-order - 3, order + 4)]
+        inside = [abs(m) <= order for p in (0, 1) for m in range(-order - 3, order + 4)]
+        assert all(ok for x, ok in zip(coords, inside) if abs(x - centre[d]) <= radius)
 
 
 def test_window_keeps_distant_direct_sound(scene_factory, tmp_path):
-    # c * RT60 is 17 m here, less than the 38 m to the source: the window starts at the direct distance
+    # c * t_on is at most 3.7 m here, far less than the 38 m to the source: the window starts at the direct distance
     spec = scene_factory(
         positions=((39.0, 0.5, 0.15),), room=(60.0, 1.0, 0.3), center=(1.0, 0.5, 0.15), rt60=0.05, seconds=0.2
     )
@@ -376,9 +435,12 @@ def test_window_keeps_distant_direct_sound(scene_factory, tmp_path):
     out = render_scene_to_dir(spec, tmp_path / "scene")
     render = json.loads((out / "truth.json").read_text())["sources"][0]["render"]
     assert render["num_images"] == positions.shape[0]
-    assert render["window_radius_m"] == pytest.approx(38.0 + SPEED_OF_SOUND * 0.05)
+    # the order-12 cube reaches only 7.5 m up and down from the centre, short of the source: the tail starts at once
+    assert render["tail_onset_s"] == 0.0
+    assert render["window_radius_m"] == pytest.approx(38.0)
     rir = simulate_rir(spec, 0, sample_rate=FS)
     taps, direct_taps, _ = reference_rir(spec, 0)
+    taps, direct_taps = with_tail(taps, rir), padded(direct_taps, rir)
     assert np.abs(rir.taps - taps).max() <= 1e-12 * np.abs(taps).max()
     assert np.abs(rir.direct_taps - direct_taps).max() <= 1e-12 * np.abs(direct_taps).max()
 
@@ -405,6 +467,19 @@ def test_rt60_within_twenty_percent(reverberant_rir):
     assert 0.8 * 0.32 <= measured <= 1.2 * 0.32, measured
 
 
+@pytest.mark.parametrize("rt60", [0.2, 0.32, 0.6, 0.8, 1.2])
+@pytest.mark.parametrize(
+    "room, center",
+    [((5.57, 5.20, 3.79), (2.8, 2.6, 1.5)), ((8.0, 6.0, 3.5), (4.0, 3.0, 1.5))],
+    ids=["reference", "8x6x3.5"],
+)
+def test_rt60_sweep_within_twenty_percent(room, center, rt60):
+    # the ten cases of scripts/rt60_table.py
+    spec = geometry_scene([TABLE_SOURCE], tetrahedral_offsets(), room, center, rt60=rt60)
+    measured = schroeder_rt60(simulate_rir(spec, 0, sample_rate=FS))
+    assert 0.8 * rt60 <= measured <= 1.2 * rt60, measured
+
+
 def test_decay_curve_monotone(reverberant_rir):
     t, db = schroeder_decay_db(reverberant_rir)
     assert db[0] == pytest.approx(0.0)
@@ -417,6 +492,51 @@ def test_tail_energy_negligible_after_rt60(reverberant_rir):
     energy = (reverberant_rir.taps**2).sum()
     tail = (reverberant_rir.taps[:, cut:] ** 2).sum()
     assert tail <= 1e-6 * energy
+
+
+def test_tail_is_seeded_and_only_after_onset():
+    spec = geometry_scene([(1.2, 3.8, 1.7)], tetrahedral_offsets(), rt60=0.6)
+    a, b = simulate_rir(spec, 0, sample_rate=FS), simulate_rir(spec, 0, sample_rate=FS)
+    assert a.taps.tobytes() == b.taps.tobytes()
+    spec.seed = 1
+    c = simulate_rir(spec, 0, sample_rate=FS)
+    onset = a.taps.shape[1] - a.tail.shape[1]
+    assert onset == round(a.window_radius_m / SPEED_OF_SOUND * FS)
+    assert c.direct_taps.tobytes() == a.direct_taps.tobytes()
+    assert c.taps[:, :onset].tobytes() == a.taps[:, :onset].tobytes()
+    # another draw, not a rounding change, in every mic's reverberant response after onset
+    change = np.abs(c.reverb_taps()[:, onset:] - a.reverb_taps()[:, onset:]).max(axis=1)
+    assert (change > 0.1 * np.abs(a.tail).max(axis=1)).all()
+    # each mic's tail starts at its image level over the 10 ms before onset
+    before = np.sqrt(np.mean(a.taps[:, onset - FS // 100 : onset] ** 2, axis=1))
+    after = np.sqrt(np.mean(a.tail[:, : FS // 100] ** 2, axis=1))
+    np.testing.assert_allclose(after, before, rtol=0.25)
+
+
+def test_anechoic_scene_has_no_tail():
+    rir = simulate_rir(geometry_scene([(1.2, 3.8, 1.7)], tetrahedral_offsets()), 0, sample_rate=FS)
+    assert rir.tail is None and rir.tail_onset_s is None and rir.window_radius_m is None
+
+
+def test_tail_coherence_is_diffuse():
+    # one tetrahedral pair, 6.9 cm apart: diffuse-field coherence sinc(2 pi f d / c) falls from 0.76 at 1 kHz
+    # to -0.19 at 4 kHz
+    spec = geometry_scene([(1.2, 3.8, 1.7)], tetrahedral_offsets(), rt60=1.2)
+    rir = simulate_rir(spec, 0, sample_rate=FS)
+    d = float(np.linalg.norm(tetrahedral_offsets()[0] - tetrahedral_offsets()[1]))
+    n = rir.tail.shape[1] - FS // 10  # clear of the per-mic ends
+    flat = rir.tail[:2, :n] * 10.0 ** (3.0 * np.arange(n) / (1.2 * FS))  # the decay undone: stationary noise
+    f, cross = csd(flat[0], flat[1], fs=FS, nperseg=256)
+    _, p0 = welch(flat[0], fs=FS, nperseg=256)
+    _, p1 = welch(flat[1], fs=FS, nperseg=256)
+    band = (f >= 1000) & (f <= 4000)
+    coherence = cross[band] / np.sqrt(p0[band] * p1[band])
+    error = coherence.real - np.sinc(2.0 * f[band] * d / SPEED_OF_SOUND)
+    # one tail's per-bin estimate scatters by about 0.06 (0.017 pooled over 8 seeds), with no bias;
+    # white noise, coherence 0, would miss by 0.2 on average
+    assert abs(error.mean()) <= 0.03
+    assert np.abs(error).mean() <= 0.08
+    assert np.abs(coherence.imag).mean() <= 0.08
 
 
 def test_reverb_stem_is_exact_complement(reverberant_rir):
@@ -536,7 +656,7 @@ def test_render_stems_match_full_convolution(scene_factory):
     full = fftconvolve(sig[None, :], rir.taps, axes=1)[:, : mixture.num_samples]
     stems = truth.sources[0].direct.samples + truth.sources[0].reverb.samples
     assert np.abs(stems - full).max() <= 1e-9
-    # both stems come from one transform of the source, bit for bit as from one convolution each
+    # each stem is one convolution of the source, bit for bit
     direct, reverb = truth.sources[0].direct.samples, truth.sources[0].reverb.samples
     assert direct.tobytes() == roomsim.fftconvolve(sig[None, :], rir.direct_taps)[:, : mixture.num_samples].tobytes()
     assert reverb.tobytes() == roomsim.fftconvolve(sig[None, :], rir.reverb_taps())[:, : mixture.num_samples].tobytes()
@@ -681,16 +801,14 @@ def test_truth_render_block_reverberant(scene_factory, tmp_path):
     measured = schroeder_rt60(rir)
     assert render == {
         "image_order": 12,
-        "order_capped": True,
         "num_images": rir.num_images,
-        "window_radius_m": np.linalg.norm(np.subtract((1.2, 3.8, 1.7), CENTER)) + SPEED_OF_SOUND * 1.2,
+        "window_radius_m": np.linalg.norm(np.subtract((1.2, 3.8, 1.7), CENTER)) + SPEED_OF_SOUND * (1.2 * (13 / 60)),
+        "tail_onset_s": 1.2 * (13 / 60),
         "rt60_requested_s": 1.2,
         "rt60_measured_s": measured,
         "rt60_rel_err": abs(measured - 1.2) / 1.2,
     }
     assert 0 < render["num_images"] <= 50**3
-    # known defect, recorded not fixed: the order cap shortens the decay
-    assert render["rt60_measured_s"] < 0.8 * 1.2
 
 
 def test_truth_render_block_anechoic(scene_factory, tmp_path):
@@ -698,9 +816,9 @@ def test_truth_render_block_anechoic(scene_factory, tmp_path):
     render = json.loads((out / "truth.json").read_text())["sources"][0]["render"]
     assert render == {
         "image_order": 0,
-        "order_capped": False,
         "num_images": 1,
         "window_radius_m": None,
+        "tail_onset_s": None,
         "rt60_requested_s": None,
         "rt60_measured_s": None,
         "rt60_rel_err": None,

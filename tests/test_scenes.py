@@ -117,6 +117,12 @@ def test_absorption_range_checked():
         scene_from_dict(d)
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(SceneValidationError, match="seed must be a non-negative integer, got -1"):
+        scene_from_dict(minimal_dict(seed=-1))
+    assert scene_from_dict(minimal_dict(seed=10**30)).seed == 10**30
+
+
 def test_source_outside_room_rejected():
     d = minimal_dict()
     d["sources"][0]["position"] = [7.0, 1.0, 1.0]

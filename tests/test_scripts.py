@@ -44,11 +44,13 @@ def test_rt60_table_prints_ten_finite_rows(tmp_path):
     lines = proc.stdout.splitlines()
     header = [c.strip() for c in lines[0].strip("|").split("|")]
     assert header == [
-        "room", "rt60_requested_s", "rt60_measured_s", "rt60_rel_err", "num_images", "rir_samples", "window_radius_m"
+        "room", "rt60_requested_s", "rt60_measured_s", "rt60_rel_err", "num_images", "rir_samples", "window_radius_m",
+        "tail_onset_s",
     ]
     rows = [[c.strip() for c in line.strip("|").split("|")] for line in lines[2:]]
     assert len(rows) == 10
     assert all(len(row) == len(header) and all(math.isfinite(float(v)) for v in row[1:]) for row in rows)
+    assert all(float(row[header.index("rt60_rel_err")]) <= 0.2 for row in rows)
 
 
 def test_output_digests_agree_across_blas_threads_and_jobs(tmp_path):
