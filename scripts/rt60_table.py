@@ -5,10 +5,14 @@ One source at (1.9, 3.4, 1.6) and the tetrahedral array, centred as the
 benchmark centres it, in two rooms (the reference 5.57 x 5.20 x 3.79 m room
 and an 8 x 6 x 3.5 m room), at each of five RT60 values: ten rows, each the
 `render` block that `simulate` writes to truth.json for that source, plus the
-RIR's length in samples. No options:
+RIR's length in samples and the median wall time of 5 `simulate_rir` calls.
+No options:
 
     PYTHONPATH=src python3 scripts/rt60_table.py
 """
+
+import statistics
+import time
 
 import numpy as np
 
@@ -25,8 +29,9 @@ ROOMS = [
 RT60S = [0.2, 0.32, 0.6, 0.8, 1.2]
 COLUMNS = [
     "room", "rt60_requested_s", "rt60_measured_s", "rt60_rel_err", "num_images", "rir_samples", "window_radius_m",
-    "tail_onset_s",
+    "tail_onset_s", "simulate_ms",
 ]
+CALLS = 5  # simulate_ms is the median of this many calls
 
 
 def rows():
@@ -39,8 +44,15 @@ def rows():
                 sources=[SourceSpec(position=SOURCE, class_label="source", gain_db=0.0, wav="unused.wav")],
                 rt60_s=rt60,
             )
-            rir = simulate_rir(spec, 0, sample_rate=FS)
-            yield {"room": name, **_render_record(spec, rir), "rir_samples": rir.taps.shape[1]}
+            times = []
+            for _ in range(CALLS):
+                t0 = time.perf_counter()
+                rir = simulate_rir(spec, 0, sample_rate=FS)
+                times.append(time.perf_counter() - t0)
+            yield {
+                "room": name, **_render_record(spec, rir), "rir_samples": rir.taps.shape[1],
+                "simulate_ms": 1e3 * statistics.median(times),
+            }
 
 
 def cell(value) -> str:

@@ -21,7 +21,10 @@ over z. A mic's squared distances are the sum (dx^2 + dy^2) + dz^2 of its
 per-axis squares over those rows, gathered at the live images (gain above
 1e-12, inside the window) and square-rooted. That is the sum order
 np.linalg.norm takes over [x, y, z], so the taps are the same bits as a norm
-over materialized image positions.
+over materialized image positions. Each image's arrival is one index on a
+1/64-sample grid, and _scatter places a mic's images with one bincount over
+that grid, one product with a table of 64 fractional-delay kernels and one
+sum; the direct path, an image of gain 1, is placed by the same call.
 
 Rendering convolves each source with its RIR, splitting the zeroth-order
 (direct) tap from the rest so direct and reverberant stems are separate
@@ -52,7 +55,6 @@ ACTIVATION_GATE_DB = -40.0
 DELAY_FRACTIONS = 64
 KERNEL_TABLE = np.stack([fractional_delay_kernel(q / DELAY_FRACTIONS) for q in range(DELAY_FRACTIONS)])
 KERNEL_TABLE.flags.writeable = False
-SCATTER_BLOCK_ROWS = 2048  # bounds the [rows, KERNEL_TAPS] product held at once
 
 
 class SimulationError(ValueError):
@@ -128,18 +130,6 @@ class RoomImpulseResponse:
     tail_onset_s: float | None  # the diffuse tail starts this long after the direct sound reaches the centre
     tail: np.ndarray | None  # [M, L - onset sample] diffuse tail, added into taps from the onset sample on
 
-    def __post_init__(self):
-        self.taps = np.asarray(self.taps, dtype=np.float64)
-        self.direct_taps = np.asarray(self.direct_taps, dtype=np.float64)
-        if self.taps.ndim != 2:
-            raise ValueError("taps must be [M, L]")
-        if self.direct_taps.shape != self.taps.shape:
-            raise ValueError("direct_taps must match taps shape")
-
-    @property
-    def num_channels(self) -> int:
-        return self.taps.shape[0]
-
     def reverb_taps(self) -> np.ndarray:
         """Everything the zeroth-order image does not account for; exact complement."""
         return self.taps - self.direct_taps
@@ -155,38 +145,35 @@ def _image_axes(src, room, betas, order: int) -> tuple[list[np.ndarray], list[np
     return coords, gains
 
 
-def _arrival_index(delays: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _arrival_index(delays: np.ndarray) -> np.ndarray:
     """Arrivals on the 1/64-sample grid: DELAY_FRACTIONS * whole samples + fraction, int64.
 
     The same bits as rounding each fraction to 1/64 and carrying 64/64 to the
     next sample: delays * 64 and its fractional part are exact, and rounding
     half to even commutes with adding the even integer 64 * floor(delays).
-    delays (float64, in samples) is scaled in place; out, if given, receives the indices.
+    delays (float64, in samples) is scaled in place.
     """
-    if out is None:
-        out = np.empty(delays.shape, dtype=np.int64)
-    out[...] = np.rint(np.multiply(delays, DELAY_FRACTIONS, out=delays), out=delays)
-    return out
+    return np.rint(np.multiply(delays, DELAY_FRACTIONS, out=delays), out=delays).astype(np.int64)
 
 
 def _scatter(out: np.ndarray, index: np.ndarray, amps: np.ndarray) -> None:
     """Add amps[i] * KERNEL_TABLE[q] into out with tap k at d - KERNEL_HALF + k, where d, q = divmod(index[i], 64).
 
-    Images are binned by arrival index, the bins are filtered through the
-    kernel table, and each of the KERNEL_TAPS columns is added at its shift.
-    Taps before sample 0 are dropped; out must extend KERNEL_HALF past index.max() // 64.
+    Images are binned by arrival index and the bins filtered through the kernel
+    table in one product, whose row k goes into row 1 + k of a zero buffer,
+    k samples later than row 1; row 0 holds out. One sum down the buffer then
+    adds, at every sample, out and the taps in ascending k. Taps before sample 0
+    are dropped; out must extend KERNEL_HALF past index.max() // 64.
     """
     rows = int(index.max()) // DELAY_FRACTIONS + 1
     grid = np.bincount(index, weights=amps, minlength=rows * DELAY_FRACTIONS).reshape(rows, DELAY_FRACTIONS)
-    block = np.empty((KERNEL_TAPS, min(rows, SCATTER_BLOCK_ROWS)))  # one GEMM output for every block
-    for r0 in range(0, rows, SCATTER_BLOCK_ROWS):
-        n = min(SCATTER_BLOCK_ROWS, rows - r0)
-        np.matmul(KERNEL_TABLE.T, grid[r0 : r0 + n].T, out=block[:, :n])
-        for k in range(KERNEL_TAPS):
-            lo = r0 - KERNEL_HALF + k
-            skip = max(0, -lo)
-            if skip < n:
-                out[lo + skip : lo + n] += block[k, skip:n]
+    width = rows + KERNEL_TAPS  # column c holds sample c - KERNEL_HALF - 1
+    flat = np.zeros((KERNEL_TAPS + 1) * (width + 1))
+    # element [r, i] of the [.., width + 1] view is element [r, r + i] of the [.., width] one
+    np.matmul(KERNEL_TABLE.T, grid.T, out=flat.reshape(KERNEL_TAPS + 1, width + 1)[1:, :rows])
+    skewed = flat[: (KERNEL_TAPS + 1) * width].reshape(KERNEL_TAPS + 1, width)[:, KERNEL_HALF + 1 :]
+    skewed[0] = out[: skewed.shape[1]]
+    out[: skewed.shape[1]] = skewed.sum(axis=0)
 
 
 def _diffuse_tail(images: np.ndarray, onset: int, ends: np.ndarray, decay_s: float, mics: np.ndarray, fs: int, rng):
@@ -264,13 +251,10 @@ def simulate_rir(spec: SceneSpec, source_index: int, sample_rate: int = 16000) -
         )
     dists = np.empty((num_mics, live.size))
     for mi in range(num_mics):
-        # np.linalg.norm's sum order, sqrt((dx^2 + dy^2) + dz^2), with the cube reused for the squares;
-        # every index is live, so mode="clip" changes nothing but lets take write into dists unbuffered
+        # np.linalg.norm's sum order, sqrt((dx^2 + dy^2) + dz^2), over the kept (x, y) rows, then gathered
         dx2, dy2, dz2 = ((c - m) ** 2 for c, m in zip(coords, mics[mi]))
-        np.add((dx2[ix] + dy2[iy])[:, None], dz2, out=cube)
-        np.sqrt(cube.take(live, out=dists[mi], mode="clip"), out=dists[mi])
+        dists[mi] = np.sqrt(((dx2[ix] + dy2[iy])[:, None] + dz2).ravel()[live])
     np.maximum(dists, MIN_SOURCE_MIC_DISTANCE, out=dists)
-    del cube, live
 
     # the farthest image sets each channel's length, and each mic's direct arrival plus T its tail's end;
     # the longest sets the RIR's, which holds at least one tail sample
@@ -282,19 +266,11 @@ def simulate_rir(spec: SceneSpec, source_index: int, sample_rate: int = 16000) -
         max_len = max(max_len, int(ends.max()), start + 1)
     out = np.zeros((num_mics, max_len))
     out_direct = np.zeros((num_mics, max_len))
-    dd_int, dq = divmod(_arrival_index(direct_dists / SPEED_OF_SOUND * fs), DELAY_FRACTIONS)
-    index = np.empty(gains.size, dtype=np.int64)
-    amps = np.empty(gains.size)  # a mic's delays in samples, then its image amplitudes
+    direct_index = _arrival_index(direct_dists / SPEED_OF_SOUND * fs)
     for mi in range(num_mics):
-        # dists / c * fs and gains / (4 pi dists), operation for operation, into the two buffers
-        _arrival_index(np.multiply(np.divide(dists[mi], SPEED_OF_SOUND, out=amps), fs, out=amps), out=index)
-        _scatter(out[mi], index, np.divide(gains, np.multiply(dists[mi], 4.0 * np.pi, out=amps), out=amps))
-
-        # same amplitude expression as the image sum
-        kernel = 1.0 / (4.0 * np.pi * direct_dists[mi]) * KERNEL_TABLE[dq[mi]]
-        lo = int(dd_int[mi]) - KERNEL_HALF
-        skip = max(0, -lo)
-        out_direct[mi, lo + skip : lo + KERNEL_TAPS] = kernel[skip:]
+        # the direct path is one image of gain 1, placed by the same expressions
+        _scatter(out[mi], _arrival_index(dists[mi] / SPEED_OF_SOUND * fs), gains / (4.0 * np.pi * dists[mi]))
+        _scatter(out_direct[mi], direct_index[mi : mi + 1], 1.0 / (4.0 * np.pi * direct_dists[mi : mi + 1]))
 
     tail = None
     if onset is not None:

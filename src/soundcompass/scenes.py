@@ -83,10 +83,6 @@ class SceneSpec:
         self.seed = int(self.seed)
         self.validate()
 
-    @property
-    def num_mics(self) -> int:
-        return self.array_offsets.shape[0]
-
     def mic_positions(self) -> np.ndarray:
         return self.array_center[np.newaxis, :] + self.array_offsets
 

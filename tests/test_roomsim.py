@@ -268,9 +268,50 @@ def test_arrival_index_equals_floor_round_carry(delays):
     delays = np.asarray(delays)
     d_int, q = quantize(delays)
     np.testing.assert_array_equal(roomsim._arrival_index(delays.copy()), d_int * 64 + q)
-    index = np.empty(delays.shape, dtype=np.int64)
-    assert roomsim._arrival_index(delays.copy(), out=index) is index
-    np.testing.assert_array_equal(index, d_int * 64 + q)
+
+
+def loop_scatter(out, index, amps):
+    """_scatter's bitwise reference: the whole product's row k added at its shift, k ascending."""
+    rows = int(index.max()) // 64 + 1
+    grid = np.bincount(index, weights=amps, minlength=rows * 64).reshape(rows, 64)
+    block = roomsim.KERNEL_TABLE.T @ grid.T
+    for k in range(KERNEL_TAPS):
+        lo = k - KERNEL_HALF
+        skip = max(0, -lo)
+        out[lo + skip : lo + rows] += block[k, skip:]
+
+
+@pytest.mark.parametrize(
+    "position, rt60, direct_only",
+    [
+        pytest.param(TABLE_SOURCE, 1.2, False, id="reference-room-rt60-1.2"),
+        pytest.param((CENTER[0] + 0.5, CENTER[1], CENTER[2]), 0.32, False, id="near-source"),
+        pytest.param(TABLE_SOURCE, 0.6, True, id="direct-path"),
+    ],
+)
+def test_scatter_equals_per_tap_loop_bitwise(position, rt60, direct_only):
+    spec = geometry_scene([position], tetrahedral_offsets(), rt60=rt60)
+    positions, gains, src, mics = image_sources(spec, 0)
+    if direct_only:
+        positions, gains = src[None], np.ones(1)
+    first, last = [], []
+    for mi, mic in enumerate(mics):
+        d = np.maximum(np.linalg.norm(positions - mic, axis=1), 1e-3)
+        d_int, q = quantize(d / SPEED_OF_SOUND * FS)
+        index, amps = d_int * 64 + q, gains / (4.0 * np.pi * d)
+        # out already holds a signal, which both add onto
+        start = np.random.default_rng(mi).standard_normal(int(d_int.max()) + KERNEL_TAPS + 1)
+        got, want = start.copy(), start.copy()
+        roomsim._scatter(got, index, amps)
+        loop_scatter(want, index, amps)
+        np.testing.assert_array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        first.append(int(d_int.min()))
+        last.append(int(d_int.max()))
+    if rt60 == 1.2:
+        assert min(last) > 4000  # thousands of arrival rows in one product
+    elif not direct_only:
+        assert min(first) < KERNEL_HALF  # the nearest mic's kernel starts before sample 0
 
 
 def reference_rir(spec, source_index):
