@@ -5,8 +5,9 @@ One source at (1.9, 3.4, 1.6) and the tetrahedral array, centred as the
 benchmark centres it, in two rooms (the reference 5.57 x 5.20 x 3.79 m room
 and an 8 x 6 x 3.5 m room), at each of five RT60 values: ten rows, each the
 `render` block that `simulate` writes to truth.json for that source, plus the
-RIR's length in samples and the median wall time of 5 `simulate_rir` calls.
-No options:
+RIR's length in samples, the median wall time of 5 `simulate_rir` calls, and
+the median wall time of 5 renders of both stems of one fixed 4 s noise source
+through that RIR (the stem convolutions of `render_scene`). No options:
 
     PYTHONPATH=src python3 scripts/rt60_table.py
 """
@@ -17,7 +18,7 @@ import time
 import numpy as np
 
 from soundcompass import SceneSpec, SourceSpec, simulate_rir, tetrahedral_offsets
-from soundcompass.roomsim import _render_record
+from soundcompass.roomsim import _render_record, _render_stems
 
 FS = 16000
 SOURCE = [1.9, 3.4, 1.6]
@@ -29,9 +30,10 @@ ROOMS = [
 RT60S = [0.2, 0.32, 0.6, 0.8, 1.2]
 COLUMNS = [
     "room", "rt60_requested_s", "rt60_measured_s", "rt60_rel_err", "num_images", "rir_samples", "window_radius_m",
-    "tail_onset_s", "simulate_ms",
+    "tail_onset_s", "simulate_ms", "convolve_ms",
 ]
-CALLS = 5  # simulate_ms is the median of this many calls
+CALLS = 5  # simulate_ms and convolve_ms are the medians of this many calls
+NOISE = np.random.default_rng(0).standard_normal(4 * FS)  # the source convolve_ms renders
 
 
 def rows():
@@ -44,15 +46,22 @@ def rows():
                 sources=[SourceSpec(position=SOURCE, class_label="source", gain_db=0.0, wav="unused.wav")],
                 rt60_s=rt60,
             )
-            times = []
-            for _ in range(CALLS):
-                t0 = time.perf_counter()
-                rir = simulate_rir(spec, 0, sample_rate=FS)
-                times.append(time.perf_counter() - t0)
+            simulate_ms, rir = timed(lambda: simulate_rir(spec, 0, sample_rate=FS))
+            convolve_ms, _ = timed(lambda: _render_stems(NOISE, rir, NOISE.size))
             yield {
                 "room": name, **_render_record(spec, rir), "rir_samples": rir.taps.shape[1],
-                "simulate_ms": 1e3 * statistics.median(times),
+                "simulate_ms": simulate_ms, "convolve_ms": convolve_ms,
             }
+
+
+def timed(call):
+    """Median wall time of CALLS calls in milliseconds, and the last call's result."""
+    times = []
+    for _ in range(CALLS):
+        t0 = time.perf_counter()
+        result = call()
+        times.append(time.perf_counter() - t0)
+    return 1e3 * statistics.median(times), result
 
 
 def cell(value) -> str:

@@ -27,8 +27,12 @@ that grid, one product with a table of 64 fractional-delay kernels and one
 sum; the direct path, an image of gain 1, is placed by the same call.
 
 Rendering convolves each source with its RIR, splitting the zeroth-order
-(direct) tap from the rest so direct and reverberant stems are separate
-targets; their sum equals the full convolution by linearity.
+(direct) image from the rest so direct and reverberant stems are separate
+targets; their sum equals the full convolution by linearity, to rounding.
+The direct RIR is zero outside a span of the 81-tap kernel plus the spread of
+the mics' arrivals (<=85 taps for the tetrahedral array), so only that span is
+convolved, in short overlap-add blocks; the reverberant RIR is convolved in one
+transform.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ ACTIVATION_GATE_DB = -40.0
 DELAY_FRACTIONS = 64
 KERNEL_TABLE = np.stack([fractional_delay_kernel(q / DELAY_FRACTIONS) for q in range(DELAY_FRACTIONS)])
 KERNEL_TABLE.flags.writeable = False
+BLOCK_FFT = 1024  # transform length of the direct stem's blocks: of 512-4096, the fastest for its span
 
 
 class SimulationError(ValueError):
@@ -69,11 +74,15 @@ def _fft_length(n: int) -> int:
 
 # module-level binding: perfbench traces stem convolution through roomsim.fftconvolve
 def fftconvolve(sig: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Full linear convolution of a [1, S] signal with each row of [M, L] taps: [M, S + L - 1]."""
+    """Full linear convolution of a [1, S] signal with each row of [M, L] taps: [M, S + L - 1].
+
+    A stack of [B, 1, S] signals gives each one's convolutions, [B, M, S + L - 1].
+    """
     n = sig.shape[-1] + taps.shape[-1] - 1
     nfft = _fft_length(n)
     spectra = np.fft.rfft(taps, nfft)
-    np.multiply(np.fft.rfft(sig, nfft), spectra, out=spectra)  # in place: one [M, nfft/2 + 1] product held, not two
+    # one signal is multiplied in place: one [M, nfft/2 + 1] product held, not two
+    spectra = np.multiply(np.fft.rfft(sig, nfft), spectra, out=spectra if sig.ndim == 2 else None)
     return np.fft.irfft(spectra, nfft)[..., :n]
 
 
@@ -363,12 +372,7 @@ def render_scene(spec: SceneSpec, base_dir=None) -> tuple[MultichannelWaveform, 
     truths = []
     for j, sig in enumerate(signals):
         rir = simulate_rir(spec, j, sample_rate=rate)
-        # one convolution per stem, copied out at the scene length: no [2M, nfft] buffer is built, and none
-        # outlives its stem, which keeps the heap of a long-tailed render small
-        direct, reverb = (
-            MultichannelWaveform(_fit_length(fftconvolve(sig[None, :], taps), num_samples), rate)
-            for taps in (rir.direct_taps, rir.reverb_taps())
-        )
+        direct, reverb = (MultichannelWaveform(x, rate) for x in _render_stems(sig, rir, num_samples))
         mixture += direct.samples + reverb.samples
         truths.append(
             SourceTruth(
@@ -406,6 +410,42 @@ def render_scene(spec: SceneSpec, base_dir=None) -> tuple[MultichannelWaveform, 
         mixture = mixture + n
 
     return MultichannelWaveform(mixture, rate), SceneTruth(truths, noise_w, rate)
+
+
+def _render_stems(sig: np.ndarray, rir: RoomImpulseResponse, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The direct and reverberant stems of the [S] signal through rir, [M, n] each.
+
+    One convolution per stem, cut to n samples: no [2M, nfft] buffer is built,
+    and none outlives its stem, which keeps the heap of a long-tailed render small.
+    """
+    return _direct_stem(sig, rir.direct_taps, n), _fit_length(fftconvolve(sig[None, :], rir.reverb_taps()), n)
+
+
+def _direct_stem(sig: np.ndarray, taps: np.ndarray, n: int) -> np.ndarray:
+    """The first n samples of the [S] signal convolved with each row of [M, L] taps, [M, n].
+
+    Only the span of columns where some row is non-zero is convolved, and only
+    with the signal samples that reach sample n, by overlap-add (Stockham 1966):
+    blocks of step samples, each convolved with the K-tap span in one
+    BLOCK_FFT-point transform, whose last K - 1 outputs overlap the next block.
+    The result is a view of a buffer that runs up to a block past n.
+    """
+    cols = np.flatnonzero(taps.any(axis=0))
+    if cols[0] >= n:
+        return np.zeros((taps.shape[0], n))
+    lo, span = cols[0], taps[:, cols[0] : cols[-1] + 1]
+    m, k = span.shape
+    step = max(BLOCK_FFT - k + 1, k)  # at least k, so a block's overlap reaches only the next block
+    x = sig[: n - lo]
+    blocks = -(-x.shape[0] // step)
+    padded = np.zeros(blocks * step)
+    padded[: x.shape[0]] = x
+    y = fftconvolve(padded.reshape(blocks, 1, step), span).transpose(1, 0, 2)  # [M, blocks, step + k - 1]
+    out = np.zeros((m, max(n, lo + (blocks + 1) * step)))
+    placed = out[:, lo : lo + (blocks + 1) * step].reshape(m, blocks + 1, step)  # a view: out's rows are contiguous
+    placed[:, :blocks] = y[..., :step]
+    placed[:, 1:, : k - 1] += y[..., step:]
+    return out[:, :n]
 
 
 def _fit_length(x: np.ndarray, n: int) -> np.ndarray:

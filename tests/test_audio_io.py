@@ -68,6 +68,7 @@ def test_write_rejects_nonfinite(tmp_path):
     w = MultichannelWaveform(np.array([[np.nan, 0.0]]), 16000)
     with pytest.raises(WavFormatError):
         write_wav(w, tmp_path / "n.wav")
+    assert not (tmp_path / "n.wav").exists()  # refused before the file is opened
 
 
 def test_read_rejects_truncated_file(tmp_path):

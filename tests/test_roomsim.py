@@ -697,10 +697,59 @@ def test_render_stems_match_full_convolution(scene_factory):
     full = fftconvolve(sig[None, :], rir.taps, axes=1)[:, : mixture.num_samples]
     stems = truth.sources[0].direct.samples + truth.sources[0].reverb.samples
     assert np.abs(stems - full).max() <= 1e-9
-    # each stem is one convolution of the source, bit for bit
+    # the reverberant stem is one convolution of the source, bit for bit; the direct stem is made in short
+    # blocks over the direct RIR's span, bit for bit, and within rounding of the one-shot convolution
     direct, reverb = truth.sources[0].direct.samples, truth.sources[0].reverb.samples
-    assert direct.tobytes() == roomsim.fftconvolve(sig[None, :], rir.direct_taps)[:, : mixture.num_samples].tobytes()
     assert reverb.tobytes() == roomsim.fftconvolve(sig[None, :], rir.reverb_taps())[:, : mixture.num_samples].tobytes()
+    assert direct.tobytes() == roomsim._direct_stem(sig, rir.direct_taps, mixture.num_samples).tobytes()
+    one_shot = roomsim.fftconvolve(sig[None, :], rir.direct_taps)
+    assert np.abs(direct - one_shot[:, : mixture.num_samples]).max() <= 1e-12 * np.abs(one_shot).max()
+
+
+def _direct_taps(offsets, move_to=None) -> np.ndarray:
+    """The direct RIR of a source in the reference room, its non-zero span moved to start at move_to if given."""
+    taps = simulate_rir(geometry_scene([(1.2, 3.8, 1.7)], offsets, rt60=0.32), 0, sample_rate=FS).direct_taps
+    if move_to is None:
+        return taps
+    cols = np.flatnonzero(taps.any(axis=0))
+    span = taps[:, cols[0] : cols[-1] + 1]
+    out = np.zeros((taps.shape[0], move_to + span.shape[1] + 7))
+    out[:, move_to : move_to + span.shape[1]] = span
+    return out
+
+
+def _far_apart_taps() -> np.ndarray:
+    """Two mics whose arrivals are 2400 samples (~51 m) apart: a span wider than BLOCK_FFT."""
+    taps = np.zeros((2, 3000))
+    taps[0, 100 : 100 + KERNEL_TAPS] = fractional_delay_kernel(0.3)
+    taps[1, 2500 : 2500 + KERNEL_TAPS] = 0.2 * fractional_delay_kernel(0.7)
+    return taps
+
+
+@pytest.mark.parametrize(
+    "taps, source_samples, scene_samples",
+    [
+        (_direct_taps(tetrahedral_offsets()), 30, 30),  # the direct sound arrives after the scene's last sample
+        (_direct_taps(tetrahedral_offsets()), 300, 2000),  # a source shorter than one block, in a longer scene
+        (_direct_taps(tetrahedral_offsets()), 900, 2000),  # its convolution runs past its one block's end
+        (_direct_taps(np.zeros((1, 3))), 5000, 5000),  # a one-mic array
+        (_direct_taps(tetrahedral_offsets(), roomsim.BLOCK_FFT - 40), 3000, 4000),  # span straddles column BLOCK_FFT
+        (_direct_taps(tetrahedral_offsets()), 4 * FS, 4 * FS),  # a 4 s source, many blocks
+        (_far_apart_taps(), 5000, 6000),  # each block is as long as the span
+    ],
+    ids=[
+        "arrives_after_scene", "short_source", "past_block_end", "one_mic", "span_straddles_block", "4s_source",
+        "span_wider_than_a_block",
+    ],
+)
+def test_direct_stem_matches_one_shot_convolution(taps, source_samples, scene_samples):
+    sig = np.random.default_rng(source_samples).standard_normal(source_samples)
+    out = roomsim._direct_stem(sig, taps, scene_samples)
+    one_shot = roomsim.fftconvolve(sig[None, :], taps)
+    assert out.shape == (taps.shape[0], scene_samples)
+    assert np.abs(out - roomsim._fit_length(one_shot, scene_samples)).max() <= 1e-12 * np.abs(one_shot).max()
+    if np.flatnonzero(taps.any(axis=0))[0] >= scene_samples:
+        assert not out.any()
 
 
 def test_fft_length_matches_scipy():

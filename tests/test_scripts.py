@@ -45,7 +45,7 @@ def test_rt60_table_prints_ten_finite_rows(tmp_path):
     header = [c.strip() for c in lines[0].strip("|").split("|")]
     assert header == [
         "room", "rt60_requested_s", "rt60_measured_s", "rt60_rel_err", "num_images", "rir_samples", "window_radius_m",
-        "tail_onset_s", "simulate_ms",
+        "tail_onset_s", "simulate_ms", "convolve_ms",
     ]
     rows = [[c.strip() for c in line.strip("|").split("|")] for line in lines[2:]]
     assert len(rows) == 10
