@@ -29,10 +29,10 @@ sum; the direct path, an image of gain 1, is placed by the same call.
 Rendering convolves each source with its RIR, splitting the zeroth-order
 (direct) image from the rest so direct and reverberant stems are separate
 targets; their sum equals the full convolution by linearity, to rounding.
-The direct RIR is zero outside a span of the 81-tap kernel plus the spread of
-the mics' arrivals (<=85 taps for the tetrahedral array), so only that span is
-convolved, in short overlap-add blocks; the reverberant RIR is convolved in one
-transform.
+Both stems come from one fftconvolve, which convolves only the span of an RIR's
+non-zero columns: the direct RIR's, the 81-tap kernel plus the spread of the
+mics' arrivals (<=85 taps for the tetrahedral array), in short overlap-add
+blocks; the reverberant RIR's, thousands of taps, in one block.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .scenes import SceneSpec
 from .spectral import FFT_SIZE, HOP, WINDOW, ComplexSpectrogram, frame_view, istft, stft
 
 MAX_IMAGE_ORDER = 12
+MAX_DECAY_S = 60.0  # longest decay time T simulated; each RIR holds T seconds of samples per mic
 TAIL_ONSET_FRACTION = 13 / 60  # the images stop and the diffuse tail starts where the decay reaches -13 dB
 TAIL_LEVEL_S = 0.01  # each mic's tail starts at its image RMS over this span before the onset
 MIN_SOURCE_MIC_DISTANCE = 1e-3  # 1 mm
@@ -59,7 +60,7 @@ ACTIVATION_GATE_DB = -40.0
 DELAY_FRACTIONS = 64
 KERNEL_TABLE = np.stack([fractional_delay_kernel(q / DELAY_FRACTIONS) for q in range(DELAY_FRACTIONS)])
 KERNEL_TABLE.flags.writeable = False
-BLOCK_FFT = 1024  # transform length of the direct stem's blocks: of 512-4096, the fastest for its span
+BLOCK_FFT = 1024  # transform length for spans of <= BLOCK_FFT / 2 taps: of 512-4096, the fastest for the direct RIR's
 
 
 class SimulationError(ValueError):
@@ -72,18 +73,43 @@ def _fft_length(n: int) -> int:
     return min(m << (-(-n // m) - 1).bit_length() for m in (3**b * 5**c for b in range(k) for c in range(k)))
 
 
-# module-level binding: perfbench traces stem convolution through roomsim.fftconvolve
-def fftconvolve(sig: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Full linear convolution of a [1, S] signal with each row of [M, L] taps: [M, S + L - 1].
+# module-level binding: perfbench traces both stems' convolution through roomsim.fftconvolve
+def fftconvolve(sig: np.ndarray, taps: np.ndarray, n: int) -> np.ndarray:
+    """The first n samples of the [S] signal convolved with each row of [M, L] taps, [M, n].
 
-    A stack of [B, 1, S] signals gives each one's convolutions, [B, M, S + L - 1].
+    Only the span of columns where some row is non-zero is convolved, and only
+    with the signal samples that reach sample n, by overlap-add (Stockham 1966):
+    a span of K <= BLOCK_FFT / 2 taps in blocks of BLOCK_FFT - K + 1 samples, each
+    in one BLOCK_FFT-point transform whose last K - 1 outputs overlap the next
+    block; a longer span in one block. All-zero taps, a span that starts at or past
+    n and an empty signal give zeros. The result is a view of a buffer that runs
+    less than a block past n.
     """
-    n = sig.shape[-1] + taps.shape[-1] - 1
-    nfft = _fft_length(n)
-    spectra = np.fft.rfft(taps, nfft)
-    # one signal is multiplied in place: one [M, nfft/2 + 1] product held, not two
-    spectra = np.multiply(np.fft.rfft(sig, nfft), spectra, out=spectra if sig.ndim == 2 else None)
-    return np.fft.irfft(spectra, nfft)[..., :n]
+    cols = np.flatnonzero(taps.any(axis=0))
+    if cols.size == 0 or cols[0] >= n or sig.size == 0:
+        return np.zeros((taps.shape[0], n))
+    lo, span = cols[0], taps[:, cols[0] : cols[-1] + 1]
+    m, k = span.shape
+    x = sig[: n - lo]
+    step = BLOCK_FFT - k + 1 if 2 * k <= BLOCK_FFT else x.shape[0]
+    blocks = -(-x.shape[0] // step)
+    if blocks * step > x.shape[0]:
+        x = np.concatenate([x, np.zeros(blocks * step - x.shape[0])])
+    nfft = _fft_length(step + k - 1)
+    spectra = np.fft.rfft(span, nfft)[None]  # [1, M, nfft/2 + 1]
+    # one block is multiplied in place: one [M, nfft/2 + 1] product held, not two
+    spectra = np.multiply(np.fft.rfft(x.reshape(blocks, 1, step), nfft), spectra, out=spectra if blocks == 1 else None)
+    y = np.fft.irfft(spectra, nfft)[..., : step + k - 1].transpose(1, 0, 2)  # [M, blocks, step + k - 1]
+    del spectra  # freed before the stem's buffer is allocated
+    end = lo + blocks * step
+    out = np.zeros((m, max(n, end)))
+    heads = out[:, lo:end].reshape(m, blocks, step)  # a view: out's rows are contiguous
+    heads[...] = y[..., :step]
+    if blocks > 1:  # then k - 1 < step, so each block's overlap lands inside the next block
+        heads[:, 1:, : k - 1] += y[:, :-1, step:]
+    last = out[:, end : end + k - 1]  # the last block's overlap, as far as the buffer reaches
+    last += y[:, -1, step : step + last.shape[1]]
+    return out[:, :n]
 
 
 def _sabine(room_dims, x: float) -> float:
@@ -112,10 +138,17 @@ def _wall_absorptions(spec: SceneSpec) -> np.ndarray:
 
 
 def _decay_time(spec: SceneSpec, absorptions: np.ndarray) -> float:
-    """The requested RT60, or Sabine's for the mean wall absorption when the scene gives absorption."""
+    """The requested RT60, or Sabine's for the mean wall absorption when the scene gives absorption.
+
+    A decay time above MAX_DECAY_S raises SimulationError before any RIR is allocated.
+    """
     if spec.rt60_s is not None:
-        return float(spec.rt60_s)
-    return _sabine(spec.room_dims, max(float(absorptions.mean()), 1e-6))
+        decay = float(spec.rt60_s)
+    else:
+        decay = _sabine(spec.room_dims, float(absorptions.mean()))
+    if decay > MAX_DECAY_S:
+        raise SimulationError(f"decay time {decay:.4g} s is above the {MAX_DECAY_S:g} s the simulator builds")
+    return decay
 
 
 def _image_order(room: np.ndarray, src: np.ndarray, centre: np.ndarray, radius: float) -> int:
@@ -372,7 +405,8 @@ def render_scene(spec: SceneSpec, base_dir=None) -> tuple[MultichannelWaveform, 
     truths = []
     for j, sig in enumerate(signals):
         rir = simulate_rir(spec, j, sample_rate=rate)
-        direct, reverb = (MultichannelWaveform(x, rate) for x in _render_stems(sig, rir, num_samples))
+        direct = MultichannelWaveform(fftconvolve(sig, rir.direct_taps, num_samples), rate)
+        reverb = MultichannelWaveform(fftconvolve(sig, rir.reverb_taps(), num_samples), rate)
         mixture += direct.samples + reverb.samples
         truths.append(
             SourceTruth(
@@ -410,51 +444,6 @@ def render_scene(spec: SceneSpec, base_dir=None) -> tuple[MultichannelWaveform, 
         mixture = mixture + n
 
     return MultichannelWaveform(mixture, rate), SceneTruth(truths, noise_w, rate)
-
-
-def _render_stems(sig: np.ndarray, rir: RoomImpulseResponse, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The direct and reverberant stems of the [S] signal through rir, [M, n] each.
-
-    One convolution per stem, cut to n samples: no [2M, nfft] buffer is built,
-    and none outlives its stem, which keeps the heap of a long-tailed render small.
-    """
-    return _direct_stem(sig, rir.direct_taps, n), _fit_length(fftconvolve(sig[None, :], rir.reverb_taps()), n)
-
-
-def _direct_stem(sig: np.ndarray, taps: np.ndarray, n: int) -> np.ndarray:
-    """The first n samples of the [S] signal convolved with each row of [M, L] taps, [M, n].
-
-    Only the span of columns where some row is non-zero is convolved, and only
-    with the signal samples that reach sample n, by overlap-add (Stockham 1966):
-    blocks of step samples, each convolved with the K-tap span in one
-    BLOCK_FFT-point transform, whose last K - 1 outputs overlap the next block.
-    The result is a view of a buffer that runs up to a block past n.
-    """
-    cols = np.flatnonzero(taps.any(axis=0))
-    if cols[0] >= n:
-        return np.zeros((taps.shape[0], n))
-    lo, span = cols[0], taps[:, cols[0] : cols[-1] + 1]
-    m, k = span.shape
-    step = max(BLOCK_FFT - k + 1, k)  # at least k, so a block's overlap reaches only the next block
-    x = sig[: n - lo]
-    blocks = -(-x.shape[0] // step)
-    padded = np.zeros(blocks * step)
-    padded[: x.shape[0]] = x
-    y = fftconvolve(padded.reshape(blocks, 1, step), span).transpose(1, 0, 2)  # [M, blocks, step + k - 1]
-    out = np.zeros((m, max(n, lo + (blocks + 1) * step)))
-    placed = out[:, lo : lo + (blocks + 1) * step].reshape(m, blocks + 1, step)  # a view: out's rows are contiguous
-    placed[:, :blocks] = y[..., :step]
-    placed[:, 1:, : k - 1] += y[..., step:]
-    return out[:, :n]
-
-
-def _fit_length(x: np.ndarray, n: int) -> np.ndarray:
-    """The first n samples of each row of x, zero-padded past its end, in an array of their own."""
-    if x.shape[1] >= n:
-        return x[:, :n].copy()
-    out = np.zeros((x.shape[0], n))
-    out[:, : x.shape[1]] = x
-    return out
 
 
 def schroeder_decay_db(rir: RoomImpulseResponse) -> tuple[np.ndarray, np.ndarray]:

@@ -270,6 +270,20 @@ def test_simulate_bad_noise_exits_2(tmp_path, capsys, seconds, channels, message
     assert not (out / "scene_0" / "mixture.wav").exists()
 
 
+@pytest.mark.parametrize(
+    "room, decay",
+    [({"absorption": [1e-9] * 6}, "1.266e+08"), ({"rt60_s": 1e6}, "1e+06")],
+    ids=["tiny_absorption", "huge_rt60"],
+)
+def test_simulate_decay_above_ceiling_exits_2(tmp_path, capsys, room, decay):
+    manifest = write_manifest(tmp_path, rt60=0.3)
+    scene = json.loads(manifest.read_text())
+    del scene["rt60_s"]
+    manifest.write_text(json.dumps({**scene, **room}) + "\n", encoding="utf-8")
+    assert main(["simulate", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"scene_0: decay time {decay} s is above the 60 s the simulator builds\n"
+
+
 def test_import_loads_no_scipy(tmp_path):
     # no command needs scipy, rendering included
     code = (

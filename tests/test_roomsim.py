@@ -689,6 +689,14 @@ def test_render_anechoic_tdoa(tmp_path):
     assert itd == pytest.approx(200e-6, abs=1.0 / FS)
 
 
+def test_decay_time_ceiling():
+    spec = geometry_scene([(1.2, 3.8, 1.7)], tetrahedral_offsets(), rt60=roomsim.MAX_DECAY_S)
+    assert roomsim._decay_time(spec, roomsim._wall_absorptions(spec)) == roomsim.MAX_DECAY_S
+    spec.rt60_s = math.nextafter(roomsim.MAX_DECAY_S, math.inf)
+    with pytest.raises(SimulationError, match="above the 60 s the simulator builds"):
+        roomsim._decay_time(spec, roomsim._wall_absorptions(spec))
+
+
 def test_render_stems_match_full_convolution(scene_factory):
     spec = scene_factory(rt60=0.25, absorption=None, seconds=0.25)
     mixture, truth = render_scene(spec)
@@ -697,13 +705,10 @@ def test_render_stems_match_full_convolution(scene_factory):
     full = fftconvolve(sig[None, :], rir.taps, axes=1)[:, : mixture.num_samples]
     stems = truth.sources[0].direct.samples + truth.sources[0].reverb.samples
     assert np.abs(stems - full).max() <= 1e-9
-    # the reverberant stem is one convolution of the source, bit for bit; the direct stem is made in short
-    # blocks over the direct RIR's span, bit for bit, and within rounding of the one-shot convolution
+    # each stem is one call of the stem convolution, bit for bit
     direct, reverb = truth.sources[0].direct.samples, truth.sources[0].reverb.samples
-    assert reverb.tobytes() == roomsim.fftconvolve(sig[None, :], rir.reverb_taps())[:, : mixture.num_samples].tobytes()
-    assert direct.tobytes() == roomsim._direct_stem(sig, rir.direct_taps, mixture.num_samples).tobytes()
-    one_shot = roomsim.fftconvolve(sig[None, :], rir.direct_taps)
-    assert np.abs(direct - one_shot[:, : mixture.num_samples]).max() <= 1e-12 * np.abs(one_shot).max()
+    assert direct.tobytes() == roomsim.fftconvolve(sig, rir.direct_taps, mixture.num_samples).tobytes()
+    assert reverb.tobytes() == roomsim.fftconvolve(sig, rir.reverb_taps(), mixture.num_samples).tobytes()
 
 
 def _direct_taps(offsets, move_to=None) -> np.ndarray:
@@ -719,37 +724,11 @@ def _direct_taps(offsets, move_to=None) -> np.ndarray:
 
 
 def _far_apart_taps() -> np.ndarray:
-    """Two mics whose arrivals are 2400 samples (~51 m) apart: a span wider than BLOCK_FFT."""
+    """Two mics whose arrivals are 2400 samples (~51 m) apart: a span wider than BLOCK_FFT, so one block."""
     taps = np.zeros((2, 3000))
     taps[0, 100 : 100 + KERNEL_TAPS] = fractional_delay_kernel(0.3)
     taps[1, 2500 : 2500 + KERNEL_TAPS] = 0.2 * fractional_delay_kernel(0.7)
     return taps
-
-
-@pytest.mark.parametrize(
-    "taps, source_samples, scene_samples",
-    [
-        (_direct_taps(tetrahedral_offsets()), 30, 30),  # the direct sound arrives after the scene's last sample
-        (_direct_taps(tetrahedral_offsets()), 300, 2000),  # a source shorter than one block, in a longer scene
-        (_direct_taps(tetrahedral_offsets()), 900, 2000),  # its convolution runs past its one block's end
-        (_direct_taps(np.zeros((1, 3))), 5000, 5000),  # a one-mic array
-        (_direct_taps(tetrahedral_offsets(), roomsim.BLOCK_FFT - 40), 3000, 4000),  # span straddles column BLOCK_FFT
-        (_direct_taps(tetrahedral_offsets()), 4 * FS, 4 * FS),  # a 4 s source, many blocks
-        (_far_apart_taps(), 5000, 6000),  # each block is as long as the span
-    ],
-    ids=[
-        "arrives_after_scene", "short_source", "past_block_end", "one_mic", "span_straddles_block", "4s_source",
-        "span_wider_than_a_block",
-    ],
-)
-def test_direct_stem_matches_one_shot_convolution(taps, source_samples, scene_samples):
-    sig = np.random.default_rng(source_samples).standard_normal(source_samples)
-    out = roomsim._direct_stem(sig, taps, scene_samples)
-    one_shot = roomsim.fftconvolve(sig[None, :], taps)
-    assert out.shape == (taps.shape[0], scene_samples)
-    assert np.abs(out - roomsim._fit_length(one_shot, scene_samples)).max() <= 1e-12 * np.abs(one_shot).max()
-    if np.flatnonzero(taps.any(axis=0))[0] >= scene_samples:
-        assert not out.any()
 
 
 def test_fft_length_matches_scipy():
@@ -764,23 +743,48 @@ def order_12_rir():
 
 
 @pytest.mark.parametrize(
-    "num_samples, taps",
+    "taps, source_samples, scene_samples",
     [
-        (50, lambda rng: rng.standard_normal((4, 300))),  # signal shorter than the taps
-        (1000, lambda rng: rng.standard_normal((4, 1))),  # one tap
-        (1000, lambda rng: rng.standard_normal((4, 102))),  # odd output length 1101
-        (4 * FS, lambda rng: order_12_rir()),  # a 4 s source through an order-12 RIR
+        (lambda rng: _direct_taps(tetrahedral_offsets()), 30, 30),  # the direct sound arrives after the last sample
+        (lambda rng: _direct_taps(tetrahedral_offsets()), 300, 2000),  # a source shorter than one block
+        (lambda rng: _direct_taps(tetrahedral_offsets()), 900, 2000),  # its convolution runs past its one block's end
+        (lambda rng: _direct_taps(np.zeros((1, 3))), 5000, 5000),  # a one-mic array
+        (lambda rng: _direct_taps(tetrahedral_offsets(), roomsim.BLOCK_FFT - 40), 3000, 4000),  # straddles column BLOCK_FFT
+        (lambda rng: _direct_taps(tetrahedral_offsets()), 4 * FS, 4 * FS),  # a 4 s source, many blocks
+        (lambda rng: _far_apart_taps(), 5000, 6000),  # a span longer than the source's blocks would be
+        (lambda rng: rng.standard_normal((4, 300)), 50, 349),  # signal shorter than the taps, in full
+        (lambda rng: rng.standard_normal((4, 1)), 1000, 1000),  # one tap
+        (lambda rng: rng.standard_normal((4, 102)), 1000, 1101),  # odd output length
+        (lambda rng: order_12_rir(), 4 * FS, 5 * FS + 4000),  # a 4 s source through an order-12 RIR, in full
+        (lambda rng: np.zeros((4, 500)), 1000, 1200),  # all-zero taps: an anechoic room's reverberant RIR
+        (lambda rng: order_12_rir(), 300, 4000),  # one block shorter than its overlap
+        (lambda rng: order_12_rir(), 5000, 3000),  # the order-12 RIR cut to a shorter scene
+        (lambda rng: rng.standard_normal((4, 300)), 50, 600),  # a scene longer than the whole convolution
     ],
-    ids=["short_signal", "one_tap", "odd_length", "4s_order_12"],
+    ids=[
+        "arrives_after_scene", "short_source", "past_block_end", "one_mic", "span_straddles_block", "4s_source",
+        "span_wider_than_a_block", "short_signal", "one_tap", "odd_length", "4s_order_12", "all_zero_taps",
+        "order_12_short_source", "order_12_cut_to_scene", "short_signal_padded_scene",
+    ],
 )
-def test_stem_convolution_matches_scipy(num_samples, taps):
-    rng = np.random.default_rng(num_samples)
-    sig = rng.standard_normal((1, num_samples))
+def test_stem_convolution_matches_scipy(taps, source_samples, scene_samples):
+    rng = np.random.default_rng(source_samples)
+    sig = rng.standard_normal(source_samples)
     taps = taps(rng)
-    ref = fftconvolve(sig, taps, axes=1)
-    out = roomsim.fftconvolve(sig, taps)
+    full = fftconvolve(sig[None, :], taps, axes=1)
+    ref = np.zeros((taps.shape[0], scene_samples))  # full, cut or zero-padded to the scene length
+    ref[:, : full.shape[1]] = full[:, :scene_samples]
+    out = roomsim.fftconvolve(sig, taps, scene_samples)
     assert out.shape == ref.shape
-    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(full).max()
+    if not taps[:, :scene_samples].any():  # nothing arrives inside the scene: exact zeros, not rounding
+        assert not out.any()
+
+
+def test_stem_convolution_of_empty_signal_is_zero():
+    # a scene may hold an empty source next to a longer one
+    out = roomsim.fftconvolve(np.zeros(0), order_12_rir(), 4000)
+    assert out.shape == (4, 4000) and not out.any()
 
 
 def test_render_mixture_is_exact_stem_sum(scene_factory):
