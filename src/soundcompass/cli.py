@@ -35,6 +35,7 @@ EXIT_INTERNAL = 1
 EXIT_INVALID = 2
 
 CONTOUR_MAX_POINTS = 10**6  # a 999x999 grid fits; about 4 min at the README's 61x61 rate
+CLUE_MAX_VALUES = 10**6  # clue --frames x embedding width; the JSON path peaks near 116 MB here, 1.8 GB at 10**7
 
 # CliError, SceneValidationError, WavFormatError, SimulationError and read_json's errors are ValueErrors
 INVALID_INPUT_ERRORS = (
@@ -50,12 +51,14 @@ class CliError(ValueError):
     """Invalid input detected past argparse; maps to exit code 2."""
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("SOUNDCOMPASS_SEED", "0")
+def _seed(flag: int | None) -> int:
+    name, raw = ("--seed", flag) if flag is not None else ("SOUNDCOMPASS_SEED", os.environ.get("SOUNDCOMPASS_SEED", "0"))
     try:
-        return int(raw)
+        if (seed := int(raw)) >= 0:
+            return seed
     except ValueError:
-        raise CliError(f"SOUNDCOMPASS_SEED must be an integer, got {raw!r}")
+        pass
+    raise CliError(f"{name} must be an integer >= 0, got {raw!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +164,11 @@ def cmd_clue(args) -> int:
     payload = {"kind": args.kind, "order": args.order}
     if (args.activation is None) != (args.frames is None):
         raise CliError("--activation requires --frames" if args.frames is None else "--frames requires --activation")
-    if args.frames is not None and args.frames < 1:
-        raise CliError(f"--frames must be an integer >= 1, got {args.frames}")
     if args.activation is not None:
+        if args.frames < 1:
+            raise CliError(f"--frames must be an integer >= 1, got {args.frames}")
+        if args.frames * emb.size > CLUE_MAX_VALUES:  # Python ints: nothing allocated yet
+            raise CliError(f"--frames asks for a {args.frames} x {emb.size} matrix, more than {CLUE_MAX_VALUES} values")
         activation = json_array(read_json(args.activation), args.activation)
         if activation.ndim != 1:
             raise CliError(f"{args.activation}: activation must be a JSON array of numbers")
@@ -190,7 +195,7 @@ def cmd_clue(args) -> int:
 def cmd_fuse_check(args) -> int:
     if args.bands is not None and args.bands < 1:
         raise CliError(f"--bands must be an integer >= 1, got {args.bands}")
-    seed = _default_seed() if args.seed is None else args.seed
+    seed = _seed(args.seed)
     rng = np.random.default_rng(seed)
     num_bins = 33
     layout = make_band_layout(num_bins, 2000, f_min=80.0)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import metrics
 from .audio_io import MultichannelWaveform
@@ -57,69 +58,65 @@ def delay_and_sum(
     return MultichannelWaveform(out, fs)
 
 
-def _kernel_spectra(delays: np.ndarray, n: int) -> np.ndarray:
-    """rfft of the filter that delay_signal applies for each delay, on an n-sample circle.
+def _steering_taps(delays: np.ndarray, half: int) -> np.ndarray:
+    """The filter that delay_signal applies for each delay, as taps at lags -half..half: [*delays.shape, 2 * half + 1].
 
     delay_signal(x, d)[t] = sum_u h[u] x[t - u] over the zero-filled signal,
-    with h[u] = kernel[u + KERNEL_HALF - floor(d)]; h[u] sits at index u mod n.
-    Returns [*delays.shape, n // 2 + 1].
+    with h[u] = kernel[u + KERNEL_HALF - floor(d)]; h[u] sits at index u + half.
     """
     d_int = np.floor(delays)
     kernels = fractional_delay_kernel((delays - d_int)[..., None])
-    lags = np.arange(KERNEL_TAPS) - KERNEL_HALF + d_int[..., None].astype(int)
-    placed = np.zeros(delays.shape + (n,))
-    np.put_along_axis(placed, lags % n, kernels, axis=-1)
-    return np.fft.rfft(placed)
+    lags = np.arange(KERNEL_TAPS) + (half - KERNEL_HALF) + d_int[..., None].astype(int)
+    taps = np.zeros(delays.shape + (2 * half + 1,))
+    np.put_along_axis(taps, lags, kernels, axis=-1)
+    return taps
 
 
-def _lag_spectra(x: np.ndarray, y: np.ndarray, lags: int, n: int) -> np.ndarray:
-    """Spectra on an n-sample circle of c[i, k, l] = sum_t x[i, t] y[k, t + l] for |l| <= lags.
+def _lag_spectra(y: np.ndarray, m: int, lags: int, n: int) -> np.ndarray:
+    """Spectra on an n-sample circle of c[i, k, l] = sum_t y[i, t] y[k, t + l] for i < m and |l| <= lags.
 
     The correlations are taken once over the whole signal by FFT; lags past
-    +-lags are dropped. Returns [len(x), len(y), n // 2 + 1].
+    +-lags are dropped. Returns [m, len(y), n // 2 + 1].
     """
-    s = x.shape[1]
-    nfft = 1 << (s + lags - 1).bit_length()  # no wrap-around within +-lags
-    xs = np.fft.rfft(x, nfft)
+    nfft = 1 << (y.shape[1] + lags - 1).bit_length()  # no wrap-around within +-lags
     ys = np.fft.rfft(y, nfft)
     keep = np.r_[0 : lags + 1, -lags:0]
-    out = np.empty((len(x), len(y), n // 2 + 1), dtype=complex)
-    for i, xi in enumerate(xs):  # one channel at a time keeps the [len(y), nfft] temporaries small
+    out = np.empty((m, len(y), n // 2 + 1), dtype=complex)
+    for i, yi in enumerate(ys[:m]):  # one channel at a time keeps the [len(y), nfft] temporaries small
         window = np.zeros((len(y), n))
-        window[:, keep] = np.fft.irfft(np.conj(xi) * ys, nfft)[:, keep]
+        window[:, keep] = np.fft.irfft(np.conj(yi) * ys, nfft)[:, keep]
         out[i] = np.fft.rfft(window)
     return out
 
 
-def _edge_sums(x, r, align, project, lo: int, hi: int, half: int):
-    """Corrections to every point's (||out_c||^2, <out_c, r_c>) from output samples [lo, hi), [P, M] each.
+def _steered(x, r, align, project, lo: int, hi: int):
+    """(||out_c||^2, <out_c, r_c>) of every point on output samples [lo, hi), by definition: [2, 2, P, M].
 
-    The correlation sums score an output whose aligned estimate runs past the
-    signal's ends. On [lo, hi) that output is subtracted and delay_and_sum's
-    own, which zero-fills the estimate outside [0, S), is added. Every filter
-    reaches at most half samples, so these outputs read the mixture only
-    within 2 * half samples of [lo, hi); the circle of align/project must
-    hold hi - lo + 4 * half samples.
+    out_c is x through the align taps, averaged, then through project[c]
+    ([P, M, 2 * half + 1] taps each). [0] is delay_and_sum's own output: its
+    estimate is zero-filled outside [0, S) and it is cut to [0, S). In [1]
+    both run on, as in the correlation sums. Each stacked product multiplies
+    one point, so a point's bits do not depend on the rest of its chunk.
     """
     m, s = x.shape
-    n = 2 * (align.shape[-1] - 1)
-    j0 = max(0, lo - 2 * half)
-    seg = x[:, j0 : min(s, hi + 2 * half)]
-    origin = j0 - 2 * half  # sample index at circle position 0
-    placed = np.zeros((m, n))
-    placed[:, 2 * half : 2 * half + seg.shape[1]] = seg
-    spec = np.fft.rfft(placed)
-    est = sum(align[:, i] * spec[i] for i in range(m)) / m  # aligned estimate, [P, n // 2 + 1]
-    full = np.fft.irfft(project * est[:, None], n)
-    t = np.arange(origin, origin + n)
-    zero_filled = np.fft.rfft(np.fft.irfft(est, n) * ((t >= 0) & (t < s)))
-    trunc = np.fft.irfft(project * zero_filled[:, None], n)
-    a, b = max(lo, 0), min(hi, s)  # the part of [lo, hi) inside the signal
-    full_in = full[..., a - origin : b - origin]
-    trunc_in = trunc[..., a - origin : b - origin]
-    energy = (trunc_in * trunc_in).sum(-1) - (full[..., lo - origin : hi - origin] ** 2).sum(-1)
-    dot = ((trunc_in - full_in) * r[:, a:b]).sum(-1)
-    return energy, dot
+    half = align.shape[-1] // 2
+    width = 2 * half + 1
+    t0 = lo - 2 * half  # the mixture reaches [lo, hi) through both filters from [t0, hi + 2 * half)
+    a, b = max(t0, 0), min(hi + 2 * half, s)
+    seg = np.pad(x[:, a:b], ((0, 0), (a - t0, hi + 2 * half - b)))  # zero-filled
+    # tap k weighs sample t - (k - half) into sample t: windows[i, j * width + k] = x[j, t0 + i + 2 * half - k]
+    windows = sliding_window_view(seg, width, axis=1)[..., ::-1].transpose(1, 0, 2).reshape(-1, m * width)
+    est = (windows @ align.reshape(len(align), -1, 1))[..., 0] / m  # estimate samples [lo - half, hi + half), [P, .]
+    t = np.arange(lo - half, hi + half)
+    kept = slice(max(lo, 0) - lo, min(hi, s) - lo)  # the output samples inside [0, S)
+    ref = r[:, max(lo, 0) : min(hi, s)]
+
+    def reproject(e):  # [P, M, hi - lo]: tap k of project[c] weighs e[i + 2 * half - k] into out_c[lo + i]
+        return project @ sliding_window_view(e, width, axis=-1)[..., ::-1].swapaxes(-1, -2)
+
+    cut = reproject(est * ((t >= 0) & (t < s)))[..., kept]
+    run_on = reproject(est)
+    return np.array([[(cut**2).sum(-1), (cut * ref).sum(-1)], [(run_on**2).sum(-1), (run_on[..., kept] * ref).sum(-1)]])
 
 
 def contour_grid(
@@ -135,24 +132,20 @@ def contour_grid(
     grid holds (d_az, d_el) offsets in degrees; the steered elevation is
     clamped to [-90, 90]. Each entry equals
     si_snr_i(delay_and_sum(mixture, steered, offsets), ref, mixture) to
-    within rounding, but no point touches the signal. Per output channel c,
-    SI-SNR needs only <out_c, r_c> and ||out_c||^2, and both are bilinear in
-    the mixture: out_c is the mixture through alignment composed with
-    re-projection. So the mixture's channel auto- and cross-correlations,
-    and its cross-correlations with the reference, are taken once over the
+    within rounding. Per output channel c, SI-SNR needs only <out_c, r_c>
+    and ||out_c||^2, both bilinear in the mixture, which reaches out_c
+    through alignment composed with re-projection. So the mixture's
+    correlations with itself and with the reference are taken once over the
     lags the composed kernels reach, and each point is a kernel-weighted sum
     over them (the steered-response-power identity of DiBiase, Silverman &
-    Brandstein, 2001), evaluated in the frequency domain for all points at
-    once. Those sums describe an estimate that runs past the signal's ends;
-    _edge_sums swaps in the zero-filled one on a strip at each end. The strip
-    and the lag window follow from the largest steering delay the array
-    allows, so a point's value does not depend on the rest of the grid.
-    Chunks of CONTOUR_CHUNK points run on up to jobs threads; no sum crosses chunks.
-
-    A signal no longer than the two edge strips is scored point by point,
-    serially: there the sums only cancel against the strips, and the rounding
-    left would decide the ratio of an output channel that its kernels barely
-    or never reach, as when the signal is shorter than the steering delays.
+    Brandstein, 2001), in the frequency domain for all points at once. Those
+    sums describe an output that runs past the signal's ends; on a strip at
+    each end, _steered swaps in delay_and_sum's own output, steered by
+    definition, and a signal no longer than the two strips is steered by
+    definition throughout. The strip and the lag window follow from the
+    largest steering delay the array allows, so a point's value does not
+    depend on the rest of the grid. Chunks of CONTOUR_CHUNK points run on up
+    to jobs threads; no sum crosses chunks.
     """
     az, el = clue.to_degrees()
     clues = [DoAClue.from_degrees(az + d_az, min(max(el + d_el, -90.0), 90.0)) for d_az, d_el in grid]
@@ -169,34 +162,38 @@ def contour_grid(
     # every delay_signal kernel lies within +-half lags, whatever the clue: |floor(d)| <= int(reach) + 2
     reach = float(np.linalg.norm(offsets, axis=1).max()) * fs / SPEED_OF_SOUND
     half = KERNEL_HALF + int(reach) + 2
-    if s <= 2 * half:
-        return np.array([metrics.si_snr(delay_and_sum(mixture, c, offsets), ref) for c in clues]) - base
     lags = 4 * half  # reach of the correlation of two composed (alignment then re-projection) kernels
-    n = 1 << (2 * lags).bit_length()  # holds lags -lags..lags apart, and an edge strip's 7 * half samples
+    n = 1 << (2 * lags).bit_length()  # holds lags -lags..lags apart
 
     delays = np.array([steering_delays(offsets, c) for c in clues]).reshape(-1, m) * fs
-    corr = _lag_spectra(x, np.concatenate([x, r]), lags, n)  # [M, 2M, n // 2 + 1]
-    xx, xr = corr[:, :m], corr[:, m:]
+    xx, xr = np.split(_lag_spectra(np.concatenate([x, r]), m, lags, n), [m], axis=1)  # [M, M, n // 2 + 1] each
 
     # Parseval on the circle: sum over a real spectrum's half, interior bins twice
     weights = np.full(n // 2 + 1, 2.0 / n)
     weights[[0, -1]] = 1.0 / n
-    energy, dot = np.empty((2, len(delays), m))
+    energy, dot = sums = np.empty((2, len(delays), m))  # ||out_c||^2 and <out_c, r_c> per point and channel
 
-    def score(chunks):  # writes only these chunks of energy and dot
+    def spectra(taps):  # rfft of [P, M, 2 * half + 1] taps on the n-sample circle, lag u at u mod n
+        placed = np.zeros(taps.shape[:-1] + (n,))
+        placed[..., np.arange(-half, half + 1) % n] = taps
+        return np.fft.rfft(placed)
+
+    def score(chunks):  # writes only these chunks of sums
         for chunk in chunks:
-            align = _kernel_spectra(-delays[chunk], n)  # [P, M, n // 2 + 1]
-            project = _kernel_spectra(delays[chunk], n)
+            align_taps, project_taps = _steering_taps(-delays[chunk], half), _steering_taps(delays[chunk], half)
+            if s <= 2 * half:  # the end strips cover the whole signal
+                sums[:, chunk] = _steered(x, r, align_taps, project_taps, 0, s)[0]
+                continue
+            align, project = spectra(align_taps), spectra(project_taps)
             steered = sum(xx[:, j] * align[:, j, None] for j in range(m))  # [P, M, n // 2 + 1]
             power = (np.conj(align) * steered).real.sum(axis=1) / (m * m)  # steered response power, [P, n // 2 + 1]
             energy[chunk] = (project.real**2 + project.imag**2) * power[:, None] @ weights
             cross = sum(np.conj(align[:, i, None]) * xr[i] for i in range(m)) / m  # [P, M, n // 2 + 1]
             dot[chunk] = (np.conj(project) * cross).real @ weights
-            # the zero-filled ends differ within half samples of each end
+            # delay_and_sum's output differs from the sums' only up to half samples inside either end, 2 * half outside
             for lo, hi in ((-2 * half, half), (s - half, s + 2 * half)):
-                d_energy, d_dot = _edge_sums(x, r, align, project, lo, hi, half)
-                energy[chunk] += d_energy
-                dot[chunk] += d_dot
+                cut, run_on = _steered(x, r, align_taps, project_taps, lo, hi)
+                sums[:, chunk] += cut - run_on
 
     chunks = [slice(i, i + CONTOUR_CHUNK) for i in range(0, len(delays), CONTOUR_CHUNK)]
     jobs = min(jobs, len(chunks))  # no idle threads

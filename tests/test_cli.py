@@ -554,6 +554,17 @@ def test_clue_frames_below_1_exits_2(tmp_path, capsys, frames):
     assert not out.exists()
 
 
+def test_clue_oversized_frames_exits_2(tmp_path, capsys):
+    # the frame positions of 10**14 frames alone take 728 TiB; the bound is checked before anything is read or allocated
+    act, out = tmp_path / "act.json", tmp_path / "clue.json"
+    act.write_text("[0.0, 1.0]")
+    argv = ["clue", "--az", "0", "--el", "0", "--activation", str(act), "--frames", str(10**14), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --frames asks for a 100000000000000 x 72 matrix") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("payload", ['{"a": 1}', "null", '"0.5"', "[[0.5]]", '[0.5, "x"]', "[true]", "[NaN]"])
 def test_clue_bad_activation_exits_2(tmp_path, capsys, payload):
     act = tmp_path / "act.json"
@@ -586,6 +597,22 @@ def test_fuse_check_bad_env_seed_exits_2(capsys, monkeypatch):
     assert main(["fuse-check", "--bands", "2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: SOUNDCOMPASS_SEED") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        (["--seed", "-3"], None, "--seed must be an integer >= 0, got -3"),
+        ([], "-5", "SOUNDCOMPASS_SEED must be an integer >= 0, got '-5'"),
+        (["--seed", "-3"], "7", "--seed must be an integer >= 0, got -3"),  # the flag wins over the variable
+    ],
+)
+def test_fuse_check_negative_seed_names_its_source(capsys, monkeypatch, argv, env, message):
+    # numpy's own error for a negative seed names neither the flag nor the variable
+    if env is not None:
+        monkeypatch.setenv("SOUNDCOMPASS_SEED", env)
+    assert main(["fuse-check", "--bands", "2", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_simulate_has_no_seed_option(tmp_path):

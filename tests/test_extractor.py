@@ -254,27 +254,39 @@ def test_contour_grid_chunks_concatenate_to_full_grid(rng, chunk):
     np.testing.assert_array_equal(np.concatenate(parts), full)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 24])
-def test_contour_grid_scores_in_fixed_chunks_bitwise(rng, monkeypatch, chunk):
+TETRAHEDRAL_3000 = (tetrahedral_offsets(), 3000)
+WIDE_120 = (25.0 * tetrahedral_offsets(), 120)  # shorter than the two end strips: steered by definition throughout
+
+
+@pytest.mark.parametrize(
+    "chunk, array",
+    [pytest.param(c, TETRAHEDRAL_3000, id=str(c)) for c in (1, 7, 24)]
+    + [pytest.param(c, WIDE_120, id=f"short-wide-{c}") for c in (1, 7)],
+)
+def test_contour_grid_scores_in_fixed_chunks_bitwise(rng, monkeypatch, chunk, array):
     # contour_grid bounds its memory by scoring CONTOUR_CHUNK points at a time;
     # a default 13x13 grid is one chunk, so contour does the arithmetic it did unchunked
     assert extractor.CONTOUR_CHUNK >= 13 * 13
-    offsets = tetrahedral_offsets()
-    mixture = MultichannelWaveform(rng.standard_normal((4, 3000)), FS)
-    ref = MultichannelWaveform(rng.standard_normal((4, 3000)), FS)
+    offsets, samples = array
+    mixture = MultichannelWaveform(rng.standard_normal((4, samples)), FS)
+    ref = MultichannelWaveform(rng.standard_normal((4, samples)), FS)
     clue = DoAClue.from_degrees(200.0, -5.0)
     whole = contour_grid(mixture, ref, offsets, clue, GRID_5X5)
     monkeypatch.setattr(extractor, "CONTOUR_CHUNK", chunk)
     np.testing.assert_array_equal(contour_grid(mixture, ref, offsets, clue, GRID_5X5), whole)
 
 
-@pytest.mark.parametrize("chunk, jobs, threads", [(1, 8, 8), (7, 2, 2), (7, 1000, 4)])
-def test_contour_grid_threads_match_inline_bitwise(rng, monkeypatch, chunk, jobs, threads):
+@pytest.mark.parametrize(
+    "chunk, jobs, threads, array",
+    [pytest.param(*case, TETRAHEDRAL_3000, id="-".join(map(str, case))) for case in ((1, 8, 8), (7, 2, 2), (7, 1000, 4))]
+    + [pytest.param(*case, WIDE_120, id="short-wide-" + "-".join(map(str, case))) for case in ((1, 8, 8), (7, 2, 2))],
+)
+def test_contour_grid_threads_match_inline_bitwise(rng, monkeypatch, chunk, jobs, threads, array):
     # threads write disjoint chunks of shared arrays; more threads than cores and a short
     # switch interval make an overlapping write or a lost update likely to show
-    offsets = tetrahedral_offsets()
-    mixture = MultichannelWaveform(rng.standard_normal((4, 3000)), FS)
-    ref = MultichannelWaveform(rng.standard_normal((4, 3000)), FS)
+    offsets, samples = array
+    mixture = MultichannelWaveform(rng.standard_normal((4, samples)), FS)
+    ref = MultichannelWaveform(rng.standard_normal((4, samples)), FS)
     clue = DoAClue.from_degrees(200.0, -5.0)
     monkeypatch.setattr(extractor, "CONTOUR_CHUNK", chunk)
     started = []
