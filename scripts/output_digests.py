@@ -4,8 +4,8 @@
 Renders two fixed 1 s two-source scenes, one reverberant (RT60 0.4 s) and one
 anechoic, then runs every command in every mode whose output must not change:
 `simulate` with --jobs 1 and 2; per scene `featurize` with the defaults, with
---fft/--hop and with --bands, `extract` and `evaluate` for both sources, and
-`contour` with --jobs 1 and 2 on a grid of two chunks; `clue` as sh, as
+--fft/--hop and with --bands, `extract` and `evaluate` (with --per-pair) for both
+sources, and `contour` with --jobs 1 and 2 on a grid of two chunks; `clue` as sh, as
 cyc-pos and with --activation; and `fuse-check`, whose printed line is kept
 as a file. Paths are relative to --out, so the output of two checkouts
 compares with one `diff`:
@@ -82,7 +82,8 @@ def write_outputs(root: Path) -> None:
             az, el = doa.to_degrees()
             est = root / f"extract_{k}_src{j}.wav"
             run("extract", "--scene", str(scene), "--az", repr(az), "--el", repr(el), "--out", str(est))
-            run("evaluate", "--est", str(est), "--scene", str(scene), "--source", str(j), "--out", str(root / f"evaluate_{k}_src{j}.csv"))
+            report, per_pair = root / f"evaluate_{k}_src{j}.csv", root / f"evaluate_{k}_src{j}_pairs.csv"
+            run("evaluate", "--est", str(est), "--scene", str(scene), "--source", str(j), "--out", str(report), "--per-pair", str(per_pair))
         for jobs in ("1", "2"):  # 17x17 points: two chunks of contour_grid
             out = root / f"contour_{k}_j{jobs}.csv"
             run("contour", "--scene", str(scene), "--source", "0", "--span", "8", "--step", "1", "--jobs", jobs, "--out", str(out))

@@ -23,7 +23,7 @@ from .audio_io import json_array, read_json, read_wav, write_wav
 from .clues import DoAClue, build_time_varying_clue, encode_cyc_pos, encode_sh
 from .extractor import SPEED_OF_SOUND, contour_grid, delay_and_sum
 from .fusion import BAND_PARAMS, film_fuse, finite_difference_check, init_fusion_weights
-from .metrics import evaluate_extraction, write_reports_csv
+from .metrics import evaluate_extraction, write_per_pair_csv, write_reports_csv
 from .metrics import si_snr_i  # noqa: F401  (unused here; perfbench wraps cli.si_snr_i)
 from .roomsim import read_scene_dir, read_source_reference, render_scene_to_dir
 from .scenes import read_manifest
@@ -262,6 +262,9 @@ def cmd_evaluate(args) -> int:
     )
     write_reports_csv([report], args.out)
     print(f"wrote {args.out}")
+    if args.per_pair:
+        write_per_pair_csv([report], args.per_pair)
+        print(f"wrote {args.per_pair} ({len(report.per_pair)} pairs)")
     return EXIT_OK
 
 
@@ -346,6 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--scene", required=True)
     s.add_argument("--source", type=int, required=True)
     s.add_argument("--out", required=True)
+    s.add_argument("--per-pair", default=None, help="also write each mic pair's ILD/IPD/ITD errors as CSV")
     s.set_defaults(func=cmd_evaluate)
 
     s = sub.add_parser("contour", help="steering-offset quality grid")

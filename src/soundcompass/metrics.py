@@ -23,6 +23,7 @@ ENERGY_FLOOR = 1e-12
 IPD_GATE_DB = -60.0
 
 CSV_HEADER = ["scene_id", "source_id", "snri_db", "si_snri_db", "d_ild_db", "d_ipd_rad", "d_itd_us"]
+PER_PAIR_HEADER = ["scene_id", "source_id", "i", "j", "d_ild_db", "d_ipd_rad", "d_itd_us"]
 
 
 def _cap(db: float) -> float:
@@ -115,6 +116,10 @@ def gcc_phat_itd(w: MultichannelWaveform, pair: tuple[int, int], max_lag_s: floa
 
     Whitened cross-correlation: peak lag of ifft(X_j conj(X_i)/|.|) within
     +-max_lag_s, refined by a 3-point parabolic fit. NaN for silent channels.
+    The transform has nfft = the smallest power of two >= S + max_lag points,
+    so no searched lag wraps around; only PHAT's frequency grid differs from
+    the full 2S - 1 transform's, which moves ITDs by at most 0.89 us on 4 s
+    benchmark mixtures (see _gcc_phat_itds).
     """
     return _gcc_phat_itds(w, [_check_pair(pair, w.num_channels)], max_lag_s)[0]
 
@@ -126,18 +131,31 @@ def _gcc_phat_itds(w: MultichannelWaveform, pairs: list, max_lag_s: float) -> li
     product of two whitened spectra is the whitened cross-spectrum. Each
     pair's correlation is reduced to its searched lags before the next pair
     is formed, so memory does not grow with the pair count.
+
+    The lag window is round(max_lag_s * fs), capped at nfft_full // 2 - 1 where
+    nfft_full is the power of two above 2S - 1 that holds every lag. The
+    transform then takes nfft = the smallest power of two >= S + max_lag: a
+    lag l with |l| <= max_lag aliases only with l -+ nfft, and |l -+ nfft| >= S
+    lies outside the linear correlation's support, so every lag read is still
+    a linear-correlation lag (the rule extractor._lag_spectra uses). Only the
+    frequency grid that PHAT whitens on changes with nfft: against a transform
+    at nfft_full, the per-pair ITDs of 4 s benchmark mixtures move by at most
+    0.89 us (1.4% of a sample), and the evaluate reports of
+    scripts/output_digests.py by at most 0.052 us. A capped window keeps
+    nfft_full.
     """
     x = w.samples
     live = _energies(x) >= ENERGY_FLOOR
     defined = [bool(live[i] and live[j]) for i, j in pairs]
     if not any(defined):
         return [math.nan] * len(pairs)
-    if max_lag_s <= 0:
-        raise ValueError("max_lag_s must be positive")
+    if not (max_lag_s > 0 and math.isfinite(max_lag_s)):
+        raise ValueError(f"max_lag_s must be positive and finite, got {max_lag_s}")
     s = x.shape[1]
-    nfft = 1 << max(1, (2 * s - 1).bit_length())
-    max_lag = int(round(max_lag_s * w.sample_rate))
-    max_lag = min(max_lag, nfft // 2 - 1)
+    nfft_full = 1 << max(1, (2 * s - 1).bit_length())
+    # capped before rounding, which rounds the same, so a huge finite max_lag_s cannot overflow
+    max_lag = round(min(max_lag_s * w.sample_rate, nfft_full // 2 - 1))
+    nfft = 1 << (s + max_lag - 1).bit_length()
     lags = np.arange(-max_lag, max_lag + 1)
 
     white = {}
@@ -306,3 +324,14 @@ def write_reports_csv(reports: list, path) -> None:
             vals = [getattr(r, name) for r in reports if not math.isnan(getattr(r, name))]
             cols.append(f"{float(np.mean(vals)):.6f}" if vals else "nan")
         writer.writerow(["mean", ""] + cols)
+
+
+def write_per_pair_csv(reports: list, path) -> None:
+    """One row per mic pair of each report, formatted as write_reports_csv's rows."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(PER_PAIR_HEADER)
+        for r in reports:
+            for p in r.per_pair:
+                errors = (p.d_ild_db, p.d_ipd_rad, p.d_itd_us)
+                writer.writerow([r.scene_id, r.source_id, *p.pair] + [f"{v:.6f}" for v in errors])

@@ -666,6 +666,30 @@ def test_extract_and_evaluate(rendered_scene, tmp_path):
     float(rows[1][3])
 
 
+def test_evaluate_per_pair_rows_average_to_report(rendered_scene, tmp_path, capsys):
+    """--per-pair writes one row per mic pair; their nan-means are the report's spatial columns."""
+    est = tmp_path / "est.wav"
+    assert main(["extract", "--scene", str(rendered_scene), "--az", "30", "--el", "10", "--out", str(est)]) == 0
+    evaluate = ["evaluate", "--est", str(est), "--scene", str(rendered_scene), "--source", "0"]
+    capsys.readouterr()
+    assert main([*evaluate, "--out", str(tmp_path / "plain.csv")]) == 0
+    plain_out = capsys.readouterr().out
+    report, per_pair = tmp_path / "report.csv", tmp_path / "pairs.csv"
+    assert main([*evaluate, "--out", str(report), "--per-pair", str(per_pair)]) == 0
+    assert capsys.readouterr().out == plain_out.replace("plain.csv", "report.csv") + f"wrote {per_pair} (6 pairs)\n"
+    assert report.read_bytes() == (tmp_path / "plain.csv").read_bytes()  # the flag leaves the report as it was
+
+    rows = list(csv.DictReader(per_pair.read_text().splitlines()))
+    assert list(rows[0]) == ["scene_id", "source_id", "i", "j", "d_ild_db", "d_ipd_rad", "d_itd_us"]
+    assert [(r["scene_id"], r["source_id"]) for r in rows] == [("scene_0", "0")] * 6
+    assert [(int(r["i"]), int(r["j"])) for r in rows] == [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    (row,) = [r for r in csv.DictReader(report.read_text().splitlines()) if r["scene_id"] == "scene_0"]
+    for key in ("d_ild_db", "d_ipd_rad", "d_itd_us"):
+        assert all(len(r[key].split(".")[-1]) == 6 or r[key] == "nan" for r in rows)  # %.6f, as the report
+        mean = np.nanmean([float(r[key]) for r in rows])
+        assert mean == pytest.approx(float(row[key]), abs=1e-6), key  # both sides rounded to 1e-6 / 2
+
+
 def test_evaluate_source_out_of_range(rendered_scene, tmp_path):
     est = tmp_path / "est.wav"
     make_noise_wav(est, seconds=0.3, channels=4)

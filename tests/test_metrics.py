@@ -293,19 +293,25 @@ def loop_si_snr(est, ref):
     return float(np.mean(vals))
 
 
-def per_pair_gcc_phat_itd(w, pair, max_lag_s):
-    """Both channels transformed per call, every lag inverted."""
+def pair_gcc_phat_itd_at(w, pair, max_lag_s, wrap_free):
+    """Both channels transformed per call, every lag inverted.
+
+    The transform is nfft_full points (the power of two above 2S - 1), or with
+    wrap_free the smallest power of two >= S + max_lag.
+    """
     i, j = pair
     xi, xj = w.samples[i], w.samples[j]
     if float(xi @ xi) < ENERGY_FLOOR or float(xj @ xj) < ENERGY_FLOOR:
         return math.nan
     s = xi.shape[0]
     nfft = 1 << max(1, (2 * s - 1).bit_length())
+    max_lag = min(int(round(max_lag_s * w.sample_rate)), nfft // 2 - 1)
+    if wrap_free:
+        nfft = 1 << (s + max_lag - 1).bit_length()
     cross = np.fft.rfft(xj, nfft) * np.conj(np.fft.rfft(xi, nfft))
     mag = np.abs(cross)
     cross = np.where(mag > 0, cross / np.maximum(mag, 1e-300), 0.0)
     corr = np.fft.irfft(cross, nfft)
-    max_lag = min(int(round(max_lag_s * w.sample_rate)), nfft // 2 - 1)
     lags = np.arange(-max_lag, max_lag + 1)
     vals = corr[lags % nfft]
     k = int(np.argmax(vals))
@@ -316,6 +322,16 @@ def per_pair_gcc_phat_itd(w, pair, max_lag_s):
         if denom < 0:
             peak_lag += 0.5 * (y0 - y2) / denom
     return peak_lag / w.sample_rate
+
+
+def per_pair_gcc_phat_itd(w, pair, max_lag_s):
+    """The reference: the shortest transform that no searched lag wraps around."""
+    return pair_gcc_phat_itd_at(w, pair, max_lag_s, wrap_free=True)
+
+
+def full_length_gcc_phat_itd(w, pair, max_lag_s):
+    """The oracle that holds every lag of the correlation: nfft_full points."""
+    return pair_gcc_phat_itd_at(w, pair, max_lag_s, wrap_free=False)
 
 
 def pair_ild_db(w, i, j):
@@ -416,16 +432,49 @@ def test_gcc_phat_itd_matches_per_pair_loop(rng, max_lag_s):
         assert abs(got - want) * 1e6 <= SPATIAL_BOUND, pair
 
 
+GCC_DRIFT_BOUND = 0.05  # samples, against the full-length transform; set before measuring
+
+
+@pytest.mark.parametrize("max_lag_s", [16.0 / FS, 64.0 / FS, 1.0])
+def test_gcc_phat_itd_drift_from_full_length_transform(rng, max_lag_s):
+    """Only the grid PHAT whitens on changes: each pair's ITD stays within 0.05 sample.
+
+    Every window holds the true lags (at most 9 samples). A window that cuts the
+    peak off reads the largest edge value of the noise, which can move by whole
+    samples with the grid on either transform.
+    """
+    for n in (300, 3000):
+        est, ref = spatial_pair(rng, 4, n=n)
+        for w in (est, ref):
+            for pair in [(i, j) for i in range(4) for j in range(i + 1, 4)]:
+                got = gcc_phat_itd(w, pair, max_lag_s)
+                want = full_length_gcc_phat_itd(w, pair, max_lag_s)
+                assert abs(got - want) * FS <= GCC_DRIFT_BOUND, (n, pair)
+
+
+def test_gcc_phat_itd_fractional_delays_as_accurate_as_full_length(rng):
+    """Noise delayed by 0.1..0.9 sample: the mean |ITD error| is no worse than nfft_full's + 0.01 sample."""
+    x = rng.standard_normal(4000)
+    delays = np.arange(1, 10) / 10
+    errs, full_errs = [], []
+    for d in delays:
+        w = MultichannelWaveform(np.stack([x, delay_signal(x, d)]), FS)
+        errs.append(abs(gcc_phat_itd(w, (0, 1), 8.0 / FS) * FS - d))
+        full_errs.append(abs(full_length_gcc_phat_itd(w, (0, 1), 8.0 / FS) * FS - d))
+    assert np.mean(errs) <= np.mean(full_errs) + 0.01, (errs, full_errs)
+
+
 def test_gcc_phat_itd_pairs_peak_allocation(rng):
     """All six pairs of a 4-channel, 4 s input hold no more than a few spectra.
 
     Four whitened spectra take 32 nfft bytes, one pair's cross-spectrum and
     correlation 16 nfft; 64 nfft leaves room for FFT scratch but not for the
-    cross-spectra of every pair at once.
+    cross-spectra of every pair at once. nfft is the wrap-free length for 5
+    lags, half the full-length transform's.
     """
     w = MultichannelWaveform(rng.standard_normal((4, 4 * FS)), FS)
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-    nfft = 1 << (2 * w.num_samples - 1).bit_length()
+    nfft = 1 << (w.num_samples + 5 - 1).bit_length()
     tracemalloc.start()
     try:
         itds = _gcc_phat_itds(w, pairs, 5.0 / FS)
@@ -441,6 +490,12 @@ def test_gcc_phat_itd_checks_kept(rng):
     assert math.isnan(gcc_phat_itd(w, (0, 1), max_lag_s=0.0))  # silent first, as before
     with pytest.raises(ValueError, match="max_lag_s must be positive"):
         gcc_phat_itd(w, (0, 2), max_lag_s=0.0)
+    for bad in (math.inf, math.nan, -math.inf):
+        assert math.isnan(gcc_phat_itd(w, (0, 1), max_lag_s=bad))  # silent first here too
+        with pytest.raises(ValueError, match="max_lag_s must be positive and finite"):
+            gcc_phat_itd(w, (0, 2), max_lag_s=bad)
+        with pytest.raises(ValueError, match="max_lag_s must be positive and finite"):
+            spatial_errors(w, w, max_lag_s=bad)
     with pytest.raises(ValueError, match="two distinct channels"):
         gcc_phat_itd(w, (1, 1), max_lag_s=1e-3)
 

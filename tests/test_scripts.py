@@ -79,7 +79,7 @@ def test_output_digests_agree_across_blas_threads_and_jobs(tmp_path):
     assert outs["one"] == outs["default"]
 
     digest = {path: sha for sha, path in (line.split("  ") for line in outs["one"].splitlines())}
-    assert len(digest) == 4 + 2 * 12 + 2 * (6 + 2 + 2 + 2) + 3 + 1  # inputs, simulate, per scene, clue, fuse-check
+    assert len(digest) == 4 + 2 * 12 + 2 * (6 + 2 + 2 + 2 + 2) + 3 + 1  # inputs, simulate, per scene, clue, fuse-check
     jobs_2 = {path: sha for path, sha in digest.items() if "_j2" in path}
     assert len(jobs_2) == 14  # 12 simulate files, 2 contour CSVs
     for path, sha in jobs_2.items():
