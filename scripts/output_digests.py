@@ -6,7 +6,7 @@ anechoic, then runs every command in every mode whose output must not change:
 `simulate` with --jobs 1 and 2; per scene `featurize` with the defaults, with
 --fft/--hop and with --bands, `extract` and `evaluate` (with --per-pair) for both
 sources, and `contour` with --jobs 1 and 2 on a grid of two chunks; `clue` as sh, as
-cyc-pos and with --activation; and `fuse-check`, whose printed line is kept
+cyc-pos and with --activation; and `fuse-check`, whose printed lines are kept
 as a file. Paths are relative to --out, so the output of two checkouts
 compares with one `diff`:
 

@@ -22,12 +22,12 @@ import numpy as np
 from .audio_io import json_array, read_json, read_wav, write_wav
 from .clues import DoAClue, build_time_varying_clue, encode_cyc_pos, encode_sh
 from .extractor import SPEED_OF_SOUND, contour_grid, delay_and_sum
-from .fusion import BAND_PARAMS, film_fuse, finite_difference_check, init_fusion_weights
+from .fusion import film_fuse, finite_difference_check, init_fusion_weights
 from .metrics import evaluate_extraction, write_per_pair_csv, write_reports_csv
 from .metrics import si_snr_i  # noqa: F401  (unused here; perfbench wraps cli.si_snr_i)
 from .roomsim import read_scene_dir, read_source_reference, render_scene_to_dir
 from .scenes import read_manifest
-from .spectral import FFT_SIZE, HOP, WINDOW, BandLayout, make_band_layout, stft
+from .spectral import FFT_SIZE, HOP, WINDOW, BandLayout, frame_count, make_band_layout, stft
 from .spin import log_magnitude, spin_forward
 
 EXIT_OK = 0
@@ -36,6 +36,9 @@ EXIT_INVALID = 2
 
 CONTOUR_MAX_POINTS = 10**6  # a 999x999 grid fits; about 4 min at the README's 61x61 rate
 CLUE_MAX_VALUES = 10**6  # clue --frames x embedding width; the JSON path peaks near 116 MB here, 1.8 GB at 10**7
+# featurize's (2M)^2 x frames x bins pairwise values. Its peak grows ≈14.4 B a value (913 MB at the 6.2e7
+# of a 60 s 4-channel mixture at the defaults), so ≈2.8 GB here: 4 channels at the defaults fit ≈194 s
+FEATURIZE_MAX_VALUES = 2 * 10**8
 
 # CliError, SceneValidationError, WavFormatError, SimulationError and read_json's errors are ValueErrors
 INVALID_INPUT_ERRORS = (
@@ -112,11 +115,17 @@ def cmd_featurize(args) -> int:
     wav = read_wav(args.wav)
     if args.hop <= 0 or args.fft <= 0:
         raise CliError("--fft and --hop must be positive")
+    num_bins = args.fft // 2 + 1
+    pairs, frames = (2 * wav.num_channels) ** 2, frame_count(wav.num_samples, args.fft, args.hop)
+    if pairs * frames * num_bins > FEATURIZE_MAX_VALUES:  # Python ints: nothing allocated yet
+        raise CliError(
+            f"--fft {args.fft} and --hop {args.hop} ask for a {pairs} x {frames} x {num_bins} pairwise tensor,"
+            f" more than {FEATURIZE_MAX_VALUES} values"
+        )
     window = replace(WINDOW, length=args.fft)
     spec = stft(wav, window, args.fft, args.hop)
     feat = spin_forward(spec)
 
-    num_bins = args.fft // 2 + 1
     if args.bands == "default":
         layout = make_band_layout(num_bins, wav.sample_rate, fft_size=args.fft)
     else:
@@ -213,11 +222,12 @@ def cmd_fuse_check(args) -> int:
         feat = rng.standard_normal((bw.num_channels, 5, width))
         upstream = rng.standard_normal(feat.shape)
         clue_vec = rng.standard_normal(18)
-        rel, _ = finite_difference_check(bw, feat, clue_vec, upstream, num_coords=12, rng=rng)
+        rel, checked = finite_difference_check(bw, feat, clue_vec, upstream, num_coords=12, rng=rng)
         worst = max(worst, rel)
+        print(f"band {k} [{lo}, {hi}]: max relative gradient error {rel:.3e} over {checked} coordinates")
 
         # null modulation: zeroed heads must reproduce the input bit for bit
-        heads = {attr: np.zeros_like(getattr(bw, attr)) for owner, attr, _ in BAND_PARAMS if owner is None}
+        heads = {name: np.zeros_like(getattr(bw, name)) for name in ("w_gamma", "b_gamma", "w_beta", "b_beta")}
         if not np.array_equal(film_fuse(feat, clue_vec, replace(bw, **heads)), feat):
             print("null-modulation identity FAILED", file=sys.stderr)
             return EXIT_INTERNAL

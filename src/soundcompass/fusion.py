@@ -27,10 +27,9 @@ ADANORM_EPS = 1e-5
 FD_STEP = 1e-5  # central-difference step of finite_difference_check
 
 
-def _finite(name, *arrays):
-    for a in arrays:
-        if not np.isfinite(a).all():
-            raise ValueError(f"non-finite values in {name}")
+def _finite(name, a):
+    if not np.isfinite(a).all():
+        raise ValueError(f"non-finite values in {name}")
 
 
 @dataclass
@@ -48,24 +47,6 @@ class EncoderWeights:
     bias: np.ndarray
     prelu_slope: float = 0.25
     k_ada: float = 0.1
-
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
-        self.gain = np.asarray(self.gain, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        # a 0-d or 1-element array becomes a float; ValueError unless one value
-        self.prelu_slope = np.asarray(self.prelu_slope, dtype=np.float64).item()
-        self.k_ada = np.asarray(self.k_ada, dtype=np.float64).item()
-        if self.w.ndim != 2:
-            raise ValueError("w must be [out x in]")
-        out = self.w.shape[0]
-        for name, v in (("b", self.b), ("gain", self.gain), ("bias", self.bias)):
-            if v.shape != (out,):
-                raise ValueError(f"{name} must have shape [{out}]")
-        _finite("encoder weights", self.w, self.b, self.gain, self.bias)
-        if not (np.isfinite(self.prelu_slope) and np.isfinite(self.k_ada)):
-            raise ValueError("prelu_slope and k_ada must be finite")
 
     @property
     def dim_in(self) -> int:
@@ -87,48 +68,14 @@ class BandFusionWeights:
     w_beta: np.ndarray
     b_beta: np.ndarray
 
-    def __post_init__(self):
-        self.w_gamma = np.asarray(self.w_gamma, dtype=np.float64)
-        self.b_gamma = np.asarray(self.b_gamma, dtype=np.float64)
-        self.w_beta = np.asarray(self.w_beta, dtype=np.float64)
-        self.b_beta = np.asarray(self.b_beta, dtype=np.float64)
-        c, h = self.w_gamma.shape
-        if h != self.clue.dim_out:
-            raise ValueError("gamma head input width must match clue encoder output")
-        if self.w_beta.shape != (c, h) or self.b_gamma.shape != (c,) or self.b_beta.shape != (c,):
-            raise ValueError("gamma/beta head shapes inconsistent")
-        if c != self.feat.dim_out:
-            raise ValueError("head output width must match feature encoder output")
-        _finite("fusion heads", self.w_gamma, self.b_gamma, self.w_beta, self.b_beta)
-
     @property
     def num_channels(self) -> int:
         return self.w_gamma.shape[0]
 
 
-# The 10 parameters film_fuse reads, each as (owner, attribute, film_gradients
-# key); the owner is "clue" for the clue encoder, or None for the band itself.
-BAND_PARAMS = (
-    ("clue", "w", "w1"),
-    ("clue", "b", "b1"),
-    ("clue", "gain", "gain"),
-    ("clue", "bias", "bias"),
-    ("clue", "prelu_slope", "prelu_slope"),
-    ("clue", "k_ada", "k_ada"),
-    (None, "w_gamma", "w_gamma"),
-    (None, "b_gamma", "b_gamma"),
-    (None, "w_beta", "w_beta"),
-    (None, "b_beta", "b_beta"),
-)
-
-
 @dataclass
 class FusionWeights:
     bands: list
-
-    def __post_init__(self):
-        if not self.bands:
-            raise ValueError("need at least one band")
 
     @property
     def num_bands(self) -> int:
@@ -275,9 +222,10 @@ def fuse_all_bands(spin: SpinFeature, layout: BandLayout, clue, weights: FusionW
 def film_gradients(feat_k: np.ndarray, clue, bw: BandFusionWeights, upstream: np.ndarray):
     """Gradients of <upstream, film_fuse(feat_k, clue, bw)>.
 
-    Returns a dict with d_feat, d_clue (matching the clue's own shape), and
-    per-parameter entries w1, b1, gain, bias, prelu_slope, k_ada (clue
-    encoder), w_gamma, b_gamma, w_beta, b_beta.
+    Returns a dict with d_feat, d_clue (matching the clue's own shape), then
+    one entry per parameter film_fuse reads, keyed by where it lives: clue.w,
+    clue.b, clue.gain, clue.bias, clue.prelu_slope, clue.k_ada (the clue
+    encoder's fields), then w_gamma, b_gamma, w_beta, b_beta (the band's).
     """
     feat_k = np.asarray(feat_k, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -311,8 +259,8 @@ def film_gradients(feat_k: np.ndarray, clue, bw: BandFusionWeights, upstream: np
     d_k_ada = float((g_yw * (-(y**2))).sum())
     # standardization backward: y = (a - mean a)/s with s fixed by a
     g_a = (g_y - g_y.mean(axis=0) - y * (g_y * y).mean(axis=0)) / s
-    d_w1 = g_a @ clue_mat
-    d_b1 = g_a.sum(axis=1)
+    d_w = g_a @ clue_mat
+    d_b = g_a.sum(axis=1)
     d_clue = g_a.T @ w.w
     if static:
         d_clue = d_clue[0]
@@ -320,12 +268,12 @@ def film_gradients(feat_k: np.ndarray, clue, bw: BandFusionWeights, upstream: np
     return {
         "d_feat": d_feat,
         "d_clue": d_clue,
-        "w1": d_w1,
-        "b1": d_b1,
-        "gain": d_gain,
-        "bias": d_bias,
-        "prelu_slope": d_slope,
-        "k_ada": d_k_ada,
+        "clue.w": d_w,
+        "clue.b": d_b,
+        "clue.gain": d_gain,
+        "clue.bias": d_bias,
+        "clue.prelu_slope": d_slope,
+        "clue.k_ada": d_k_ada,
         "w_gamma": d_w_gamma,
         "b_gamma": d_b_gamma,
         "w_beta": d_w_beta,
@@ -343,16 +291,15 @@ def finite_difference_check(
 ):
     """Compare analytic gradients to central differences at random coordinates.
 
-    Perturbs the feature, the clue and every BAND_PARAMS row, each on a copy:
-    max(1, num_coords // 6) coordinates of an array, the value of a float.
+    Perturbs the feature, the clue and every parameter film_gradients returns,
+    in its key order, each on a copy: max(1, num_coords // 6) coordinates of
+    an array, the value of a float.
     Returns (max_relative_error, checked_count). Coordinates where both the
     analytic and numeric values are tiny (< 1e-12) count as exact.
     """
     rng = rng or np.random.default_rng(0)
     grads = film_gradients(feat_k, clue, bw, upstream)
     inputs = SimpleNamespace(feat=feat_k, clue=np.asarray(clue, dtype=np.float64))
-    slots = [(inputs, "feat", "d_feat"), (inputs, "clue", "d_clue")]
-    slots += [(getattr(bw, owner) if owner else bw, attr, key) for owner, attr, key in BAND_PARAMS]
 
     def loss_at(obj, attr, idx, delta):
         saved = getattr(obj, attr)
@@ -365,12 +312,16 @@ def finite_difference_check(
             setattr(obj, attr, saved)
 
     max_rel, checked = 0.0, 0
-    for obj, attr, key in slots:
+    for key, grad in grads.items():  # d_feat, d_clue, then "clue.<field>" or a band field
+        owner, _, attr = key.rpartition(".")
+        obj = getattr(bw, owner) if owner else bw
+        if key.startswith("d_"):
+            obj, attr = inputs, key[2:]
         shape = np.shape(getattr(obj, attr))
         for _ in range(max(1, num_coords // 6) if shape else 1):
             idx = tuple(rng.integers(0, d) for d in shape)
             numeric = (loss_at(obj, attr, idx, FD_STEP) - loss_at(obj, attr, idx, -FD_STEP)) / (2.0 * FD_STEP)
-            analytic = np.asarray(grads[key])[idx]
+            analytic = np.asarray(grad)[idx]
             checked += 1
             denom = max(abs(analytic), abs(numeric))
             if denom >= 1e-12:

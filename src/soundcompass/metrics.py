@@ -116,10 +116,9 @@ def gcc_phat_itd(w: MultichannelWaveform, pair: tuple[int, int], max_lag_s: floa
 
     Whitened cross-correlation: peak lag of ifft(X_j conj(X_i)/|.|) within
     +-max_lag_s, refined by a 3-point parabolic fit. NaN for silent channels.
-    The transform has nfft = the smallest power of two >= S + max_lag points,
-    so no searched lag wraps around; only PHAT's frequency grid differs from
-    the full 2S - 1 transform's, which moves ITDs by at most 0.89 us on 4 s
-    benchmark mixtures (see _gcc_phat_itds).
+    Only the window is searched: when it is shorter than the pair's true delay,
+    the result is the best lag inside it (an edge lag, or on noise any lag),
+    not NaN. The transform length is _gcc_phat_itds'.
     """
     return _gcc_phat_itds(w, [_check_pair(pair, w.num_channels)], max_lag_s)[0]
 
@@ -134,15 +133,12 @@ def _gcc_phat_itds(w: MultichannelWaveform, pairs: list, max_lag_s: float) -> li
 
     The lag window is round(max_lag_s * fs), capped at nfft_full // 2 - 1 where
     nfft_full is the power of two above 2S - 1 that holds every lag. The
-    transform then takes nfft = the smallest power of two >= S + max_lag: a
+    transform takes nfft = the smallest power of two >= S + max_lag points: a
     lag l with |l| <= max_lag aliases only with l -+ nfft, and |l -+ nfft| >= S
-    lies outside the linear correlation's support, so every lag read is still
-    a linear-correlation lag (the rule extractor._lag_spectra uses). Only the
-    frequency grid that PHAT whitens on changes with nfft: against a transform
-    at nfft_full, the per-pair ITDs of 4 s benchmark mixtures move by at most
-    0.89 us (1.4% of a sample), and the evaluate reports of
-    scripts/output_digests.py by at most 0.052 us. A capped window keeps
-    nfft_full.
+    lies outside the linear correlation's support, so every lag read is a
+    linear-correlation lag (the rule extractor._lag_spectra uses). nfft sets
+    only the frequency grid that PHAT whitens on. A capped window transforms
+    at nfft_full.
     """
     x = w.samples
     live = _energies(x) >= ENERGY_FLOOR

@@ -68,7 +68,7 @@ class SimulationError(ValueError):
 
 
 def _fft_length(n: int) -> int:
-    """Smallest 2^a 3^b 5^c >= n, the transform length scipy.signal.fftconvolve picks."""
+    """Smallest 2^a 3^b 5^c >= n: a length numpy's FFT splits into radix-2, -3 and -5 passes."""
     k = n.bit_length()
     return min(m << (-(-n // m) - 1).bit_length() for m in (3**b * 5**c for b in range(k) for c in range(k)))
 

@@ -358,6 +358,27 @@ def test_featurize_custom_band_file(tmp_path):
     assert loaded["bands"] == [[0, 128], [100, 256]]
 
 
+def test_featurize_refuses_a_pairwise_tensor_above_the_bound(tmp_path):
+    # one frame of a mono WAV: 4 x 1 x (FEATURIZE_MAX_VALUES // 4 + 1) values, just above the bound. The child
+    # gets 512 MiB of address space, so a check placed after the STFT fails fast instead of taking gigabytes
+    wav, out = tmp_path / "x.wav", tmp_path / "feat"
+    make_noise_wav(wav, seconds=0.001)
+    fft = 2 * (cli.FEATURIZE_MAX_VALUES // 4)
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29));"
+        " from soundcompass.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    argv = ["featurize", "--wav", str(wav), "--fft", str(fft), "--out", str(out)]
+    env = {**os.environ, "PYTHONPATH": str(Path(soundcompass.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"error: --fft {fft} and --hop 256 ask for a 4 x 1 x {fft // 2 + 1} pairwise tensor,"
+        f" more than {cli.FEATURIZE_MAX_VALUES} values\n"
+    )
+    assert not out.exists()
+
+
 def test_featurize_band_bin_mismatch_exits_2(tmp_path):
     wav = tmp_path / "x.wav"
     make_noise_wav(wav, seconds=0.2)
@@ -581,8 +602,15 @@ def test_clue_bad_activation_exits_2(tmp_path, capsys, payload):
 def test_fuse_check_passes(capsys):
     rc = main(["fuse-check", "--seed", "0", "--bands", "3"])
     assert rc == 0
-    outp = capsys.readouterr().out
-    assert "max relative gradient error" in outp
+    *bands, summary = capsys.readouterr().out.splitlines()
+    # one line per band, then the summary over all of them
+    errors = []
+    for k, line in enumerate(bands):
+        m = re.fullmatch(rf"band {k} \[(\d+), (\d+)\]: max relative gradient error (\S+) over 22 coordinates", line)
+        assert m, line
+        errors.append(m[3])
+    assert len(errors) == 3
+    assert summary == f"max relative gradient error: {max(errors, key=float)} over 3 bands"
 
 
 @pytest.mark.parametrize("bands", ["0", "-1", "-20"])

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,22 @@ from soundcompass import (
     spin_forward,
 )
 from soundcompass import fusion
-from soundcompass.fusion import ADANORM_EPS, BAND_PARAMS, FusedFeature
+from soundcompass.fusion import ADANORM_EPS, FusedFeature
 
 from conftest import complex_normal
+
+
+# film_gradients' parameter keys, in finite_difference_check's order: the clue
+# encoder's fields as "clue.<field>", then the band's own fields
+PARAM_KEYS = [f"clue.{f.name}" for f in fields(EncoderWeights)] + [
+    f.name for f in fields(BandFusionWeights) if f.name not in ("feat", "clue")
+]
+
+
+def param_slot(bw, key):
+    """The (object, attribute) a film_gradients parameter key names."""
+    owner, _, attr = key.rpartition(".")
+    return (getattr(bw, owner) if owner else bw), attr
 
 
 def make_encoder(rng, dim_in, dim_out, bias_free=False):
@@ -320,7 +335,7 @@ def test_gradients_many_seeded_configs():
     assert worst <= 1e-5
 
 
-@pytest.mark.parametrize("key", [key for *_, key in BAND_PARAMS])
+@pytest.mark.parametrize("key", PARAM_KEYS, ids=[key.rpartition(".")[2] for key in PARAM_KEYS])
 def test_finite_difference_check_catches_each_wrong_gradient(rng, monkeypatch, key):
     # every weight film_fuse reads is perturbed: a 1% error in any one gradient shows
     exact = fusion.film_gradients
@@ -338,20 +353,20 @@ def test_finite_difference_check_catches_each_wrong_gradient(rng, monkeypatch, k
     assert checked == 2 + 10  # feat, clue and one coordinate or float per gradient key
 
 
-def test_band_params_are_the_film_gradients_parameters(rng):
+def test_film_gradients_keys_name_the_weight_fields(rng):
     bw = make_band_weights(rng)
     feat, upstream = rng.standard_normal((2, 3, 4, 5))
     grads = film_gradients(feat, rng.standard_normal(6), bw, upstream)
-    assert [key for *_, key in BAND_PARAMS] == [k for k in grads if k not in ("d_feat", "d_clue")]
-    for owner, attr, key in BAND_PARAMS:
-        assert np.shape(getattr(getattr(bw, owner) if owner else bw, attr)) == np.shape(grads[key]), key
+    assert list(grads) == ["d_feat", "d_clue"] + PARAM_KEYS
+    for key in PARAM_KEYS:
+        assert np.shape(getattr(*param_slot(bw, key))) == np.shape(grads[key]), key
 
 
 def test_finite_difference_check_restores_every_value(rng):
     bw = make_band_weights(rng)
     feat, upstream = rng.standard_normal((2, 3, 4, 5))
     clue = rng.standard_normal((4, 6))
-    params = [(getattr(bw, owner) if owner else bw, attr) for owner, attr, _ in BAND_PARAMS]
+    params = [param_slot(bw, key) for key in PARAM_KEYS]
     before = [getattr(obj, attr) for obj, attr in params]
     copies = [np.copy(v) for v in before + [feat, clue]]
     finite_difference_check(bw, feat, clue, upstream, num_coords=40, rng=rng)
@@ -464,12 +479,12 @@ def sum_film_gradients(feat, clue, bw, upstream):
     return {
         "d_feat": d_feat,
         "d_clue": d_clue[0] if static else d_clue,
-        "w1": g_a.T @ clue_mat,
-        "b1": g_a.sum(axis=0),
-        "gain": (g_z * yw).sum(axis=0),
-        "bias": g_z.sum(axis=0),
-        "prelu_slope": float((g_h * z * (z < 0.0)).sum()),
-        "k_ada": float((g_yw * (-(y**2))).sum()),
+        "clue.w": g_a.T @ clue_mat,
+        "clue.b": g_a.sum(axis=0),
+        "clue.gain": (g_z * yw).sum(axis=0),
+        "clue.bias": g_z.sum(axis=0),
+        "clue.prelu_slope": float((g_h * z * (z < 0.0)).sum()),
+        "clue.k_ada": float((g_yw * (-(y**2))).sum()),
         "w_gamma": g_gamma.T @ h,
         "b_gamma": g_gamma.sum(axis=0),
         "w_beta": g_beta.T @ h,

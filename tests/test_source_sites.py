@@ -4,6 +4,7 @@
 - meshgrid: roomsim never builds the image cube as grids; image distances are summed from per-axis squares.
 - planes: only spin stacks the STFT into real and imaginary planes; every other module reads the complex values.
 - pool: no module starts a process pool; simulate --jobs and contour --jobs run on threads.
+- scipy: no module imports or names scipy; numpy is the one runtime dependency pyproject.toml lists.
 - scene_files: only roomsim names the files of a rendered scene; every other module reads a scene through it.
 
 Modules are parsed with ast, or read as text for scene_files, and never imported.
@@ -91,18 +92,22 @@ def dotted_names(node: ast.AST) -> set[str]:
     return set()
 
 
-def pool_sites(source: str, module: str) -> list[tuple[str, str]]:
-    """(module.function or module.<module>, name) for each node that names a process pool."""
-    found = []
-    stack = [(ast.parse(source), "<module>")]
-    while stack:
-        node, func = stack.pop()
-        for name in sorted(dotted_names(node) & POOL_NAMES):
-            found.append((f"{module}.{func}", name))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            func = node.name if func == "<module>" else f"{func}.{node.name}"
-        stack.extend((child, func) for child in ast.iter_child_nodes(node))
-    return found
+def named_sites(names: set[str]):
+    """A scan that reports (module.function or module.<module>, name) for each node naming one of names."""
+
+    def scan(source: str, module: str) -> list[tuple[str, str]]:
+        found = []
+        stack = [(ast.parse(source), "<module>")]
+        while stack:
+            node, func = stack.pop()
+            for name in sorted(dotted_names(node) & names):
+                found.append((f"{module}.{func}", name))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                func = node.name if func == "<module>" else f"{func}.{node.name}"
+            stack.extend((child, func) for child in ast.iter_child_nodes(node))
+        return found
+
+    return scan
 
 
 def scene_file_sites(source: str, module: str) -> list[tuple[str, str]]:
@@ -116,7 +121,8 @@ GUARDS = {
     "json": (json_sites, "*.py", "audio_io", {"json.loads"}),
     "meshgrid": (grid_sites, "roomsim.py", None, set()),
     "planes": (plane_sites, "*.py", "spin", {"planes"}),
-    "pool": (pool_sites, "*.py", None, set()),
+    "pool": (named_sites(POOL_NAMES), "*.py", None, set()),
+    "scipy": (named_sites({"scipy"}), "*.py", None, set()),
     "scene_files": (scene_file_sites, "*.py", "roomsim", set(SCENE_FILES)),
 }
 
@@ -131,6 +137,11 @@ SYNTHETIC = {
         "cli",
         "def run(jobs):\n    from concurrent.futures import ProcessPoolExecutor\n",
         [("cli.run", "ProcessPoolExecutor")],
+    ),
+    "scipy": (
+        "metrics",
+        "from scipy.signal import fftconvolve\n\ndef spectrum(x):\n    import scipy.fft\n    return scipy.fft.rfft(x)\n",
+        [("metrics.spectrum", "scipy"), ("metrics.spectrum", "scipy"), ("metrics.<module>", "scipy")],
     ),
 }
 
