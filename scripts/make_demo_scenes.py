@@ -14,8 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from soundcompass import DoAClue, MultichannelWaveform, write_wav
+from soundcompass.audio_io import MultichannelWaveform, write_wav
 from soundcompass.cli import main as cli_main
+from soundcompass.clues import DoAClue
 from soundcompass.roomsim import read_scene_dir
 
 ROOM = [5.57, 5.20, 3.79]

@@ -7,7 +7,10 @@ anechoic, then runs every command in every mode whose output must not change:
 --fft/--hop and with --bands, `extract` and `evaluate` (with --per-pair) for both
 sources, and `contour` with --jobs 1 and 2 on a grid of two chunks; `clue` as sh, as
 cyc-pos and with --activation; and `fuse-check`, whose printed lines are kept
-as a file. Paths are relative to --out, so the output of two checkouts
+as a file. No command runs the band path, so per scene it is run here on the
+mixture: the fused bands (`fused.npz`), split then merged features
+(`merged.npy`) and each band's modulation gradients (`gradients.npz`) go to
+`band_path_<k>/`. Paths are relative to --out, so the output of two checkouts
 compares with one `diff`:
 
     python3 scripts/output_digests.py --out /tmp/a > a.txt   # at one commit
@@ -26,9 +29,13 @@ from pathlib import Path
 
 import numpy as np
 
-from soundcompass import MultichannelWaveform, write_wav
+from soundcompass.audio_io import MultichannelWaveform, read_wav, write_wav
 from soundcompass.cli import main as cli_main
+from soundcompass.clues import build_time_varying_clue, encode_sh
+from soundcompass.fusion import encode_band_feature, film_gradients, fuse_all_bands, init_fusion_weights
 from soundcompass.roomsim import read_scene_dir
+from soundcompass.spectral import FFT_SIZE, HOP, WINDOW, make_band_layout, merge_bands, split_bands, stft
+from soundcompass.spin import spin_forward
 
 FS = 16000
 SECONDS = 1.0
@@ -66,6 +73,28 @@ def write_inputs(root: Path) -> Path:
     return root / "scenes.jsonl"
 
 
+def write_band_path(scene: Path, bearing, out: Path, seed: int) -> None:
+    """Split, encode, fuse, back-propagate and merge the scene's mixture with seeded weights."""
+    spec = stft(read_wav(scene / "mixture.wav"), WINDOW, FFT_SIZE, HOP)
+    feat = spin_forward(spec)
+    layout = make_band_layout(FFT_SIZE // 2 + 1, FS)
+    weights = init_fusion_weights(layout, 72, 64, 16, 64, seed=0)  # 72 = 2 (5 + 1)^2 values of an order-5 clue
+    activation = json.loads((scene / "truth.json").read_text(encoding="utf-8"))["sources"][0]["activation"]
+    clue = build_time_varying_clue(encode_sh(bearing, 5), np.asarray(activation), spec.num_frames)
+    rng = np.random.default_rng(seed)
+    out.mkdir()
+    fused = fuse_all_bands(feat, layout, clue, weights)
+    np.savez(out / "fused.npz", **{f"band{k:02d}": band for k, band in enumerate(fused.bands)})
+    bands = split_bands(feat.pairwise, layout)
+    np.save(out / "merged.npy", merge_bands(bands, layout))
+    grads = {}
+    for k, (band, bw) in enumerate(zip(bands, weights.bands)):
+        enc = encode_band_feature(band, bw.feat)
+        for name, g in film_gradients(enc, clue, bw, rng.standard_normal(enc.shape)).items():
+            grads[f"band{k:02d}.{name}"] = g
+    np.savez(out / "gradients.npz", **grads)
+
+
 def write_outputs(root: Path) -> None:
     manifest = write_inputs(root)
     for jobs in ("1", "2"):
@@ -78,6 +107,7 @@ def write_outputs(root: Path) -> None:
         run("featurize", "--wav", mixture, "--fft", "256", "--hop", "128", "--out", str(feats / "fft256"))
         run("featurize", "--wav", mixture, "--bands", str(feats / "default" / "bands.json"), "--out", str(feats / "bands"))
         doas, _, _ = read_scene_dir(scene)
+        write_band_path(scene, doas[0], root / f"band_path_{k}", seed=k)
         for j, doa in enumerate(doas):
             az, el = doa.to_degrees()
             est = root / f"extract_{k}_src{j}.wav"

@@ -17,8 +17,8 @@ import time
 
 import numpy as np
 
-from soundcompass import SceneSpec, SourceSpec, simulate_rir, tetrahedral_offsets
-from soundcompass.roomsim import _render_record, fftconvolve
+from soundcompass.roomsim import _render_record, fftconvolve, simulate_rir
+from soundcompass.scenes import SceneSpec, SourceSpec, tetrahedral_offsets
 
 FS = 16000
 SOURCE = [1.9, 3.4, 1.6]

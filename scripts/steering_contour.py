@@ -17,16 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from soundcompass import (
-    DoAClue,
-    MultichannelWaveform,
-    SceneSpec,
-    SourceSpec,
-    contour_grid,
-    render_scene,
-    tetrahedral_offsets,
-    write_wav,
-)
+from soundcompass.audio_io import MultichannelWaveform, write_wav
+from soundcompass.clues import DoAClue
+from soundcompass.extractor import contour_grid
+from soundcompass.roomsim import render_scene
+from soundcompass.scenes import SceneSpec, SourceSpec, tetrahedral_offsets
 
 ROOM = (5.57, 5.20, 3.79)
 CENTER = np.array([2.8, 2.6, 1.5])

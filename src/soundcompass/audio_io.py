@@ -58,10 +58,6 @@ class MultichannelWaveform:
     def num_samples(self) -> int:
         return self.samples.shape[1]
 
-    @property
-    def duration(self) -> float:
-        return self.num_samples / self.sample_rate
-
 
 def _take(blob: memoryview, start: int, n: int, what: str, path) -> memoryview:
     if start + n > len(blob):
@@ -134,21 +130,38 @@ def read_wav(path) -> MultichannelWaveform:
 
 
 def write_wav(w: MultichannelWaveform, path) -> None:
-    """Write a waveform as float32 WAV; non-finite samples are rejected."""
+    """Write a waveform as float32 WAV; non-finite samples are rejected.
+
+    So is a waveform the header cannot describe: the 16-bit block align holds
+    at most 16383 channels, and the 32-bit byte rate and RIFF size bound
+    channels x rate and channels x samples. That check comes first, before
+    anything the size of the samples is allocated.
+    """
     x = w.samples
+    block_align = w.num_channels * 4
+    byte_rate = w.sample_rate * block_align
+    data_size = block_align * w.num_samples  # a whole number of 4-byte words: no pad byte
+    riff_size = 36 + data_size  # "WAVE", the 24-byte fmt chunk and the data chunk's 8-byte header
+    for field, value, limit in (
+        ("block align (4 bytes x channels)", block_align, 0xFFFF),
+        ("byte rate (sample rate x block align)", byte_rate, 0xFFFFFFFF),
+        ("RIFF size (36 bytes + block align x samples)", riff_size, 0xFFFFFFFF),
+    ):
+        if value > limit:
+            raise WavFormatError(
+                f"refusing to write {w.num_channels} channels x {w.num_samples} samples at {w.sample_rate} Hz:"
+                f" the WAV {field} would be {value}, above its limit {limit}"
+            )
     if not np.all(np.isfinite(x)):
         raise WavFormatError("refusing to write non-finite samples")
-    payload = x.astype("<f4").T.tobytes()  # a whole number of 4-byte words: no pad byte
-    block_align = w.num_channels * 4
-    fmt = struct.pack(
-        "<HHIIHH", _FMT_IEEE_FLOAT, w.num_channels, w.sample_rate, w.sample_rate * block_align, block_align, 32
-    )
+    payload = x.astype("<f4").T.tobytes()
+    fmt = struct.pack("<HHIIHH", _FMT_IEEE_FLOAT, w.num_channels, w.sample_rate, byte_rate, block_align, 32)
 
     with Path(path).open("wb") as fh:
-        fh.write(struct.pack("<4sI4s", b"RIFF", 4 + 8 + len(fmt) + 8 + len(payload), b"WAVE"))
+        fh.write(struct.pack("<4sI4s", b"RIFF", riff_size, b"WAVE"))
         fh.write(struct.pack("<4sI", b"fmt ", len(fmt)))
         fh.write(fmt)
-        fh.write(struct.pack("<4sI", b"data", len(payload)))
+        fh.write(struct.pack("<4sI", b"data", data_size))
         fh.write(payload)
 
 

@@ -21,7 +21,8 @@ import numpy as np
 
 from .audio_io import json_array, read_json, read_wav, write_wav
 from .clues import DoAClue, build_time_varying_clue, encode_cyc_pos, encode_sh
-from .extractor import SPEED_OF_SOUND, contour_grid, delay_and_sum
+from .delays import SPEED_OF_SOUND
+from .extractor import contour_grid, delay_and_sum
 from .fusion import film_fuse, finite_difference_check, init_fusion_weights
 from .metrics import evaluate_extraction, write_per_pair_csv, write_reports_csv
 from .metrics import si_snr_i  # noqa: F401  (unused here; perfbench wraps cli.si_snr_i)

@@ -65,10 +65,6 @@ class DoAClue:
         azimuth = math.atan2(v[1], v[0])
         return cls(azimuth, polar)
 
-    def angular_distance(self, other: "DoAClue") -> float:
-        dot = float(np.dot(self.unit_vector(), other.unit_vector()))
-        return math.acos(max(-1.0, min(1.0, dot)))
-
 
 def assoc_legendre(n: int, m: int, x: float) -> float:
     """P_n^m(x) with Condon-Shortley phase, by upward recurrence in n.

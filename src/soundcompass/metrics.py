@@ -200,12 +200,6 @@ class PairErrors:
     d_ipd_rad: float
     d_itd_us: float
 
-    @property
-    def defined(self) -> bool:
-        return not (
-            math.isnan(self.d_ild_db) or math.isnan(self.d_ipd_rad) or math.isnan(self.d_itd_us)
-        )
-
 
 def spatial_errors(
     est: MultichannelWaveform,
@@ -233,24 +227,23 @@ def spatial_errors(
     gate = peak * 10.0 ** (IPD_GATE_DB / 20.0)
     # peak == 0: a zero gate would admit every silent bin
     loud = (mag_est >= gate) & (mag_ref >= gate) & (peak > 0.0)
+    # one phase per channel and signal; each pair's IPD_est - IPD_ref is formed
+    # in the loop, so no array holds all pairs' cells at once
+    phase = np.angle(x_est) - np.angle(x_ref)
+    del x_est, x_ref, mag_est, mag_ref
 
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    first, second = [i for i, _ in pairs], [j for _, j in pairs]
-    mask = loud[first] & loud[second]
-    # IPD_est - IPD_ref per pair from one phase per channel and signal,
-    # wrapped to [-pi, pi]; exactly 0 when est == ref
-    phase = np.angle(x_est) - np.angle(x_ref)
-    diff = phase[second] - phase[first]
-    diff -= (2.0 * np.pi) * np.rint(diff / (2.0 * np.pi))
-    np.abs(diff, out=diff)
-
     e_est, e_ref = _energies(est.samples), _energies(ref.samples)
     itd_est = _gcc_phat_itds(est, pairs, max_lag_s)
     itd_ref = _gcc_phat_itds(ref, pairs, max_lag_s)
     per_pair = []
     for p, (i, j) in enumerate(pairs):
         d_ild = abs(_ild_db(e_est, i, j) - _ild_db(e_ref, i, j))
-        d_ipd = float(diff[p][mask[p]].mean()) if mask[p].any() else math.nan
+        mask = loud[i] & loud[j]
+        # wrapped to [-pi, pi]; exactly 0 when est == ref
+        diff = phase[j] - phase[i]
+        diff -= (2.0 * np.pi) * np.rint(diff / (2.0 * np.pi))
+        d_ipd = float(np.abs(diff[mask]).mean()) if mask.any() else math.nan
         d_itd = abs(itd_est[p] - itd_ref[p]) * 1e6
         per_pair.append(PairErrors((i, j), d_ild, d_ipd, d_itd))
 

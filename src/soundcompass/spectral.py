@@ -87,10 +87,6 @@ class ComplexSpectrogram:
     def num_frames(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def num_bins(self) -> int:
-        return self.values.shape[2]
-
 
 def frame_count(num_samples: int, fft_size: int, hop: int) -> int:
     if num_samples <= fft_size:
@@ -219,9 +215,6 @@ class BandLayout:
     @property
     def num_bands(self) -> int:
         return len(self.bands)
-
-    def widths(self) -> list[int]:
-        return [hi - lo + 1 for lo, hi in self.bands]
 
     def to_json(self, path=None) -> str:
         payload = {"fs": self.sample_rate, "fft_size": self.fft_size, "bands": [list(b) for b in self.bands]}

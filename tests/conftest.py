@@ -5,13 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from soundcompass import (
-    MultichannelWaveform,
-    SceneSpec,
-    SourceSpec,
-    tetrahedral_offsets,
-    write_wav,
-)
+from soundcompass.audio_io import MultichannelWaveform, write_wav
+from soundcompass.scenes import SceneSpec, SourceSpec, tetrahedral_offsets
 
 
 @pytest.fixture

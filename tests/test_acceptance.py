@@ -14,40 +14,28 @@ import numpy as np
 import pytest
 from scipy.signal import correlate, fftconvolve
 
-from soundcompass import (
+from soundcompass.audio_io import MultichannelWaveform, read_wav
+from soundcompass.cli import main
+from soundcompass.clues import DoAClue, sh_complex
+from soundcompass.delays import SPEED_OF_SOUND
+from soundcompass.extractor import delay_and_sum
+from soundcompass.fusion import film_fuse, finite_difference_check, init_fusion_weights
+from soundcompass.metrics import gcc_phat_itd, si_snr, si_snr_i, snr_i, spatial_errors
+from soundcompass.roomsim import render_scene, schroeder_rt60, simulate_rir
+from soundcompass.scenes import SceneSpec, SourceSpec, tetrahedral_offsets
+from soundcompass.spectral import (
+    BandLayout,
     ComplexSpectrogram,
-    DoAClue,
     GaussianWindowParams,
-    MultichannelWaveform,
-    SceneSpec,
-    SourceSpec,
     WindowEnergyError,
-    delay_and_sum,
-    film_fuse,
-    finite_difference_check,
-    gcc_phat_itd,
-    init_fusion_weights,
     istft,
     make_band_layout,
     merge_bands,
-    read_wav,
-    recover_ipd,
-    render_scene,
-    schroeder_rt60,
-    si_snr,
-    si_snr_i,
-    simulate_rir,
-    snr_i,
-    spatial_errors,
-    spin_forward,
+    merge_weights,
     split_bands,
     stft,
-    tetrahedral_offsets,
 )
-from soundcompass.cli import main
-from soundcompass.clues import sh_complex
-from soundcompass.roomsim import SPEED_OF_SOUND
-from soundcompass.spectral import BandLayout, merge_weights
+from soundcompass.spin import recover_ipd, spin_forward
 
 from conftest import complex_normal, make_noise_wav
 
@@ -89,7 +77,7 @@ def test_criterion_1_spherical_harmonics():
             total = sum(abs(sh_complex(n, m, theta, phi)) ** 2 for m in range(-n, n + 1))
             add_err = max(add_err, abs(total - (2 * n + 1) / (4 * math.pi)))
 
-    from soundcompass import encode_sh
+    from soundcompass.clues import encode_sh
 
     dim = encode_sh(DoAClue.from_degrees(10, 20), order=5).size
     elapsed = time.monotonic() - t0

@@ -2,14 +2,22 @@ import json
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soundcompass import MultichannelWaveform, WavFormatError, read_wav, write_wav
-from soundcompass.audio_io import json_array, read_json, write_json
+from soundcompass.audio_io import (
+    MultichannelWaveform,
+    WavFormatError,
+    json_array,
+    read_json,
+    read_wav,
+    write_json,
+    write_wav,
+)
 
 from conftest import UNREADABLE_JSON, write_pcm16_wav
 
@@ -26,11 +34,6 @@ def test_waveform_rejects_bad_rate():
         MultichannelWaveform(np.zeros((1, 10)), 0)
     with pytest.raises(ValueError):
         MultichannelWaveform(np.zeros((1, 10)), -8000)
-
-
-def test_waveform_duration():
-    w = MultichannelWaveform(np.zeros((2, 8000)), 16000)
-    assert w.duration == pytest.approx(0.5)
 
 
 def test_float32_round_trip(tmp_path, rng):
@@ -69,6 +72,35 @@ def test_write_rejects_nonfinite(tmp_path):
     with pytest.raises(WavFormatError):
         write_wav(w, tmp_path / "n.wav")
     assert not (tmp_path / "n.wav").exists()  # refused before the file is opened
+
+
+@pytest.mark.parametrize(
+    "samples, rate, field",
+    [
+        (np.zeros((16384, 1)), 16000, "block align"),  # 4 x 16384 bytes > 65535
+        (np.zeros((16383, 1)), 96000, "byte rate"),  # 96000 x 65532 > 2**32 - 1
+        (np.broadcast_to(np.zeros(1), (1, 2**30)), 16000, "RIFF size"),  # 4 GiB of float32, 8 bytes in memory
+    ],
+)
+def test_write_refuses_a_header_it_cannot_pack(tmp_path, samples, rate, field):
+    w = MultichannelWaveform(samples, rate)
+    tracemalloc.start()
+    try:
+        with pytest.raises(WavFormatError, match=rf"the WAV {field} \(.*\) would be \d+, above its limit"):
+            write_wav(w, tmp_path / "big.wav")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # refused before the finiteness scan and the float32 copy
+    assert not (tmp_path / "big.wav").exists()
+
+
+def test_write_takes_the_most_channels_the_header_holds(tmp_path):
+    x = np.arange(16383, dtype=np.float64)[:, None] / 16383
+    write_wav(MultichannelWaveform(x, 16000), tmp_path / "wide.wav")
+    back = read_wav(tmp_path / "wide.wav")
+    assert back.sample_rate == 16000
+    np.testing.assert_array_equal(back.samples, x.astype(np.float32))
 
 
 def test_read_rejects_truncated_file(tmp_path):

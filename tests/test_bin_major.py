@@ -7,31 +7,30 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from soundcompass import (
-    BandLayout,
-    MultichannelWaveform,
-    SceneSpec,
-    SourceSpec,
-    SpinFeature,
+from soundcompass.audio_io import MultichannelWaveform, read_wav, write_wav
+from soundcompass.cli import main
+from soundcompass.fusion import (
+    ADANORM_EPS,
     encode_band_feature,
     film_fuse,
     film_gradients,
     fuse_all_bands,
     init_fusion_weights,
+)
+from soundcompass.roomsim import render_scene
+from soundcompass.scenes import SceneSpec, SourceSpec, tetrahedral_offsets
+from soundcompass.spectral import (
+    FFT_SIZE,
+    HOP,
+    WINDOW,
+    BandLayout,
     make_band_layout,
     merge_bands,
-    read_wav,
-    render_scene,
+    merge_weights,
     split_bands,
-    spin_forward,
     stft,
-    tetrahedral_offsets,
-    write_wav,
 )
-from soundcompass.cli import main
-from soundcompass.fusion import ADANORM_EPS
-from soundcompass.spectral import FFT_SIZE, HOP, WINDOW, merge_weights
-from soundcompass.spin import normalize_planes
+from soundcompass.spin import SpinFeature, normalize_planes, spin_forward
 
 from conftest import make_noise_wav
 
@@ -107,7 +106,7 @@ def mixture(tmp_path_factory):
 @pytest.fixture(scope="module")
 def case(mixture):
     spec = stft(mixture[0], WINDOW, FFT_SIZE, HOP)
-    layout = make_band_layout(spec.num_bins, spec.sample_rate, fft_size=FFT_SIZE)
+    layout = make_band_layout(spec.values.shape[2], spec.sample_rate, fft_size=FFT_SIZE)
     weights = init_fusion_weights(layout, dim_clue=72, c_in=64, c_band=16, hidden=64, seed=5)
     return spec, layout, weights
 
@@ -175,7 +174,7 @@ def test_encode_band_feature_reads_bin_major_band_in_place():
     # norm's temporaries take about a quarter each (C_k = 16 of P = 64 rows)
     noise = np.random.default_rng(2).standard_normal((4, 64000))
     spec = stft(MultichannelWaveform(noise, 16000), WINDOW, FFT_SIZE, HOP)
-    layout = make_band_layout(spec.num_bins, spec.sample_rate, fft_size=FFT_SIZE)
+    layout = make_band_layout(spec.values.shape[2], spec.sample_rate, fft_size=FFT_SIZE)
     band = split_bands(spin_forward(spec).pairwise, layout)[-1]  # the widest band
     w = init_fusion_weights(layout, dim_clue=6, c_in=64, c_band=16, hidden=4, seed=0).bands[-1].feat
     tracemalloc.start()

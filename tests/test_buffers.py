@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from soundcompass import ComplexSpectrogram, make_band_layout, merge_bands, spin_forward, split_bands
 from soundcompass import buffers
 from soundcompass.buffers import MIN_BYTES, recycled_empty
-from soundcompass.spin import normalize_planes
+from soundcompass.spectral import ComplexSpectrogram, make_band_layout, merge_bands, split_bands
+from soundcompass.spin import normalize_planes, spin_forward
 
 from conftest import complex_normal
 

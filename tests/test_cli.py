@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 
 import soundcompass
 from soundcompass import cli
+from soundcompass.audio_io import MultichannelWaveform, read_wav, write_wav
 from soundcompass.cli import build_parser, main
 from soundcompass.roomsim import read_scene_dir
+from soundcompass.spectral import stft
 
 from conftest import UNREADABLE_JSON, make_noise_wav, mutated_json
 
@@ -306,6 +308,17 @@ def test_import_loads_no_process_pool():
     assert proc.stdout.strip() == "False"
 
 
+def test_package_import_loads_no_submodule_and_no_numpy():
+    # each name is imported from its module; the package itself re-exports nothing
+    code = (
+        "import sys, soundcompass; "
+        "print(sorted(m for m in sys.modules if m.startswith(('soundcompass.', 'numpy'))))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(soundcompass.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert proc.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # featurize
 
@@ -332,12 +345,12 @@ def test_featurize_log_mag(tmp_path, rng):
     x = 0.3 * rng.standard_normal((4, 4000))
     x[2] = 0.0  # a silent channel reads the floor everywhere
     wav = tmp_path / "x.wav"
-    soundcompass.write_wav(soundcompass.MultichannelWaveform(x, FS), wav)
+    write_wav(MultichannelWaveform(x, FS), wav)
     out = tmp_path / "feat"
     assert main(["featurize", "--wav", str(wav), "--out", str(out)]) == 0
     with np.load(out / "spin.npz") as data:
         log_mag = data["log_mag"]
-    spec = soundcompass.stft(soundcompass.read_wav(wav), cli.WINDOW, 512, 256)
+    spec = stft(read_wav(wav), cli.WINDOW, 512, 256)
     assert log_mag.dtype == np.float32
     assert log_mag.shape == (8, spec.num_frames, 257)
     np.testing.assert_array_equal(log_mag[:4], log_mag[4:])

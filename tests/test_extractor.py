@@ -5,21 +5,14 @@ import sys
 import numpy as np
 import pytest
 
-from soundcompass import (
-    DoAClue,
-    MultichannelWaveform,
-    SceneSpec,
-    SourceSpec,
-    contour_grid,
-    delay_and_sum,
-    render_scene,
-    si_snr_i,
-    steering_delays,
-    tetrahedral_offsets,
-)
 from soundcompass import extractor
-from soundcompass.delays import delay_signal
-from soundcompass.extractor import SPEED_OF_SOUND
+from soundcompass.audio_io import MultichannelWaveform
+from soundcompass.clues import DoAClue
+from soundcompass.delays import SPEED_OF_SOUND, delay_signal
+from soundcompass.extractor import contour_grid, delay_and_sum, steering_delays
+from soundcompass.metrics import si_snr_i
+from soundcompass.roomsim import render_scene
+from soundcompass.scenes import SceneSpec, SourceSpec, tetrahedral_offsets
 
 from conftest import make_noise_wav
 

@@ -3,22 +3,21 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from soundcompass import (
+from soundcompass import fusion
+from soundcompass.fusion import (
+    ADANORM_EPS,
     BandFusionWeights,
-    BandLayout,
-    ComplexSpectrogram,
     EncoderWeights,
+    FusedFeature,
     encode_band_feature,
     film_fuse,
     film_gradients,
     finite_difference_check,
     fuse_all_bands,
     init_fusion_weights,
-    make_band_layout,
-    spin_forward,
 )
-from soundcompass import fusion
-from soundcompass.fusion import ADANORM_EPS, FusedFeature
+from soundcompass.spectral import BandLayout, ComplexSpectrogram, make_band_layout
+from soundcompass.spin import spin_forward
 
 from conftest import complex_normal
 

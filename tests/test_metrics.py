@@ -6,9 +6,15 @@ import numpy as np
 import pytest
 from scipy.signal import correlate
 
-from soundcompass import (
+from soundcompass.audio_io import MultichannelWaveform
+from soundcompass.delays import delay_signal
+from soundcompass.metrics import (
+    CSV_HEADER,
+    ENERGY_FLOOR,
+    IPD_GATE_DB,
     MetricsReport,
-    MultichannelWaveform,
+    _gcc_phat_itds,
+    _ratio_db,
     evaluate_extraction,
     gcc_phat_itd,
     si_snr,
@@ -17,14 +23,6 @@ from soundcompass import (
     snr_i,
     spatial_errors,
     write_reports_csv,
-)
-from soundcompass.delays import delay_signal
-from soundcompass.metrics import (
-    CSV_HEADER,
-    ENERGY_FLOOR,
-    IPD_GATE_DB,
-    _gcc_phat_itds,
-    _ratio_db,
 )
 from soundcompass.spectral import HOP as DEFAULT_HOP
 from soundcompass.spectral import WINDOW as DEFAULT_WINDOW
@@ -152,7 +150,7 @@ def test_ild_silent_channel_nan(rng):
     est = MultichannelWaveform(np.stack([rng.standard_normal(2000), np.zeros(2000)]), FS)
     ref = MultichannelWaveform(rng.standard_normal((2, 2000)), FS)
     (p,) = spatial_errors(est, ref)[3]
-    assert math.isnan(p.d_ild_db) and not p.defined
+    assert math.isnan(p.d_ild_db)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +247,7 @@ def test_spatial_errors_silent_pair_nan(rng):
         MultichannelWaveform(est, FS), MultichannelWaveform(ref, FS)
     )
     assert math.isnan(d_ild) and math.isnan(d_ipd) and math.isnan(d_itd)
-    assert not pairs[0].defined
+    assert np.isnan([pairs[0].d_ild_db, pairs[0].d_ipd_rad, pairs[0].d_itd_us]).any()
 
 
 def test_spatial_errors_validation(rng):
@@ -410,7 +408,7 @@ def test_spatial_errors_silent_channel_matches_per_pair_loop(rng):
     got = np.array([(p.d_ild_db, p.d_ipd_rad, p.d_itd_us) for p in per_pair])
     want = per_pair_spatial_errors(est, ref, 5.0 / FS)
     silent = [2 in p.pair for p in per_pair]
-    assert [not p.defined for p in per_pair] == silent
+    assert [bool(np.isnan(row).any()) for row in got] == silent
     np.testing.assert_allclose(got, want, rtol=0, atol=SPATIAL_BOUND)
     np.testing.assert_allclose(means, np.nanmean(want, axis=0), rtol=0, atol=SPATIAL_BOUND)
 
@@ -483,6 +481,24 @@ def test_gcc_phat_itd_pairs_peak_allocation(rng):
         tracemalloc.stop()
     assert len(itds) == 6
     assert peak <= 64 * nfft, peak / nfft
+
+
+def test_spatial_errors_peak_does_not_grow_with_the_pairs(rng):
+    """64 mics, 1 s: the spectra, magnitudes and phases per channel stay; the 2016 pairs are not stacked.
+
+    Per-channel arrays come to about 70 MB; stacking every pair's IPD and
+    mask, as a [P, T, F] array, would take over 800 MiB.
+    """
+    est = MultichannelWaveform(rng.standard_normal((64, FS)), FS)
+    ref = MultichannelWaveform(rng.standard_normal((64, FS)), FS)
+    tracemalloc.start()
+    try:
+        *_, per_pair = spatial_errors(est, ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(per_pair) == 64 * 63 // 2
+    assert peak <= 128 * 2**20, peak / 2**20
 
 
 def test_gcc_phat_itd_checks_kept(rng):

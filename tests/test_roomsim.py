@@ -10,26 +10,22 @@ from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 from scipy.signal import csd, fftconvolve, welch
 
-from soundcompass import (
-    MultichannelWaveform,
-    NoiseSpec,
-    SceneSpec,
+from soundcompass import roomsim
+from soundcompass.audio_io import MultichannelWaveform, read_wav
+from soundcompass.delays import KERNEL_HALF, KERNEL_TAPS, SPEED_OF_SOUND, fractional_delay_kernel
+from soundcompass.metrics import gcc_phat_itd
+from soundcompass.roomsim import (
     SimulationError,
-    SourceSpec,
     frame_activation,
-    gcc_phat_itd,
     ground_truth_doa,
-    read_wav,
     render_scene,
     render_scene_to_dir,
     sabine_absorption,
+    schroeder_decay_db,
     schroeder_rt60,
     simulate_rir,
-    tetrahedral_offsets,
 )
-from soundcompass import roomsim
-from soundcompass.delays import KERNEL_HALF, KERNEL_TAPS, fractional_delay_kernel
-from soundcompass.roomsim import SPEED_OF_SOUND, schroeder_decay_db
+from soundcompass.scenes import NoiseSpec, SceneSpec, SourceSpec, tetrahedral_offsets
 from soundcompass.spectral import frame_count
 
 from conftest import make_noise_wav

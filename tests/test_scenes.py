@@ -8,15 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soundcompass import (
+from soundcompass.scenes import (
     SceneSpec,
     SceneValidationError,
     SourceSpec,
     read_manifest,
+    resolve_array,
     scene_from_dict,
     tetrahedral_offsets,
 )
-from soundcompass.scenes import resolve_array
 
 from conftest import JSON_VALUES, UNREADABLE_JSON, replace_at
 

@@ -3,16 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soundcompass import (
-    ComplexSpectrogram,
-    GaussianWindowParams,
-    MultichannelWaveform,
+from soundcompass.audio_io import MultichannelWaveform
+from soundcompass.spectral import ComplexSpectrogram, GaussianWindowParams, stft
+from soundcompass.spin import (
+    LOG_FLOOR,
     SpinFeature,
+    log_magnitude,
+    normalize_planes,
+    pair_index,
     recover_ipd,
     spin_forward,
-    stft,
 )
-from soundcompass.spin import LOG_FLOOR, log_magnitude, normalize_planes, pair_index
 
 from conftest import complex_normal
 
