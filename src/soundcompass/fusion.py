@@ -87,18 +87,6 @@ class FusedFeature:
     """Per-band modulated tensors [C_k x T x F_k] sharing one frame axis."""
 
     bands: list
-    layout: BandLayout
-
-    def __post_init__(self):
-        if len(self.bands) != self.layout.num_bands:
-            raise ValueError("band count mismatch with layout")
-        t0 = self.bands[0].shape[1]
-        for k, b in enumerate(self.bands):
-            if b.ndim != 3 or b.shape[1] != t0:
-                raise ValueError(f"band {k} must be [C x {t0} x F_k]")
-            lo, hi = self.layout.bands[k]
-            if b.shape[2] != hi - lo + 1:
-                raise ValueError(f"band {k} width {b.shape[2]} != layout width {hi - lo + 1}")
 
 
 def _encode_columns(cols: np.ndarray, w: EncoderWeights):
@@ -212,7 +200,7 @@ def fuse_all_bands(spin: SpinFeature, layout: BandLayout, clue, weights: FusionW
             fused.append(film_fuse(enc, clue, bw))
         except ValueError as e:
             raise ValueError(f"band {k}: {e}") from e
-    return FusedFeature(fused, layout)
+    return FusedFeature(fused)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +328,6 @@ def _init_encoder(rng, dim_in: int, dim_out: int) -> EncoderWeights:
         b=rng.uniform(-lim, lim, dim_out),
         gain=np.ones(dim_out),
         bias=np.zeros(dim_out),
-        prelu_slope=0.25,
-        k_ada=0.1,
     )
 
 

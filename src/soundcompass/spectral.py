@@ -26,6 +26,8 @@ from .buffers import recycled_empty
 ENERGY_FLOOR = 1e-8  # min per-sample synthesis window energy
 FFT_SIZE = 512  # default frame length in samples
 HOP = 256  # default frame hop in samples
+BAND_STEP_SEMITONES = 3.0  # spacing of the band edges
+BAND_OVERLAP_SEMITONES = 1.0  # how far each band reaches into its neighbours
 
 
 class WindowEnergyError(ValueError):
@@ -245,42 +247,35 @@ def make_band_layout(
     num_bins: int,
     sample_rate: int,
     f_min: float = 50.0,
-    step_semitones: float = 3.0,
-    overlap_semitones: float = 1.0,
     fft_size: int | None = None,
 ) -> BandLayout:
     """Build overlapping subbands with geometrically spaced edges.
 
-    Edges sit at f_min * 2^(k*step/12) up to Nyquist; the band below the first
-    edge is kept and extended down to bin 0, the last band is extended up to
-    bin F-1, and every band is widened by half the overlap on each side. After
-    quantization to bins, bands are grown downward (never shrunk) so widths
-    are non-decreasing; that keeps narrow-low/wide-high ordering despite the
-    Nyquist clip and integer rounding. Defaults give K=31 at fs=16000, F=257.
+    Edges sit at f_min * 2^(k*BAND_STEP_SEMITONES/12) up to Nyquist; the band
+    below the first edge is kept and extended down to bin 0, the last band is
+    extended up to bin F-1, and every band is widened by half of
+    BAND_OVERLAP_SEMITONES on each side. After quantization to bins, bands are
+    grown downward (never shrunk) so widths are non-decreasing; that keeps
+    narrow-low/wide-high ordering despite the Nyquist clip and integer
+    rounding. The default f_min gives K=31 at fs=16000, F=257.
     """
-    if f_min <= 0:
-        raise ValueError("f_min must be positive")
     nyquist = sample_rate / 2.0
-    if f_min >= nyquist:
-        raise ValueError(f"f_min {f_min} must be below Nyquist {nyquist}")
-    if overlap_semitones < 0 or step_semitones <= overlap_semitones:
-        raise ValueError("need step_semitones > overlap_semitones >= 0")
+    if not 0 < f_min < nyquist:
+        raise ValueError(f"f_min {f_min} must be positive and below Nyquist {nyquist}")
     if fft_size is None:
         fft_size = 2 * (num_bins - 1)
 
     edges = [0.0]
     k = 0
     while True:
-        f = f_min * 2.0 ** (k * step_semitones / 12.0)
+        f = f_min * 2.0 ** (k * BAND_STEP_SEMITONES / 12.0)
         if f >= nyquist:
             break
         edges.append(f)
         k += 1
     edges.append(nyquist)
-    if len(edges) < 3:
-        raise ValueError("parameters yield fewer than 2 bands")
 
-    half = 2.0 ** (overlap_semitones / 24.0)  # half-overlap widening factor
+    half = 2.0 ** (BAND_OVERLAP_SEMITONES / 24.0)  # half-overlap widening factor
     bin_hz = sample_rate / fft_size
     bands = []
     for lo_hz, hi_hz in zip(edges[:-1], edges[1:]):
@@ -302,8 +297,6 @@ def make_band_layout(
             bands[k][0] -= down
             bands[k][1] = min(bands[k][1] + (grow - down), num_bins - 1)
 
-    if len(bands) < 2:
-        raise ValueError("parameters yield fewer than 2 bands")
     return BandLayout(
         bands=[tuple(b) for b in bands],
         num_bins=num_bins,

@@ -27,15 +27,6 @@ class SpinFeature:
     pairwise: np.ndarray
     num_channels: int
 
-    def __post_init__(self):
-        self.pairwise = np.asarray(self.pairwise, dtype=np.float64)
-        m2 = 2 * self.num_channels
-        if self.pairwise.shape[0] != m2 * m2:
-            raise ValueError(
-                f"expected {m2 * m2} pairwise planes for {self.num_channels} channels, "
-                f"got {self.pairwise.shape[0]}"
-            )
-
 
 def normalize_planes(planes: np.ndarray) -> np.ndarray:
     """Scale [2M, T, F] planes to unit norm across the plane axis per (t, f).

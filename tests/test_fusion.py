@@ -8,7 +8,6 @@ from soundcompass.fusion import (
     ADANORM_EPS,
     BandFusionWeights,
     EncoderWeights,
-    FusedFeature,
     encode_band_feature,
     film_fuse,
     film_gradients,
@@ -282,12 +281,6 @@ def test_fuse_all_bands_error_names_band(rng):
     weights = init_fusion_weights(layout, dim_clue=6, c_in=16, c_band=3, hidden=5)
     with pytest.raises(ValueError, match="band 0"):
         fuse_all_bands(spin, layout, rng.standard_normal(7), weights)
-
-
-def test_fused_feature_validates_frames(rng):
-    layout = BandLayout(bands=[(0, 4), (3, 8)], num_bins=9)
-    with pytest.raises(ValueError):
-        FusedFeature([rng.standard_normal((2, 4, 5)), rng.standard_normal((2, 3, 6))], layout)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from soundcompass.audio_io import MultichannelWaveform
 from soundcompass.spectral import ComplexSpectrogram, GaussianWindowParams, stft
 from soundcompass.spin import (
     LOG_FLOOR,
-    SpinFeature,
     log_magnitude,
     normalize_planes,
     pair_index,
@@ -141,11 +140,6 @@ def test_recover_ipd_validates_channels(rng):
         recover_ipd(feat, 0, 2)
     with pytest.raises(ValueError):
         recover_ipd(feat, -1, 0)
-
-
-def test_spin_feature_validation(rng):
-    with pytest.raises(ValueError):
-        SpinFeature(pairwise=rng.standard_normal((63, 4, 5)), num_channels=4)
 
 
 def test_single_channel_four_products(rng):
