@@ -131,10 +131,8 @@ def cmd_featurize(args) -> int:
         layout = make_band_layout(num_bins, wav.sample_rate, fft_size=args.fft)
     else:
         layout = BandLayout.load(args.bands)
-        if layout.num_bins != num_bins:
-            raise CliError(
-                f"{args.bands}: band layout covers {layout.num_bins} bins, STFT has {num_bins}"
-            )
+        if layout.fft_size != args.fft:
+            raise CliError(f"{args.bands}: band layout is for FFT size {layout.fft_size}, --fft is {args.fft}")
         if layout.sample_rate != wav.sample_rate:
             raise CliError(
                 f"{args.bands}: band layout is for {layout.sample_rate} Hz, {args.wav} is {wav.sample_rate} Hz"
@@ -241,9 +239,9 @@ def cmd_fuse_check(args) -> int:
 # extract / evaluate / contour
 
 
-def _max_lag_s(offsets: np.ndarray) -> float:
+def _max_lag_s(offsets: np.ndarray) -> float | None:
     aperture = float(np.linalg.norm(offsets[:, None] - offsets[None, :], axis=-1).max())
-    return 1.5 * aperture / SPEED_OF_SOUND if aperture > 0 else 16 / 16000
+    return 1.5 * aperture / SPEED_OF_SOUND if aperture > 0 else None  # None: spatial_errors' default window
 
 
 def cmd_extract(args) -> int:

@@ -13,8 +13,6 @@ from a bearing: one SI-SNR improvement per (azimuth, elevation) offset.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -39,8 +37,6 @@ def delay_and_sum(
     mixture: MultichannelWaveform, clue: DoAClue, offsets: np.ndarray
 ) -> MultichannelWaveform:
     """Steer, average, re-project; M=1 input passes through untouched."""
-    if not (math.isfinite(clue.azimuth) and math.isfinite(clue.polar)):
-        raise ValueError("clue angles must be finite")
     offsets = np.asarray(offsets, dtype=np.float64)
     m = mixture.num_channels
     if offsets.shape[0] != m:

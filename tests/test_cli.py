@@ -392,13 +392,18 @@ def test_featurize_refuses_a_pairwise_tensor_above_the_bound(tmp_path):
     assert not out.exists()
 
 
-def test_featurize_band_bin_mismatch_exits_2(tmp_path):
+def test_featurize_band_bin_mismatch_exits_2(tmp_path, capsys):
+    """A layout is for one FFT size: 511 and 510 both give 256 bins, and still do not match."""
     wav = tmp_path / "x.wav"
     make_noise_wav(wav, seconds=0.2)
     bands = tmp_path / "bands.json"
-    bands.write_text(json.dumps({"fs": FS, "fft_size": 256, "bands": [[0, 128]]}))
-    rc = main(["featurize", "--wav", str(wav), "--bands", str(bands), "--out", str(tmp_path / "o")])
-    assert rc == 2
+    for layout_fft, fft in [(256, 512), (511, 510)]:
+        bands.write_text(json.dumps({"fs": FS, "fft_size": layout_fft, "bands": [[0, layout_fft // 2]]}))
+        out = tmp_path / f"o{fft}"
+        rc = main(["featurize", "--wav", str(wav), "--fft", str(fft), "--bands", str(bands), "--out", str(out)])
+        assert rc == 2
+        assert f"FFT size {layout_fft}, --fft is {fft}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -758,6 +763,25 @@ def test_one_mic_scene_evaluates_with_nan_spatial_columns(tmp_path):
     for row in rows:
         assert math.isfinite(float(row["snri_db"])) and math.isfinite(float(row["si_snri_db"]))
         assert [row[k] for k in ("d_ild_db", "d_ipd_rad", "d_itd_us")] == ["nan"] * 3
+
+
+def test_zero_aperture_evaluate_searches_64_lags_at_the_scene_rate(tmp_path):
+    """Two mics at the array centre: the ITD window is 64 lags at 8 kHz, so a 12-sample lag (1500 us) is found."""
+    manifest = write_manifest(tmp_path, seconds=0.5)
+    make_noise_wav(tmp_path / "m0.wav", seconds=0.5, rate=8000, seed=100)
+    scene = json.loads(manifest.read_text())
+    scene["array"] = {"offsets": [[0, 0, 0], [0, 0, 0]]}
+    manifest.write_text(json.dumps(scene) + "\n", encoding="utf-8")
+    out, est, report = tmp_path / "scenes", tmp_path / "est.wav", tmp_path / "report.csv"
+    assert main(["simulate", "--manifest", str(manifest), "--out", str(out)]) == 0
+    ref = read_wav(out / "scene_0" / "src0_direct.wav")
+    assert ref.sample_rate == 8000
+    lagged = np.concatenate([np.zeros(12), ref.samples[0, :-12]])
+    write_wav(MultichannelWaveform(np.stack([ref.samples[0], lagged]), 8000), est)
+    evaluate = ["evaluate", "--est", str(est), "--scene", str(out / "scene_0"), "--source", "0", "--out", str(report)]
+    assert main(evaluate) == 0
+    (row,) = [r for r in csv.DictReader(report.read_text().splitlines()) if r["scene_id"] == "scene_0"]
+    assert float(row["d_itd_us"]) == pytest.approx(1500.0, abs=10.0)  # one sample is 125 us
 
 
 @pytest.mark.parametrize("el, rc", [(100, 2), (-91, 2), (math.nan, 2), (90, 0), (-90, 0)])
