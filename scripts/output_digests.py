@@ -3,9 +3,9 @@
 
 Renders two fixed 1 s two-source scenes, one reverberant (RT60 0.4 s) and one
 anechoic, then runs every command in every mode whose output must not change:
-`simulate` with --jobs 1 and 2; per scene `featurize` with the defaults, with
---fft/--hop and with --bands, `extract` and `evaluate` (with --per-pair) for both
-sources, and `contour` with --jobs 1 and 2 on a grid of two chunks; `clue` as sh, as
+`simulate` with --jobs 1 and 2; per scene `featurize` with the defaults and with
+--fft/--hop, `extract` and `evaluate` (with --per-pair) for both sources, and
+`contour` with --jobs 1 and 2 on a grid of two chunks; `clue` as sh, as
 cyc-pos and with --activation; and `fuse-check`, whose printed lines are kept
 as a file. No command runs the band path, so per scene it is run here on the
 mixture: the fused bands (`fused.npz`), split then merged features
@@ -105,7 +105,6 @@ def write_outputs(root: Path) -> None:
         mixture, feats = str(scene / "mixture.wav"), root / f"featurize_{k}"
         run("featurize", "--wav", mixture, "--out", str(feats / "default"))
         run("featurize", "--wav", mixture, "--fft", "256", "--hop", "128", "--out", str(feats / "fft256"))
-        run("featurize", "--wav", mixture, "--bands", str(feats / "default" / "bands.json"), "--out", str(feats / "bands"))
         doas, _, _ = read_scene_dir(scene)
         write_band_path(scene, doas[0], root / f"band_path_{k}", seed=k)
         for j, doa in enumerate(doas):

@@ -178,26 +178,25 @@ def parse_json(data: bytes | str, source, keys=()):
     return doc
 
 
-def json_array(value, source, dtype=np.float64) -> np.ndarray:
-    """A parsed JSON number, or lists of them nested to a rectangle, as a float64 or int64 array.
+def json_array(value, source) -> np.ndarray:
+    """A parsed JSON number, or lists of them nested to a rectangle, as a float64 array.
 
-    JSON numbers only: a bool, a string, null, an object, a ragged list, a
-    fraction (512.0 included) where dtype is int64, or a value outside dtype's
-    range raises one ValueError that names source. The nesting is walked one
-    level at a time, not by recursion, as parse_json accepts any depth it parses.
+    JSON numbers only: a bool, a string, null, an object, a ragged list, or a
+    value beyond float64 raises one ValueError that names source. The nesting
+    is walked one level at a time, not by recursion, as parse_json accepts any
+    depth it parses.
     """
-    numbers = (int,) if np.issubdtype(dtype, np.integer) else (int, float)
     shape, level = [], [value]
     while level and all(type(v) is list for v in level):
         shape.append(len(level[0]))
         if any(len(v) != shape[-1] for v in level):
             raise ValueError(f"{source}: ragged list")
         level = [x for v in level for x in v]
-    if bad := [v for v in level if type(v) not in numbers]:
+    if bad := [v for v in level if type(v) not in (int, float)]:
         got = {dict: "an object", list: "a ragged list"}.get(type(bad[0])) or repr(bad[0])  # no repr of deep nesting
-        raise ValueError(f"{source}: expected JSON {'integers' if numbers == (int,) else 'numbers'}, got {got}")
+        raise ValueError(f"{source}: expected JSON numbers, got {got}")
     try:
-        return np.array(level, dtype=dtype).reshape(shape)
+        return np.array(level, dtype=np.float64).reshape(shape)
     except (ValueError, OverflowError) as e:  # e.g. 10**400, or more levels than an array has axes
         raise ValueError(f"{source}: {e}") from None
 

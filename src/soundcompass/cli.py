@@ -126,17 +126,7 @@ def cmd_featurize(args) -> int:
     window = replace(WINDOW, length=args.fft)
     spec = stft(wav, window, args.fft, args.hop)
     feat = spin_forward(spec)
-
-    if args.bands == "default":
-        layout = make_band_layout(num_bins, wav.sample_rate, fft_size=args.fft)
-    else:
-        layout = BandLayout.load(args.bands)
-        if layout.fft_size != args.fft:
-            raise CliError(f"{args.bands}: band layout is for FFT size {layout.fft_size}, --fft is {args.fft}")
-        if layout.sample_rate != wav.sample_rate:
-            raise CliError(
-                f"{args.bands}: band layout is for {layout.sample_rate} Hz, {args.wav} is {wav.sample_rate} Hz"
-            )
+    layout = make_band_layout(num_bins, wav.sample_rate, fft_size=args.fft)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -327,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--wav", required=True)
     s.add_argument("--fft", type=int, default=FFT_SIZE)
     s.add_argument("--hop", type=int, default=HOP)
-    s.add_argument("--bands", default="default")
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_featurize)
 

@@ -360,17 +360,6 @@ def test_featurize_log_mag(tmp_path, rng):
     assert log_mag[[0, 1, 3]].min() > np.log(1e-7)
 
 
-def test_featurize_custom_band_file(tmp_path):
-    wav = tmp_path / "x.wav"
-    make_noise_wav(wav, seconds=0.3, channels=2)
-    bands = tmp_path / "bands.json"
-    bands.write_text(json.dumps({"fs": FS, "fft_size": 512, "bands": [[0, 128], [100, 256]]}))
-    out = tmp_path / "feat"
-    assert main(["featurize", "--wav", str(wav), "--bands", str(bands), "--out", str(out)]) == 0
-    loaded = json.loads((out / "bands.json").read_text())
-    assert loaded["bands"] == [[0, 128], [100, 256]]
-
-
 def test_featurize_refuses_a_pairwise_tensor_above_the_bound(tmp_path):
     # one frame of a mono WAV: 4 x 1 x (FEATURIZE_MAX_VALUES // 4 + 1) values, just above the bound. The child
     # gets 512 MiB of address space, so a check placed after the STFT fails fast instead of taking gigabytes
@@ -390,100 +379,6 @@ def test_featurize_refuses_a_pairwise_tensor_above_the_bound(tmp_path):
         f" more than {cli.FEATURIZE_MAX_VALUES} values\n"
     )
     assert not out.exists()
-
-
-def test_featurize_band_bin_mismatch_exits_2(tmp_path, capsys):
-    """A layout is for one FFT size: 511 and 510 both give 256 bins, and still do not match."""
-    wav = tmp_path / "x.wav"
-    make_noise_wav(wav, seconds=0.2)
-    bands = tmp_path / "bands.json"
-    for layout_fft, fft in [(256, 512), (511, 510)]:
-        bands.write_text(json.dumps({"fs": FS, "fft_size": layout_fft, "bands": [[0, layout_fft // 2]]}))
-        out = tmp_path / f"o{fft}"
-        rc = main(["featurize", "--wav", str(wav), "--fft", str(fft), "--bands", str(bands), "--out", str(out)])
-        assert rc == 2
-        assert f"FFT size {layout_fft}, --fft is {fft}" in capsys.readouterr().err
-        assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "payload, message",
-    [
-        ({"fs": FS}, "missing 'fft_size'"),
-        ([1, 2], "expected a JSON object"),
-        ({"fs": FS, "fft_size": 512, "bands": [1, 2]}, "malformed value"),
-        ({"fs": FS, "fft_size": 2**40, "bands": [[0, 1]]}, "leaves bin 2 uncovered"),
-    ],
-    ids=["missing-key", "not-an-object", "band-not-a-pair", "fft-size-2**40"],
-)
-def test_featurize_malformed_band_file_exits_2(tmp_path, capsys, payload, message):
-    wav = tmp_path / "x.wav"
-    make_noise_wav(wav, seconds=0.2)
-    bands = tmp_path / "bands.json"
-    bands.write_text(json.dumps(payload))
-    rc = main(["featurize", "--wav", str(wav), "--bands", str(bands), "--out", str(tmp_path / "o")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
-    assert err.count("\n") == 1
-
-
-@pytest.mark.parametrize(
-    "over, message",
-    [
-        ({"fft_size": 512.0}, "fft_size: expected JSON integers, got 512.0"),
-        ({"fft_size": "512"}, "fft_size: expected JSON integers, got '512'"),
-        ({"fft_size": True}, "fft_size: expected JSON integers, got True"),
-        ({"bands": [[0, 100.9], [90, 256]]}, "bands: expected JSON integers, got 100.9"),
-        ({"bands": [[0, 100], ["90", 256]]}, "bands: expected JSON integers, got '90'"),
-        ({"bands": [[0, 100], [True, 256]]}, "bands: expected JSON integers, got True"),
-        ({"fft_size": [512]}, "fft_size must be one integer"),
-    ],
-    ids=["integral-float-fft", "string-fft", "bool-fft", "fractional-bound", "string-bound", "bool-bound", "list-fft"],
-)
-def test_featurize_band_file_non_integer_exits_2(tmp_path, capsys, over, message):
-    wav = tmp_path / "x.wav"
-    make_noise_wav(wav, seconds=0.2)
-    bands = tmp_path / "bands.json"
-    bands.write_text(json.dumps({"fs": FS, "fft_size": 512, "bands": [[0, 100], [90, 256]], **over}))
-    out = tmp_path / "o"
-    assert main(["featurize", "--wav", str(wav), "--bands", str(bands), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: {bands}: malformed value: {message}\n"
-    assert not (out / "bands.json").exists()
-
-
-@pytest.mark.parametrize(
-    "fs",
-    ["abc", 0, -16000, 16000.5, True, None],
-    ids=["string", "zero", "negative", "fractional", "bool", "null"],
-)
-def test_featurize_band_file_bad_fs_exits_2(tmp_path, capsys, fs):
-    wav = tmp_path / "x.wav"
-    make_noise_wav(wav, seconds=0.2)
-    bands = tmp_path / "bands.json"
-    bands.write_text(json.dumps({"fs": fs, "fft_size": 512, "bands": [[0, 256]]}))
-    out = tmp_path / "o"
-    rc = main(["featurize", "--wav", str(wav), "--bands", str(bands), "--out", str(out)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "fs must be a positive integer" in err
-    assert err.count("\n") == 1
-    assert not (out / "bands.json").exists()
-
-
-def test_featurize_band_file_rate_mismatch_exits_2(tmp_path, capsys):
-    wav = tmp_path / "x.wav"
-    make_noise_wav(wav, seconds=0.2, rate=FS)
-    bands = tmp_path / "bands.json"
-    bands.write_text(json.dumps({"fs": 8000, "fft_size": 512, "bands": [[0, 256]]}))
-    out = tmp_path / "o"
-    rc = main(["featurize", "--wav", str(wav), "--bands", str(bands), "--out", str(out)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "8000 Hz" in err and f"{FS} Hz" in err
-    assert err.count("\n") == 1
-    assert not (out / "bands.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -851,7 +746,6 @@ def test_non_finite_mixture_exits_2(rendered_scene, tmp_path, capsys, command, v
 # per command: a document of the wrong top-level type, and one that lacks a key or value
 WRONG_JSON = {
     "simulate": (b"[1]", b'{"rt60_s": 0.3}'),
-    "featurize": (b"[]", b'{"fs": 16000}'),
     "clue": (b'{"a": 1}', b"[]"),
     **dict.fromkeys(["extract", "evaluate", "contour"], (b"[]", b'{"sources": []}')),
 }
@@ -863,10 +757,6 @@ def test_bad_json_input_exits_2_naming_file(request, tmp_path, capsys, command, 
     if command == "simulate":  # the manifest's error names the line too
         path = tmp_path / "m.jsonl"
         argv = ["--manifest", str(path)]
-    elif command == "featurize":
-        make_noise_wav(tmp_path / "x.wav", seconds=0.2)
-        path = tmp_path / "bands.json"
-        argv = ["--wav", str(tmp_path / "x.wav"), "--bands", str(path)]
     elif command == "clue":
         path = tmp_path / "act.json"
         argv = ["--az", "0", "--el", "0", "--activation", str(path), "--frames", "3"]

@@ -23,7 +23,7 @@ from soundcompass.spectral import (
     synthesis_window_energy,
 )
 
-from conftest import UNREADABLE_JSON, complex_normal, mutated_json
+from conftest import complex_normal
 
 
 # ---------------------------------------------------------------------------
@@ -329,44 +329,11 @@ def test_band_layout_json_round_trip(tmp_path):
     layout = make_band_layout(257, 16000)
     path = tmp_path / "bands.json"
     layout.to_json(path)
-    loaded = BandLayout.load(path)
-    assert loaded.bands == layout.bands
-    assert loaded.sample_rate == 16000
-    assert loaded.fft_size == 512
-    d = json.loads(path.read_text())
+    d = json.loads(path.read_text(encoding="utf-8"))
     assert set(d) == {"fs", "fft_size", "bands"}
-
-
-def test_band_layout_json_text_round_trip():
-    # the default layout's text is longer than a file name may be
-    for layout in (make_band_layout(257, 16000), BandLayout(bands=[(0, 8)], num_bins=9)):
-        assert BandLayout.from_json(layout.to_json()) == layout
-
-
-BAD_LAYOUTS = {**UNREADABLE_JSON, "wrong_type": b"[]", "missing_key": b'{"fs": 16000, "bands": [[0, 8]]}'}
-
-
-@pytest.mark.parametrize("bad", sorted(BAD_LAYOUTS))
-def test_band_layout_bad_document_named(tmp_path, bad):
-    path = tmp_path / "bands.json"
-    path.write_bytes(BAD_LAYOUTS[bad])
-    with pytest.raises(ValueError, match=r"^\S*bands\.json: "):
-        BandLayout.load(path)
-    with pytest.raises(ValueError, match="^band layout JSON: "):
-        BandLayout.from_json(BAD_LAYOUTS[bad])
-
-
-@settings(max_examples=200, deadline=None)
-@given(blob=mutated_json({"fs": 16000, "fft_size": 16, "bands": [[0, 4], [3, 8]]}))
-def test_band_layout_load_fuzz_raises_only_value_error(tmp_path_factory, blob):
-    """A mutated layout file either loads or raises ValueError."""
-    path = tmp_path_factory.mktemp("fuzz") / "bands.json"
-    path.write_bytes(blob)
-    try:
-        layout = BandLayout.load(path)
-    except ValueError:
-        return
-    assert isinstance(layout, BandLayout)
+    assert d["fs"] == layout.sample_rate == 16000
+    assert d["fft_size"] == layout.fft_size == 512
+    assert d["bands"] == [list(b) for b in layout.bands]
 
 
 @settings(max_examples=30, deadline=None)
@@ -418,13 +385,11 @@ def test_split_single_band_identity(rng):
     np.testing.assert_array_equal(merge_bands(parts, layout), x)
 
 
-def test_band_layout_fs_must_be_positive_integer():
-    for fs in ("16000", 0, -8000, 8000.0, False):
-        with pytest.raises(ValueError, match="fs must be a positive integer"):
-            BandLayout(bands=[(0, 16)], num_bins=17, sample_rate=fs)
-    layout = BandLayout(bands=[(0, 16)], num_bins=17, sample_rate=np.int64(8000))
-    assert type(layout.sample_rate) is int  # so to_json can write it
-    assert json.loads(layout.to_json())["fs"] == 8000
+def test_band_layout_numpy_integers_become_ints(tmp_path):
+    layout = BandLayout(bands=[(np.int64(0), np.int64(16))], num_bins=17, sample_rate=np.int64(8000))
+    assert type(layout.sample_rate) is int and type(layout.bands[0][1]) is int  # so to_json can write them
+    layout.to_json(tmp_path / "bands.json")
+    assert json.loads((tmp_path / "bands.json").read_text(encoding="utf-8"))["fs"] == 8000
 
 
 def per_bin_merge_weights(layout):
