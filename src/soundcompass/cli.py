@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -80,31 +81,39 @@ def cmd_simulate(args) -> int:
     out_root.mkdir(parents=True, exist_ok=True)
     stop = threading.Event()  # set by a failure without --keep-going; scenes not yet started are skipped
 
-    def render(i):  # the scene's error, or None
-        if stop.is_set():
-            return None
-        try:
-            render_scene_to_dir(scenes[i], out_root / f"scene_{i}", base_dir=manifest.parent)
-        except Exception as e:
-            if not args.keep_going:
-                stop.set()
-            return e
+    def render(i):  # the scene's error or None, and its wall seconds
+        start, error = time.perf_counter(), None
+        if not stop.is_set():
+            try:
+                render_scene_to_dir(scenes[i], out_root / f"scene_{i}", base_dir=manifest.parent)
+            except Exception as e:
+                if not args.keep_going:
+                    stop.set()
+                error = e
+        return error, time.perf_counter() - start
 
+    start = time.perf_counter()
     workers = min(args.jobs, len(scenes))
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # imported here: a serial run loads no pool
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            errors = list(pool.map(render, range(len(scenes))))
+            results = list(pool.map(render, range(len(scenes))))
     else:  # on the calling thread
-        errors = list(map(render, range(len(scenes))))
-    failures = [(i, e) for i, e in enumerate(errors) if e is not None]
+        results = list(map(render, range(len(scenes))))
+    wall = time.perf_counter() - start
+    failures = [(i, e) for i, (e, _) in enumerate(results) if e is not None]
 
     for i, e in failures:
         print(f"scene_{i}: {e}", file=sys.stderr)
     if failures:
+        print(f"{len(failures)} of {len(scenes)} scenes failed", file=sys.stderr)
         first = failures[0][1]
         return EXIT_INVALID if isinstance(first, INVALID_INPUT_ERRORS) else EXIT_INTERNAL
-    print(f"rendered {len(scenes)} scenes into {out_root}")
+    slowest = max(range(len(scenes)), key=lambda i: results[i][1])
+    print(
+        f"rendered {len(scenes)} scenes into {out_root} in {wall:.3f} s;"
+        f" slowest scene_{slowest} took {results[slowest][1]:.3f} s"
+    )
     return EXIT_OK
 
 
@@ -123,10 +132,13 @@ def cmd_featurize(args) -> int:
             f"--fft {args.fft} and --hop {args.hop} ask for a {pairs} x {frames} x {num_bins} pairwise tensor,"
             f" more than {FEATURIZE_MAX_VALUES} values"
         )
+    try:  # before the transform, so a rate the layout refuses costs no STFT
+        layout = make_band_layout(num_bins, wav.sample_rate, fft_size=args.fft)
+    except ValueError as e:  # its one refusal: Nyquist at or below the lowest band edge
+        raise CliError(f"{args.wav}: sample rate {wav.sample_rate} Hz is too low for the band layout ({e})") from None
     window = replace(WINDOW, length=args.fft)
     spec = stft(wav, window, args.fft, args.hop)
     feat = spin_forward(spec)
-    layout = make_band_layout(num_bins, wav.sample_rate, fft_size=args.fft)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -157,6 +157,27 @@ def test_simulate_output_layout(tmp_path):
         assert len(truth["array_offsets"]) == 4
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_simulate_reports_wall_time_and_failures(tmp_path, capsys, jobs):
+    manifest = write_manifest(tmp_path, n_scenes=2)
+    out = tmp_path / "o"
+    assert main(["simulate", "--manifest", str(manifest), "--out", str(out), "--jobs", jobs]) == 0
+    line = capsys.readouterr().out
+    match = re.fullmatch(rf"rendered 2 scenes into {re.escape(str(out))} in (\S+) s; slowest scene_[01] took (\S+) s\n", line)
+    assert match, line
+    assert 0 <= float(match[2]) <= float(match[1])
+    # scene 1 fails at render time (missing audio); the count follows the per-scene lines
+    lines = manifest.read_text().splitlines()
+    bad = json.loads(lines[1])
+    bad["sources"][0]["wav"] = "does_not_exist.wav"
+    manifest.write_text(lines[0] + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+    assert main(["simulate", "--manifest", str(manifest), "--out", str(out), "--jobs", jobs, "--keep-going"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 2
+    assert err[0].startswith("scene_1: ") and err[1] == "1 of 2 scenes failed"
+
+
 def test_simulate_deterministic_and_parallel_identical(tmp_path):
     manifest = write_manifest(tmp_path, n_scenes=2)
     out1, out2, out3 = (tmp_path / n for n in ("a", "b", "c"))
@@ -252,7 +273,7 @@ def test_simulate_non_finite_source_exits_2(tmp_path, capsys):
     blob[-4:] = np.float32(np.nan).tobytes()
     wav.write_bytes(bytes(blob))
     assert main(["simulate", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == f"scene_0: {wav}: frame 3999 holds a non-finite sample\n"
+    assert capsys.readouterr().err == f"scene_0: {wav}: frame 3999 holds a non-finite sample\n1 of 1 scenes failed\n"
 
 
 @pytest.mark.parametrize(
@@ -268,7 +289,7 @@ def test_simulate_bad_noise_exits_2(tmp_path, capsys, seconds, channels, message
     manifest.write_text(json.dumps(scene) + "\n", encoding="utf-8")
     out = tmp_path / "o"
     assert main(["simulate", "--manifest", str(manifest), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"scene_0: {message}\n"
+    assert capsys.readouterr().err == f"scene_0: {message}\n1 of 1 scenes failed\n"
     assert not (out / "scene_0" / "mixture.wav").exists()
 
 
@@ -283,7 +304,9 @@ def test_simulate_decay_above_ceiling_exits_2(tmp_path, capsys, room, decay):
     del scene["rt60_s"]
     manifest.write_text(json.dumps({**scene, **room}) + "\n", encoding="utf-8")
     assert main(["simulate", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == f"scene_0: decay time {decay} s is above the 60 s the simulator builds\n"
+    assert capsys.readouterr().err == (
+        f"scene_0: decay time {decay} s is above the 60 s the simulator builds\n1 of 1 scenes failed\n"
+    )
 
 
 def test_import_loads_no_scipy(tmp_path):
@@ -379,6 +402,19 @@ def test_featurize_refuses_a_pairwise_tensor_above_the_bound(tmp_path):
         f" more than {cli.FEATURIZE_MAX_VALUES} values\n"
     )
     assert not out.exists()
+
+
+def test_featurize_refuses_a_low_rate_before_any_transform(tmp_path, capsys, monkeypatch):
+    # at 80 Hz Nyquist is 40 Hz, below the layout's 50 Hz lowest edge: no layout, so no STFT or features either
+    calls = []
+    forward = cli.spin_forward
+    monkeypatch.setattr(cli, "spin_forward", lambda spec: calls.append(spec) or forward(spec))
+    wav, out = tmp_path / "x.wav", tmp_path / "feat"
+    make_noise_wav(wav, seconds=10.0, rate=80, channels=4)
+    assert main(["featurize", "--wav", str(wav), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {wav}: sample rate 80 Hz is too low for the band layout") and err.count("\n") == 1
+    assert calls == [] and not out.exists()
 
 
 # ---------------------------------------------------------------------------
