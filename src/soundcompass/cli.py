@@ -82,7 +82,7 @@ def cmd_simulate(args) -> int:
     stop = threading.Event()  # set by a failure without --keep-going; scenes not yet started are skipped
 
     def render(i):  # the scene's error or None, and its wall seconds
-        start, error = time.perf_counter(), None
+        t0, error = time.perf_counter(), None
         if not stop.is_set():
             try:
                 render_scene_to_dir(scenes[i], out_root / f"scene_{i}", base_dir=manifest.parent)
@@ -90,7 +90,7 @@ def cmd_simulate(args) -> int:
                 if not args.keep_going:
                     stop.set()
                 error = e
-        return error, time.perf_counter() - start
+        return error, time.perf_counter() - t0
 
     start = time.perf_counter()
     workers = min(args.jobs, len(scenes))

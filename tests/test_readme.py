@@ -77,4 +77,3 @@ def test_scan_finds_planted_flags():
         ("simulate", "--jobs"),
         ("contour", "--span"),
     ]
-    assert "--bands" not in parser_flags()["featurize"]
